@@ -145,6 +145,17 @@ def scan_units(update, window, cap):
                              diagnostics={"last_state": m})
 
 
+def count_updates(sched, counts):
+    """scan_units updates of the (AD) scans: ceil(gamma^{-1}(counts(i)))."""
+    def update(i):
+        u = sched.ceil_inverse(int(counts(i)))
+        if u is None:
+            raise ConfigError("unit count exceeded sup gamma: is the schedule "
+                              "bounded?")
+        return u
+    return update
+
+
 def _dyadic_tail(viol, tol, w_cap=32768):
     """Dyadic bound on sum_{k >= W} viol(k) for decreasing viol; returns the
     smallest tried window W meeting tol, or None."""
@@ -211,19 +222,8 @@ def alpha0_stationary_ad(rate, sched, kernel=None, seed=0, cap=10**6):
         kernel = ExponentialKernel(1.0, 1.0)
     W = _certified_window_ad(K, sched, kernel, rate)
     rng = spawn_rng(seed, 0xAD)
-    counts = {}
-
-    def update(i):
-        c = counts.get(i)
-        if c is None:
-            c = int(rng.poisson(K)) if K > 0 else 0
-            counts[i] = c
-        u = sched.ceil_inverse(c)
-        if u is None:
-            raise ConfigError("count exceeded sup gamma: is the schedule bounded?")
-        return u
-
-    return scan_units(update, W, W + cap)
+    draw = lambda i: int(rng.poisson(K)) if K > 0 else 0
+    return scan_units(count_updates(sched, draw), W, W + cap)
 
 
 def alpha_from_counts_ad(counts, sched, window):
@@ -232,11 +232,7 @@ def alpha_from_counts_ad(counts, sched, window):
     ``counts[i-1]`` is the unit count for index i; the first ``window``
     entries form the certified backward stretch.
     """
-    def update(i):
-        u = sched.ceil_inverse(int(counts[i - 1]))
-        if u is None:
-            raise ConfigError("count exceeded sup gamma")
-        return u
+    update = count_updates(sched, lambda i: counts[i - 1])
     return scan_units(update, window, len(counts))
 
 

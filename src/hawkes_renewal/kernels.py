@@ -729,8 +729,11 @@ class EnvelopeFns:
                         problems.append(f"{name} not integrable")
             else:
                 c = 0.05
-                v = integrate_to_inf(lambda t: math.exp(c * t) * self.F(t),
-                                     0.0, factor="exp(ct) F")
+                try:
+                    v = integrate_to_inf(lambda t: math.exp(c * t) * self.F(t),
+                                         0.0, factor="exp(ct) F")
+                except OverflowError:  # exp(ct) outgrows a heavy-tailed F
+                    v = math.inf
                 if not math.isfinite(v):
                     problems.append("F lacks an exponential moment (assumption B)")
         except IntegrabilityError as exc:

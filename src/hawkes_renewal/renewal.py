@@ -11,10 +11,12 @@ by construction and restart from the certified state (age D, signal
 """
 
 import math
+import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import count_updates, scan_units
 from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, _sweep
 from .kernels import (EnvelopeFns, ExponentialKernel, RateSpec, ceil_int,
@@ -127,7 +129,6 @@ class CycleRecord:
     tau_gap: float
     alpha_gap: float
     envelope_ok: bool = True
-    n_candidates: int = 0
     tau_from_tail: bool = False
 
 
@@ -235,20 +236,11 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
     schedule.
     """
     ceil_gap = ceil_int(tau_gap)
-    m = 0
-    i = 0
-    trail = []
-    while i < cap:
-        i += 1
-        u = sched.ceil_inverse(int(counts(i)))
-        if u is None:
-            raise ConfigError("unit count exceeded sup gamma")
-        m = max(m - 1, u)
-        trail.append(m)
-        if m == 0 and i > ceil_gap:
-            return i
-    raise SimulationCapError("age-dependent alpha scan exceeded its cap",
-                             diagnostics={"chain_tail": trail[-50:]})
+    try:
+        return scan_units(count_updates(sched, counts), ceil_gap, cap) + ceil_gap
+    except SimulationCapError as exc:
+        raise SimulationCapError("age-dependent alpha scan exceeded its cap",
+                                 diagnostics=exc.diagnostics) from exc
 
 
 def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000):
@@ -593,70 +585,72 @@ class Block:
         yield self.path
 
 
-def _run_block(cfg, seed, index, start=None):
-    pi = PrmStream(seed, stream=3 * index)
-    pibar = PrmStream(seed, stream=3 * index + 1)
-    tau_rng = spawn_rng(seed, index, 0x7A1)
-    out = run_system(cfg, pi, pibar, start=start, tau_rng=tau_rng)
-    return Block(rho=out.rho, path=out.zstar, eta=out.eta, cycles=out.cycles), out
+def merge_diag(total, part):
+    """Fold the diagnostics dict ``part`` into ``total``: counts add up, band
+    excursions take the maximum."""
+    for key in ("band_violations", "envelope_failures", "n_candidates",
+                "tau_tail_draws"):
+        total[key] = total.get(key, 0) + part[key]
+    for key in ("band_max_low", "band_max_high"):
+        total[key] = max(total.get(key, part[key]), part[key])
+    return total
 
 
-_PARALLEL_CTX = {}
-
-
-def _block_worker(args):
-    seed, lo, hi = args
-    cfg = _PARALLEL_CTX["cfg"]
-    blocks = []
-    diag = np.zeros(3)
+def _run_chunk(cfg, job):
+    """Blocks lo..hi-1 of stream ``seed`` and their summed diagnostics."""
+    seed, lo, hi = job
+    blocks, diag = [], {}
     for i in range(lo, hi):
-        b, out = _run_block(cfg, seed, i)
-        diag += (out.band_violations, out.envelope_failures, out.n_candidates)
-        blocks.append(b)
+        out = run_system(cfg, PrmStream(seed, stream=3 * i),
+                         PrmStream(seed, stream=3 * i + 1),
+                         tau_rng=spawn_rng(seed, i, 0x7A1))
+        blocks.append(Block(out.rho, out.zstar, out.eta, out.cycles))
+        merge_diag(diag, vars(out))
     return blocks, diag
 
 
-def iterate_regenerations(cfg, n_blocks, seed=0, start=None, n_jobs=1,
-                          collect_diag=None):
+_worker_cfg = None  # set only inside fork workers, by the pool initializer
+
+
+def _init_worker(cfg):
+    global _worker_cfg
+    _worker_cfg = cfg
+
+
+def _worker_chunk(job):
+    return _run_chunk(_worker_cfg, job)
+
+
+def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
     """Generate i.i.d. regeneration blocks.
 
-    Every block restarts from the certified regeneration state on fresh
-    independent streams (block 0 may use ``start``).  Results are merged in
-    block order, so the worker count never changes the output.
+    Block i restarts from the certified regeneration state on fresh streams
+    keyed by (seed, i).  Chunks of blocks run on ``n_jobs`` fork workers (in
+    this process when n_jobs is 1) and are merged in block order, so the
+    worker count never changes the output.  ``collect_diag``, when given,
+    receives the diagnostics summed over all blocks.
     """
     if n_blocks < 1:
         raise ConfigError("need n_blocks >= 1")
-    if n_jobs > 1 and start is None:
-        import multiprocessing as mp
+    chunk = max(16, n_blocks // (4 * n_jobs) + 1)
+    jobs = [(seed, lo, min(lo + chunk, n_blocks))
+            for lo in range(0, n_blocks, chunk)]
+    ctx = None
+    if n_jobs > 1 and len(jobs) > 1:
         try:
-            ctx = mp.get_context("fork")
-        except ValueError:
-            ctx = None
-        if ctx is not None:
-            _PARALLEL_CTX["cfg"] = cfg
-            chunk = max(16, n_blocks // (4 * n_jobs) + 1)
-            jobs = [(seed, lo, min(lo + chunk, n_blocks))
-                    for lo in range(0, n_blocks, chunk)]
-            with ctx.Pool(n_jobs) as pool:
-                results = pool.map(_block_worker, jobs)
-            blocks = []
-            diag = np.zeros(3)
-            for bs, d in results:
-                blocks.extend(bs)
-                diag += d
-            if collect_diag is not None:
-                collect_diag.update(band_violations=int(diag[0]),
-                                    envelope_failures=int(diag[1]),
-                                    n_candidates=int(diag[2]))
-            return blocks
-    blocks = []
-    diag = np.zeros(3)
-    for i in range(n_blocks):
-        b, out = _run_block(cfg, seed, i, start=start if i == 0 else None)
-        diag += (out.band_violations, out.envelope_failures, out.n_candidates)
-        blocks.append(b)
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no fork on this platform: run in process
+            pass
+    if ctx is None:
+        results = map(lambda job: _run_chunk(cfg, job), jobs)
+    else:
+        with ctx.Pool(min(n_jobs, len(jobs)), initializer=_init_worker,
+                      initargs=(cfg,)) as pool:
+            results = pool.map(_worker_chunk, jobs)
+    blocks, diag = [], {}
+    for chunk_blocks, chunk_diag in results:
+        blocks.extend(chunk_blocks)
+        merge_diag(diag, chunk_diag)
     if collect_diag is not None:
-        collect_diag.update(band_violations=int(diag[0]),
-                            envelope_failures=int(diag[1]),
-                            n_candidates=int(diag[2]))
+        collect_diag.update(diag)
     return blocks

@@ -16,7 +16,7 @@ import scipy.stats
 
 from .errors import ConfigError
 from .prm import PrmStream, derive_key, spawn_rng
-from .renewal import ZStart, iterate_regenerations, run_system
+from .renewal import ZStart, iterate_regenerations, merge_diag, run_system
 
 
 @dataclass
@@ -59,10 +59,12 @@ def summarize(reports):
 def ad_normality(x, alpha=0.01, name="anderson-darling"):
     """Anderson-Darling normality check with the D'Agostino p approximation."""
     x = np.asarray(x, dtype=float)
-    res = scipy.stats.anderson(x, "norm")
-    stat = float(res.statistic)
-    crit = float(res.critical_values[-1])  # the 1% level
     n = len(x)
+    # as scipy.stats.anderson(x, "norm"), whose critical_values is deprecated
+    w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+    terms = scipy.stats.norm.logcdf(w) + scipy.stats.norm.logsf(w)[::-1]
+    stat = float(-n - np.sum((2 * np.arange(1, n + 1) - 1.0) / n * terms))
+    crit = round(1.035 / (1.0 + 0.75 / n + 2.25 / n**2), 3)
     a2 = stat * (1.0 + 0.75 / n + 2.25 / n**2)
     if a2 < 0.2:
         p = 1.0 - math.exp(-13.436 + 101.14 * a2 - 223.73 * a2 * a2)
@@ -186,6 +188,35 @@ def batch_means_sigma2(counts, batch=64):
     return s2, s2 * math.sqrt(2.0 / k)
 
 
+def blocks_until(cfg, remaining, seed, n_jobs=1, first=64,
+                 size=lambda b: b.rho, collect_diag=None):
+    """Regeneration blocks drawn in rounds until ``remaining(blocks)`` <= 0.
+
+    Round k is one :func:`iterate_regenerations` call on the stream
+    ``derive_key(seed, k)``: ``first`` blocks, then the open demand (in units
+    of ``size``) over the mean size so far, so ``n_jobs`` never changes the
+    blocks.  A round draws at most 4 times the blocks already seen, which
+    keeps a mean from few blocks from overshooting the demand by much.
+    ``collect_diag`` receives the diagnostics summed over all rounds.
+    """
+    blocks, diag, k = [], {}, 0
+    while (rest := remaining(blocks)) > 0:
+        m = first
+        if blocks:
+            mean = sum(map(size, blocks)) / len(blocks)
+            if mean <= 0:
+                raise ConfigError("blocks of size 0 never meet the demand")
+            m = max(16, min(math.ceil(rest / mean), 4 * len(blocks)))
+        part = {}
+        blocks += iterate_regenerations(cfg, m, seed=derive_key(seed, k) & 0x7FFFFFFF,
+                                        n_jobs=n_jobs, collect_diag=part)
+        merge_diag(diag, part)
+        k += 1
+    if collect_diag is not None:
+        collect_diag.update(diag)
+    return blocks
+
+
 def clt_time_average(cfg, n_blocks=32000, rep_blocks=32, seed=0, n_jobs=1,
                      alpha=0.01):
     """Time-average CLT over regeneration blocks for the event-count
@@ -223,31 +254,31 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01,
     """Rescaled partial-sum paths B_t = S_{nt} / sqrt(n sigma^2) with linear
     interpolation; tests Brownian marginal variances and increment
     independence.  Returns (t_grid, paths, reports)."""
-    all_blocks = []
-    per_path = []
-    for pth in range(n_paths):
-        path_seed = derive_key(seed, 0xFC17, pth) & 0x7FFFFFFF
-        blocks = []
-        total = 0.0
-        idx = 0
-        while total < n:
-            want = max(4, int((n - total) / 4.0) + 1)
-            got = iterate_regenerations(cfg, want, seed=path_seed + 1000 * idx)
-            for b in got:
-                blocks.append(b)
-                total += b.rho
-            idx += 1
-        per_path.append(blocks)
-        all_blocks.extend(blocks)
+    def cut(blocks):
+        """Consecutive paths of length >= n, and the length still missing."""
+        paths, cur, length = [], [], 0.0
+        for b in blocks:
+            if len(paths) == n_paths:
+                break
+            cur.append(b)
+            length += b.rho
+            if length >= n:
+                paths.append(cur)
+                cur, length = [], 0.0
+        return paths, (n_paths - len(paths)) * n - length
+
+    blocks = blocks_until(cfg, lambda bs: cut(bs)[1], derive_key(seed, 0xFC17),
+                          n_jobs=n_jobs)
+    per_path, _ = cut(blocks)
+    all_blocks = [b for path in per_path for b in path]
     pooled = block_stat_from_blocks(all_blocks)
     m_hat, sigma2 = pooled.p_tilde, pooled.sigma2
     paths = np.empty((n_paths, len(t_grid)))
-    for i, blocks in enumerate(per_path):
-        counts = unit_counts(blocks)[: n + 1]
+    for i, path in enumerate(per_path):
+        counts = unit_counts(path)[: n + 1]
         s = np.concatenate([[0.0], np.cumsum(counts - m_hat)])
-        for j, t in enumerate(t_grid):
-            x = n * t
-            paths[i, j] = np.interp(x, np.arange(len(s)), s) / math.sqrt(n * sigma2)
+        paths[i] = np.interp(n * np.asarray(t_grid), np.arange(len(s)), s) \
+            / math.sqrt(n * sigma2)
     reports = []
     i_end = len(t_grid) - 1
     var_end = paths[:, i_end].var(ddof=1) / t_grid[i_end]
@@ -354,16 +385,8 @@ def lil_envelope(cfg, n_max=10**5, seed=0, n_jobs=1, eps=0.5):
     Reports whether the running normalized sum stays within [-1-eps, 1+eps]
     and shows genuine excursions; informational only.
     """
-    blocks = []
-    total = 0.0
-    idx = 0
-    while total < n_max:
-        got = iterate_regenerations(cfg, 2000, seed=derive_key(seed, 0x1117, idx) & 0x7FFFFFFF,
-                                    n_jobs=n_jobs)
-        for b in got:
-            blocks.append(b)
-            total += b.rho
-        idx += 1
+    blocks = blocks_until(cfg, lambda bs: n_max - sum(b.rho for b in bs),
+                          derive_key(seed, 0x1117), n_jobs=n_jobs)
     stat = block_stat_from_blocks(blocks)
     counts = unit_counts(blocks)[: n_max]
     s = np.cumsum(counts - stat.p_tilde)

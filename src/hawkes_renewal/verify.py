@@ -16,12 +16,12 @@ from .cluster import BorelLaw, simulate_cluster
 from .errors import ConfigError
 from .hawkes import simulate_adhp
 from .kernels import ExponentialKernel, GammaSchedule, RateSpec
-from .prm import PrmStream, derive_key, spawn_rng, split
+from .prm import PrmStream, spawn_rng, split
 from .renewal import RenewalConfig, iterate_regenerations
 from .reprocess import REChain, return_time, invariant_cdf
-from .stats import (TestReport, chi2_gof, clt_time_average, coupling_experiment,
-                    functional_clt_paths, ks_against, lil_envelope,
-                    poisson_dispersion, se_bound_report)
+from .stats import (TestReport, blocks_until, chi2_gof, clt_time_average,
+                    coupling_experiment, functional_clt_paths, ks_against,
+                    lil_envelope, poisson_dispersion, se_bound_report)
 
 
 # ---------------------------------------------------------------------------
@@ -73,28 +73,15 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
     """
     cfg = cfg if cfg is not None else reference_ad_config(D=0.0)
     diag = {}
-    total_cycles = 0
-    blocks = []
-    chunk = max(n_blocks, 256)
-    while total_cycles < n_cycles or len(blocks) < n_blocks:
-        got = iterate_regenerations(cfg, chunk, seed=derive_key(seed, len(blocks)) & 0x7FFFFFFF,
-                                    n_jobs=n_jobs, collect_diag=diag)
-        for b in got:
-            blocks.append(b)
-            total_cycles += b.eta + 1
-        chunk = max(256, (n_cycles - total_cycles) // 4 + 1)
+    cycles_missing = lambda bs: max(n_cycles - sum(b.eta + 1 for b in bs),
+                                    n_blocks - len(bs))
+    blocks = blocks_until(cfg, cycles_missing, seed, n_jobs=n_jobs,
+                          first=n_blocks, size=lambda b: b.eta + 1,
+                          collect_diag=diag)
     q = math.exp(-cfg.env.F_l1)
-    gaps = []
-    n_inf = 0
-    etas = []
-    for b in blocks:
-        etas.append(b.eta)
-        for c in b.cycles:
-            if math.isinf(c.tau_gap):
-                n_inf += 1
-            else:
-                gaps.append(c.tau_gap)
-    n_cyc = n_inf + len(gaps)
+    taus = np.array([c.tau_gap for b in blocks for c in b.cycles])
+    gaps = taus[np.isfinite(taus)]  # one certified alpha per finite gap
+    n_cyc, n_inf = len(taus), len(taus) - len(gaps)
     reports = []
     se = math.sqrt(q * (1 - q) / n_cyc)
     reports.append(se_bound_report(
@@ -102,23 +89,25 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
         detail=f"freq={n_inf / n_cyc:.5f} exp(-||F||)={q:.5f}"))
     denom = 1.0 - q
     cdf = lambda t: (1.0 - np.exp(-np.vectorize(cfg.env.cum_F)(t))) / denom
-    reports.append(ks_against(np.array(gaps), cdf, alpha=alpha,
+    reports.append(ks_against(gaps, cdf, alpha=alpha,
                               name="tau-gap-conditional-law"))
-    etas = np.asarray(etas)
+    etas = np.array([b.eta for b in blocks])
     kmax = int(etas.max()) + 1
     obs = np.bincount(etas, minlength=kmax + 1)
     probs = q * (1 - q) ** np.arange(kmax + 1)
     probs[-1] = (1 - q) ** kmax  # tail bucket
     reports.append(chi2_gof(obs, probs, alpha=alpha, name="eta-geometric"))
     reports.append(TestReport(
-        name="band-invariant", statistic=float(diag.get("band_violations", 0)),
-        p_value=float("nan"), n=diag.get("n_candidates", 0),
-        passed=diag.get("band_violations", 0) == 0,
-        detail=f"candidates={diag.get('n_candidates', 0)}"))
+        name="band-invariant", statistic=float(diag["band_violations"]),
+        p_value=float("nan"), n=diag["n_candidates"],
+        passed=diag["band_violations"] == 0,
+        detail=f"candidates={diag['n_candidates']} "
+               f"max_low={diag['band_max_low']:.3g} "
+               f"max_high={diag['band_max_high']:.3g}"))
     reports.append(TestReport(
-        name="envelope-certificate", statistic=float(diag.get("envelope_failures", 0)),
-        p_value=float("nan"), n=len(blocks),
-        passed=diag.get("envelope_failures", 0) == 0))
+        name="envelope-certificate", statistic=float(diag["envelope_failures"]),
+        p_value=float("nan"), n=len(gaps),
+        passed=diag["envelope_failures"] == 0))
     counts = np.array([b.n_events for b in blocks], dtype=float)[: n_blocks]
     lens = np.array([b.rho for b in blocks], dtype=float)[: n_blocks]
     thresh = 3.0 / math.sqrt(len(counts))

@@ -77,6 +77,14 @@ class TestSimulate:
 
 
 class TestRenewal:
+    def test_powerlaw_without_exponential_moment_rejected(self, tmp_path, capsys):
+        # a power-law F has no exponential moment, which assumption B needs
+        bad = BASE_CONFIG.replace("form = exponential", "form = powerlaw") \
+                         .replace("rate = 1.0\n", "exponent = 4.0\n", 1)
+        cfg = write(tmp_path, bad)
+        assert main(["renewal", "--config", cfg]) == 2
+        assert "F lacks an exponential moment" in capsys.readouterr().err
+
     def test_zero_band_rows_have_inf_sentinels(self, tmp_path, capsys):
         cfg = write(tmp_path, ZERO_BAND_CONFIG)
         assert main(["renewal", "--config", cfg]) == 0

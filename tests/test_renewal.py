@@ -7,9 +7,12 @@ from hawkes_renewal import (ExponentialKernel, GammaSchedule, PrmStream,
                             RateSpec, RenewalConfig, ZeroKernel, ZStart,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
+from hawkes_renewal import renewal
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.renewal import certify_dominated
-from hawkes_renewal.verify import reference_ad_config, reference_o_config
+from hawkes_renewal.stats import functional_clt_paths, lil_envelope
+from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
+                                   suite_renewal)
 
 
 def counts_fn(arr):
@@ -170,6 +173,12 @@ class TestBlocks:
         assert [b.rho for b in seq] == [b.rho for b in par]
         for a, b in zip(seq, par):
             assert np.array_equal(a.path.times, b.path.times)
+        fclt = [functional_clt_paths(cfg, n=60, n_paths=6, seed=6, n_jobs=j)
+                for j in (1, 2)]
+        assert np.array_equal(fclt[0][1], fclt[1][1])
+        assert [r.statistic for r in fclt[0][2]] == [r.statistic for r in fclt[1][2]]
+        lil = [lil_envelope(cfg, n_max=600, seed=6, n_jobs=j)[0] for j in (1, 2)]
+        assert (lil[0].statistic, lil[0].detail) == (lil[1].statistic, lil[1].detail)
 
     def test_extend_after_keeps_paths_growing(self):
         cfg = reference_ad_config(D=0.0)
@@ -186,3 +195,22 @@ class TestBlocks:
         # terminal-window law just before the regeneration gap
         w = np.array([b.path.count(b.rho - 2.0, b.rho - 1.0) for b in blocks])
         assert scipy.stats.ks_2samp(w[:h], w[h:]).pvalue >= 0.01
+
+
+class TestSuiteRenewalCounts:
+    def test_band_gate_counts_every_block(self, monkeypatch):
+        # the suite draws several rounds here; its band-invariant gate must
+        # count the candidates of all of them, not of the last round only
+        seen = {"blocks": 0, "candidates": 0}
+
+        def counted(*args, **kwargs):
+            out = run_system(*args, **kwargs)
+            seen["blocks"] += 1
+            seen["candidates"] += out.n_candidates
+            return out
+
+        monkeypatch.setattr(renewal, "run_system", counted)
+        reports = suite_renewal(n_cycles=3000, n_blocks=100)
+        band = next(r for r in reports if r.name == "band-invariant")
+        assert seen["blocks"] > 100
+        assert band.n == seen["candidates"]

@@ -109,6 +109,13 @@ class TestHelpers:
         rep = ad_normality(rng.exponential(size=2000))
         assert not rep.passed
 
+    def test_ad_normality_uses_no_deprecated_scipy_api(self):
+        rng = np.random.default_rng(6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FutureWarning)
+            rep = ad_normality(rng.normal(size=50))
+        assert rep.detail == "crit(1%)=1.019"
+
     def test_chi2_pooling(self):
         obs = np.array([40, 35, 15, 6, 3, 1, 0, 0])
         probs = np.array([0.4, 0.35, 0.15, 0.06, 0.03, 0.008, 0.0015, 0.0005])
