@@ -9,7 +9,7 @@ cluster field also yields certified stationary starting times.
 import numpy as np
 
 from hawkes_renewal import (BorelLaw, ExponentialKernel, GammaSchedule,
-                            RateSpec, borel_pmf, simulate_cluster)
+                            RateSpec, simulate_cluster)
 from hawkes_renewal.cluster import alpha0_stationary_ad, alpha0_stationary_o
 from hawkes_renewal.prm import spawn_rng
 
@@ -22,7 +22,7 @@ ws = np.array([c.W for c in clusters])
 print(f"mean cluster size: {ws.mean():.3f} vs 1/(1-m) = 2.0")
 print("size  empirical   Borel pmf")
 for n in range(1, 7):
-    print(f"{n:>4}  {np.mean(ws == n):9.4f}   {borel_pmf(law, n):9.4f}")
+    print(f"{n:>4}  {np.mean(ws == n):9.4f}   {law.pmf(n):9.4f}")
 print(f"exponential moment threshold c_h = {law.c_h:.4f}")
 
 # certified stationary starting times for both setups

@@ -10,16 +10,14 @@ from .errors import (BandViolationError, ConfigError, DominationError,
                      IntegrabilityError, SimulationCapError, SupercriticalError)
 from .kernels import (EnvelopeFns, ExponentialKernel, GammaSchedule, Kernel,
                       PositivePartKernel, PowerLawKernel, RateSpec, TableKernel,
-                      ZeroKernel, check_subcritical, eval_F, eval_f,
-                      gamma_inverse, pos_part)
-from .prm import PrmStream, SplitStreams, sample_strip, spawn_rng, split
+                      ZeroKernel, check_subcritical, pos_part)
+from .prm import PrmStream, SplitStreams, spawn_rng, split
 from .hawkes import (KernelMemory, Path, ProcessState, age_at, memory_at,
                      path_to_csv, simulate_adhp)
 from .renewal import (Block, CycleRecord, RenewalConfig, RenewalOutcome, ZStart,
                       check_envelope_inequality, iterate_regenerations,
                       run_system, scan_alpha_AD, scan_alpha_O)
-from .cluster import (BorelLaw, Cluster, alpha0_stationary, borel_pmf,
-                      simulate_cluster)
+from .cluster import BorelLaw, Cluster, alpha0_stationary, simulate_cluster
 from .reprocess import REChain, invariant_cdf, return_time, step
 from .stats import (BlockStat, TestReport, clt_time_average,
                     coupling_experiment, functional_clt_paths,
@@ -30,15 +28,14 @@ __all__ = [
     "IntegrabilityError", "SimulationCapError", "SupercriticalError",
     "EnvelopeFns", "ExponentialKernel", "GammaSchedule", "Kernel",
     "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
-    "ZeroKernel", "check_subcritical", "eval_F", "eval_f", "gamma_inverse",
-    "pos_part",
-    "PrmStream", "SplitStreams", "sample_strip", "spawn_rng", "split",
+    "ZeroKernel", "check_subcritical", "pos_part",
+    "PrmStream", "SplitStreams", "spawn_rng", "split",
     "KernelMemory", "Path", "ProcessState", "age_at", "memory_at",
     "path_to_csv", "simulate_adhp",
     "Block", "CycleRecord", "RenewalConfig", "RenewalOutcome", "ZStart",
     "check_envelope_inequality", "iterate_regenerations", "run_system",
     "scan_alpha_AD", "scan_alpha_O",
-    "BorelLaw", "Cluster", "alpha0_stationary", "borel_pmf", "simulate_cluster",
+    "BorelLaw", "Cluster", "alpha0_stationary", "simulate_cluster",
     "REChain", "invariant_cdf", "return_time", "step",
     "BlockStat", "TestReport", "clt_time_average", "coupling_experiment",
     "functional_clt_paths", "lil_envelope", "windowed_functional",

@@ -16,6 +16,7 @@ from scipy.stats import poisson as _poisson
 from .errors import ConfigError, SimulationCapError, SupercriticalError
 from .kernels import ExponentialKernel, GammaSchedule, ceil_int
 from .prm import spawn_rng
+from .reprocess import step
 
 _CERT_TOL = 1e-12
 
@@ -88,13 +89,6 @@ class BorelLaw:
         return self._series(lambda n: math.exp(c * n), cap=cap)
 
 
-def borel_pmf(law, n):
-    """P(W = n) for the total progeny law."""
-    if n < 1:
-        raise ConfigError("total progeny starts at n = 1")
-    return law.pmf(n)
-
-
 @dataclass
 class Cluster:
     """One simulated cluster: the root, all event times, size and extent."""
@@ -138,7 +132,7 @@ def scan_units(update, window, cap):
     i = 0
     while i < cap:
         i += 1
-        m = max(m - 1, update(i))
+        m = step(m, update(i))
         if m == 0 and i > window:
             return i - window
     raise SimulationCapError("stationary-start scan exceeded its cap",
@@ -224,16 +218,6 @@ def alpha0_stationary_ad(rate, sched, kernel=None, seed=0, cap=10**6):
     rng = spawn_rng(seed, 0xAD)
     draw = lambda i: int(rng.poisson(K)) if K > 0 else 0
     return scan_units(count_updates(sched, draw), W, W + cap)
-
-
-def alpha_from_counts_ad(counts, sched, window):
-    """Deterministic variant of the (AD) scan on a fixed count array.
-
-    ``counts[i-1]`` is the unit count for index i; the first ``window``
-    entries form the certified backward stretch.
-    """
-    update = count_updates(sched, lambda i: counts[i - 1])
-    return scan_units(update, window, len(counts))
 
 
 def _gamma_star(sched, c0):

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DominationError
 from .kernels import ExponentialKernel
+from .prm import in_band
 
 _SLACK = 1e-9
 
@@ -166,15 +167,13 @@ class ProcessState:
 
 
 def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
-                  delay=0.0, horizon=100.0, origin=0.0, stream_reader=None):
+                  delay=0.0, horizon=100.0, origin=0.0):
     """Exact thinning simulation of a (D-delayed) age-dependent Hawkes process.
 
     Parameters
     ----------
     pi : PrmStream
-        Driving PRM.  ``stream_reader`` may override how candidate points
-        are fetched (same signature as ``pi.sample``), which the renewal
-        construction uses to present split measures as drivers.
+        Driving PRM.
     kernel, rate : weight function and rate specification.
     signal, signal_upper : initial signal R(t) in absolute time, and a
         decreasing upper envelope of it (required when R can be positive).
@@ -187,32 +186,69 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
     if not math.isfinite(horizon):
         raise DominationError("horizon must be finite")
     state = ProcessState(kernel, rate, signal, signal_upper, age0, delay, origin)
-    read = stream_reader if stream_reader is not None else pi.sample
-    _sweep(state, read, origin, horizon)
+    thin([state], pi.sample, origin, horizon)
     return Path(np.array(state.jumps), horizon=horizon, origin=origin)
 
 
-def _sweep(state, read, t_from, t_to, window=1.0):
-    """Drive one process from t_from to t_to by windowed exact thinning."""
+def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
+    """Drive ``tracks`` on (t_from, t_to] by windowed exact thinning of one driver.
+
+    ``read(t0, t1, zmax)`` returns the driver's points in (t0, t1] x
+    [0, zmax], sorted by time.  Each unit window is read up to the largest
+    ``bound_from`` of the tracks; a point (s, z) is a jump of every track
+    with z <= lambda(s), and an intensity above its window bound raises
+    :class:`DominationError`.
+
+    ``band = (width, width_sup)`` puts the band (lam, lam + width(s)] on
+    the last track, lam being its intensity; ``width_sup(t0, t1)`` bounds
+    the width on a window and raises that track's bound.  The first band
+    point ends the sweep: the other tracks take it as a jump where z lies
+    below their intensity.  With ``suppress`` band points are skipped
+    instead, as conditioned out of the driver.  ``watch(s, lams, width)``
+    sees the intensities of every candidate of a band sweep.
+
+    Returns (hit, n): ``hit`` is (s, z - lam) for the band point that ended
+    the sweep, else None; ``n`` counts the candidates inspected.
+    """
+    n = 0
     frontier = t_from
-    while frontier < t_to - 1e-15:
-        w_end = min(math.floor(frontier / window) * window + window, t_to)
-        if w_end <= frontier:
-            w_end = min(frontier + window, t_to)
-        bound = state.bound_from(frontier) * (1.0 + _SLACK) + 1e-12
-        pts = read(frontier, w_end, bound)
+    while frontier < t_to - 1e-12:
+        w_end = min(math.floor(frontier) + 1.0, t_to)
+        if w_end <= frontier + 1e-12:
+            w_end = min(frontier + 1.0, t_to)
+        bounds = [tr.bound_from(frontier) for tr in tracks]
+        if band is not None:
+            bounds[-1] += band[1](frontier, w_end)
+        bound = max(bounds) * (1.0 + _SLACK) + 1e-12
+        limit = bound * (1.0 + _SLACK) + 1e-9
         moved = False
-        for s, z in pts:
-            lam = state.lambda_at(s)
-            if lam > bound * (1.0 + _SLACK) + 1e-9:
+        for s, z in read(frontier, w_end, bound).tolist():
+            n += 1
+            lams = [tr.lambda_at(s) for tr in tracks]
+            top, hit = max(lams), False
+            if band is not None:
+                lam, width = lams[-1], band[0](s)
+                top, hit = max(top, lam + width), in_band(lam, z, lam + width)
+                if watch is not None:
+                    watch(s, lams, width)
+            if top > limit:
                 raise DominationError("intensity exceeded its bound", at_time=s)
-            if z <= lam:
-                state.add_jump(s)
+            if hit and suppress:
+                continue
+            jumped = False
+            for tr, lam_tr in zip(tracks, lams):
+                if z <= lam_tr:
+                    tr.add_jump(s)
+                    jumped = True
+            if hit:
+                return (s, z - lam), n
+            if jumped:
                 frontier = s
                 moved = True
                 break
         if not moved:
             frontier = w_end
+    return None, n
 
 
 def memory_at(path, kernel, signal, t):

@@ -546,13 +546,6 @@ class GammaSchedule:
         return problems
 
 
-def gamma_inverse(sched, y):
-    """Module-level generalized inverse, +inf sentinel above sup gamma."""
-    if y < 0:
-        raise ConfigError("gamma_inverse needs y >= 0")
-    return sched.inverse(y)
-
-
 # ---------------------------------------------------------------------------
 # Envelope functions
 # ---------------------------------------------------------------------------
@@ -739,13 +732,3 @@ class EnvelopeFns:
         except IntegrabilityError as exc:
             problems.append(str(exc))
         return problems
-
-
-def eval_f(env, t1, t2=INF):
-    """Two-argument envelope f; see :class:`EnvelopeFns`."""
-    return env.f(t1, t2)
-
-
-def eval_F(env, t):
-    """Band width F at lag t; see :class:`EnvelopeFns`."""
-    return env.F(t)

@@ -109,9 +109,13 @@ class PrmStream:
         return allp[np.argsort(allp[:, 0], kind="stable")]
 
 
-def sample_strip(stream, t0, t1, zmax):
-    """Points of the PRM in (t0, t1] x [0, zmax], sorted by time."""
-    return stream.sample(t0, t1, zmax)
+def in_band(lo, z, hi):
+    """The band-membership rule of the whole construction: lo < z <= hi.
+
+    It matches the thinning rule "z <= lambda is a jump", so a mark is
+    below, inside or above a band, never two of them at once.
+    """
+    return lo < z <= hi
 
 
 @dataclass
@@ -119,58 +123,50 @@ class SplitStreams:
     """The two derived measures of a band split.
 
     ``down`` keeps original marks; ``up`` holds marks shifted down by the
-    lower band function.  ``band`` is the (f1, f2) pair used.
+    lower band edge.  ``band`` is the band callable used.
     """
 
     down: np.ndarray
     up: np.ndarray
-    band: tuple
+    band: object
 
 
-def split(pi, pibar, f1, f2, window, zmax):
-    """Split (pi, pibar) along the predictable band [f1, f2).
+def _by_time(pts):
+    if not pts:
+        return np.empty((0, 2))
+    out = np.array(pts)
+    return out[np.argsort(out[:, 0], kind="stable")]
 
-    Membership is decided pointwise at the sampled times.  ``down`` holds
-    the first measure with its in-band points replaced by the second's;
-    ``up`` holds the first measure's in-band points at marks shifted down
-    by f1.  Completing ``up`` above the band width with the remaining
-    second-measure points would make it a full PRM, but only the in-band
-    content is materialized: every count identity
+
+def split(pi, pibar, band, window, zmax):
+    """Split (pi, pibar) along the predictable band ``band(t) -> (lo, hi)``.
+
+    Membership is decided pointwise at the sampled times by
+    :func:`in_band`, with the band evaluated once per point.  ``down``
+    holds the first measure with its in-band points replaced by the
+    second's; ``up`` holds the first measure's in-band points at marks
+    shifted down by lo.  Completing ``up`` above the band width with the
+    remaining second-measure points would make it a full PRM, but only the
+    in-band content is materialized: every count identity
     |pi| + |pibar in band| = |down| + |up| then holds pathwise.
     """
     t0, t1 = window
-    p = pi.sample(t0, t1, zmax)
-    q = pibar.sample(t0, t1, zmax)
+    down, up = [], []
 
-    def bands(pts):
-        if not len(pts):
-            return np.empty(0), np.empty(0)
-        b1 = np.array([float(f1(t)) for t in pts[:, 0]])
-        b2 = np.array([float(f2(t)) for t in pts[:, 0]])
-        if np.any(b1 > b2):
-            bad = pts[np.argmax(b1 > b2), 0]
-            raise BandViolationError(f"f1 > f2 at sampled time {bad:g}")
-        return b1, b2
+    def edges(s):
+        lo, hi = band(s)
+        if lo > hi:
+            raise BandViolationError(f"band lo > hi at sampled time {s:g}")
+        return lo, hi
 
-    pb1, pb2 = bands(p)
-    qb1, qb2 = bands(q)
-
-    down_parts, up_parts = [], []
-    if len(p):
-        in_band = (p[:, 1] >= pb1) & (p[:, 1] < pb2)
-        down_parts.append(p[~in_band])
-        shifted = p[in_band].copy()
-        shifted[:, 1] -= pb1[in_band]
-        up_parts.append(shifted)
-    if len(q):
-        in_band = (q[:, 1] >= qb1) & (q[:, 1] < qb2)
-        down_parts.append(q[in_band])
-
-    def pack(parts):
-        parts = [x for x in parts if len(x)]
-        if not parts:
-            return np.empty((0, 2))
-        out = np.concatenate(parts)
-        return out[np.argsort(out[:, 0], kind="stable")]
-
-    return SplitStreams(down=pack(down_parts), up=pack(up_parts), band=(f1, f2))
+    for s, z in pi.sample(t0, t1, zmax).tolist():
+        lo, hi = edges(s)
+        if in_band(lo, z, hi):
+            up.append((s, z - lo))
+        else:
+            down.append((s, z))
+    for s, z in pibar.sample(t0, t1, zmax).tolist():
+        lo, hi = edges(s)
+        if in_band(lo, z, hi):
+            down.append((s, z))
+    return SplitStreams(down=_by_time(down), up=_by_time(up), band=band)

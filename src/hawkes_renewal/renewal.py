@@ -18,10 +18,10 @@ import numpy as np
 
 from .cluster import count_updates, scan_units
 from .errors import ConfigError, SimulationCapError
-from .hawkes import Path, ProcessState, _sweep
+from .hawkes import Path, ProcessState, thin
 from .kernels import (EnvelopeFns, ExponentialKernel, RateSpec, ceil_int,
                       check_subcritical, pos_part)
-from .prm import PrmStream, spawn_rng
+from .prm import PrmStream, spawn_rng, split
 
 _SLACK = 1e-9
 _ABS_TOL = 1e-12
@@ -143,9 +143,10 @@ class RenewalOutcome:
     cycles: list
     zstar: Path
     track_paths: list
-    band_max_low: float = 0.0
-    band_max_high: float = 0.0
+    band_max_low: float = -math.inf
+    band_max_high: float = -math.inf
     band_violations: int = 0
+    band_checks: int = 0
     envelope_failures: int = 0
     n_candidates: int = 0
     tau_tail_draws: int = 0
@@ -290,9 +291,10 @@ class _Engine:
         self.cycles = []
         self.cycle = None       # current/last comparison process
         self.cycle_start = None
-        self.band_max_low = 0.0
-        self.band_max_high = 0.0
+        self.band_max_low = -math.inf
+        self.band_max_high = -math.inf
         self.band_violations = 0
+        self.band_checks = 0
         self.envelope_failures = 0
         self.n_candidates = 0
         self.tau_tail_draws = 0
@@ -309,35 +311,26 @@ class _Engine:
             age0=0.0, delay=self.cfg.D, origin=a)
         self.cycle_start = a
 
-    def band_at(self, s):
-        """(lambda_cycle, scaled F) at absolute time s within the band zone."""
-        lam = self.cycle.lambda_at(s)
-        return lam, self.scale * self.env.F(s - self.cycle_start)
+    def width(self, s):
+        """The (scaled) band width at absolute time s."""
+        return self.scale * self.env.F(s - self.cycle_start)
 
-    def in_band(self, s, z, tau_abs):
-        if tau_abs is not None and s > tau_abs:
-            return False
-        lam, width = self.band_at(s)
-        return lam < z <= lam + width
+    def width_sup(self, t0, t1):
+        a = self.cycle_start
+        return self.scale * self.env.F_sup(max(t0 - a, 0.0), t1 - a)
 
-    # -- joint candidate sweeps ----------------------------------------------
-
-    def _bound(self, t, w_end, with_band):
-        b = max(tr.bound_from(t) for tr in self.tracks)
-        if with_band:
-            a = self.cycle_start
-            b = max(b, self.cycle.bound_from(t)
-                    + self.scale * self.env.F_sup(max(t - a, 0.0), w_end - a))
-        return b * (1.0 + _SLACK) + 1e-12
-
-    def _record_band(self, s, lam_c):
-        lam_star = self.tracks[0].lambda_at(s)
-        d = lam_star - lam_c
-        width = self.env.F(s - self.cycle_start)
+    def _record_band(self, s, lams, width):
+        # the invariant holds for the unscaled width F
+        if self.scale != 1.0:
+            width = self.env.F(s - self.cycle_start)
+        d = lams[0] - lams[-1]
+        self.band_checks += 1
         self.band_max_low = max(self.band_max_low, -d)
         self.band_max_high = max(self.band_max_high, d - width)
         if d < -_SLACK or d > width + _SLACK:
             self.band_violations += 1
+
+    # -- joint candidate sweeps ----------------------------------------------
 
     def sweep(self, t_from, t_to, mode):
         """Advance all live processes on (t_from, t_to].
@@ -348,45 +341,16 @@ class _Engine:
                           the driver are skipped entirely.
         Returns (s, v) for a tau event, else None.
         """
-        with_band = mode in ("cycle", "suppress")
-        frontier = t_from
-        while frontier < t_to - 1e-12:
-            w_end = min(math.floor(frontier) + 1.0, t_to)
-            if w_end <= frontier + 1e-12:
-                w_end = min(frontier + 1.0, t_to)
-            bound = self._bound(frontier, w_end, with_band)
-            pts = self.pi.sample(frontier, w_end, bound)
-            moved = False
-            for s, z in pts:
-                self.n_candidates += 1
-                if with_band:
-                    lam_c, width = self.band_at(s)
-                    if self.cfg.check_band:
-                        self._record_band(s, lam_c)
-                    if lam_c < z <= lam_c + width:
-                        if mode == "cycle":
-                            for tr in self.tracks:
-                                if z <= tr.lambda_at(s):
-                                    tr.add_jump(s)
-                            self.swept_to = s
-                            return s, z - lam_c
-                        continue  # suppressed: conditioned out of the driver
-                jumped = False
-                for tr in self.tracks:
-                    if z <= tr.lambda_at(s):
-                        tr.add_jump(s)
-                        jumped = True
-                if with_band and z <= lam_c:
-                    self.cycle.add_jump(s)
-                    jumped = True
-                if jumped:
-                    frontier = s
-                    moved = True
-                    break
-            if not moved:
-                frontier = w_end
-        self.swept_to = t_to
-        return None
+        if mode == "free":
+            hit, n = thin(self.tracks, self.pi.sample, t_from, t_to)
+        else:
+            watch = self._record_band if self.cfg.check_band else None
+            hit, n = thin(self.tracks + [self.cycle], self.pi.sample, t_from,
+                          t_to, band=(self.width, self.width_sup),
+                          suppress=mode == "suppress", watch=watch)
+        self.n_candidates += n
+        self.swept_to = t_to if hit is None else hit[0]
+        return hit
 
     # -- tau sampling ---------------------------------------------------------
 
@@ -409,9 +373,8 @@ class _Engine:
         gap = self.env.inv_cum(self.env.cum_F(horizon - a) + e / self.scale)
         s = a + gap
         self.sweep(horizon, s, "suppress")
-        lam_c, width = self.band_at(s)
-        v = self.rng.random() * width
-        z = lam_c + v
+        v = self.rng.random() * self.width(s)
+        z = self.cycle.lambda_at(s) + v
         for tr in self.tracks:
             if z <= tr.lambda_at(s):
                 tr.add_jump(s)
@@ -420,26 +383,21 @@ class _Engine:
 
     # -- scan drivers -----------------------------------------------------------
 
-    def _down_reader(self, tau_abs):
-        """The post-split driver on (cycle_start, .]: swapped inside the band."""
-        def read(t0, t1, zmax):
-            keep = []
-            for s, z in self.pi.sample(t0, t1, zmax):
-                if not self.in_band(s, z, tau_abs):
-                    keep.append((s, z))
-            for s, z in self.pibar.sample(t0, t1, zmax):
-                if self.in_band(s, z, tau_abs):
-                    keep.append((s, z))
-            if not keep:
-                return np.empty((0, 2))
-            arr = np.array(keep)
-            return arr[np.argsort(arr[:, 0], kind="stable")]
-        return read
-
     def find_alpha(self, tau_abs, tau_gap):
         a = self.alphas[-1]
         cfg = self.cfg
-        read = self._down_reader(tau_abs)
+
+        def band(s):
+            """The cycle's band up to tau; empty after it."""
+            if s > tau_abs:
+                return 0.0, 0.0
+            lam = self.cycle.lambda_at(s)
+            return lam, lam + self.width(s)
+
+        def read(t0, t1, zmax):
+            """The post-split driver on (cycle_start, .]: swapped inside the band."""
+            return split(self.pi, self.pibar, band, (t0, t1), zmax).down
+
         if cfg.setup == "AD":
             K = cfg.rate.K
             def counts(i):
@@ -467,7 +425,7 @@ class _Engine:
         def zn_upto(T_local):
             target = a + T_local
             if target > state["frontier"]:
-                _sweep(zpre, read, state["frontier"], target)
+                thin([zpre], read, state["frontier"], target)
                 state["frontier"] = target
             local = np.array([u - a for u in zpre.jumps if u <= target + 1e-12])
             return np.sort(np.append(local, tau_gap))
@@ -557,7 +515,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         alphas=eng.alphas, taus=eng.taus, eta=eta, rho=rho, cycles=eng.cycles,
         zstar=track_paths[0], track_paths=track_paths,
         band_max_low=eng.band_max_low, band_max_high=eng.band_max_high,
-        band_violations=eng.band_violations,
+        band_violations=eng.band_violations, band_checks=eng.band_checks,
         envelope_failures=eng.envelope_failures,
         n_candidates=eng.n_candidates, tau_tail_draws=eng.tau_tail_draws)
 
@@ -588,8 +546,8 @@ class Block:
 def merge_diag(total, part):
     """Fold the diagnostics dict ``part`` into ``total``: counts add up, band
     excursions take the maximum."""
-    for key in ("band_violations", "envelope_failures", "n_candidates",
-                "tau_tail_draws"):
+    for key in ("band_violations", "band_checks", "envelope_failures",
+                "n_candidates", "tau_tail_draws"):
         total[key] = total.get(key, 0) + part[key]
     for key in ("band_max_low", "band_max_high"):
         total[key] = max(total.get(key, part[key]), part[key])

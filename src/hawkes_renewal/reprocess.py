@@ -103,23 +103,3 @@ def invariant_cdf(chain, n, tail_tol=1e-12, cap=10**7):
         raise SimulationCapError("invariant product did not converge",
                                  diagnostics={"k": k})
     return math.exp(log_mu)
-
-
-def hitting_identity_rhs(chain, nu_pmf, e0, e1_shifted, i_max=200):
-    """Series side of the hitting-time identity for phi(x) = x.
-
-    ``e0`` estimates E_0[sigma]; ``e1_shifted`` estimates E_1[sigma].  The
-    state-nu expectation is phi(0) + nu(0)(E_0 sigma - 0) +
-    sum_i (E_1 sigma) * S_nu(i) * mu(0)/mu[0,i].
-    """
-    mu0 = invariant_cdf(chain, 0)
-    nu0 = nu_pmf.get(0, 0.0)
-    total = nu0 * e0
-    surv = 1.0 - nu0
-    for i in range(i_max):
-        if i > 0:
-            surv -= nu_pmf.get(i, 0.0)
-        if surv <= 0:
-            break
-        total += e1_shifted * surv * mu0 / invariant_cdf(chain, i)
-    return total

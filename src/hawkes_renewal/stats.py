@@ -253,7 +253,8 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01,
                          t_grid=(0.25, 0.5, 1.0)):
     """Rescaled partial-sum paths B_t = S_{nt} / sqrt(n sigma^2) with linear
     interpolation; tests Brownian marginal variances and increment
-    independence.  Returns (t_grid, paths, reports)."""
+    independence, each two-sided at level ``alpha``.  Returns (t_grid,
+    paths, reports)."""
     def cut(blocks):
         """Consecutive paths of length >= n, and the length still missing."""
         paths, cur, length = [], [], 0.0
@@ -280,21 +281,22 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01,
         paths[i] = np.interp(n * np.asarray(t_grid), np.arange(len(s)), s) \
             / math.sqrt(n * sigma2)
     reports = []
+    k = scipy.stats.norm.isf(alpha / 2.0)
     i_end = len(t_grid) - 1
     var_end = paths[:, i_end].var(ddof=1) / t_grid[i_end]
     for j, t in enumerate(t_grid[:-1]):
         ratios = _jackknife_ratio(paths[:, j], paths[:, i_end])
         reports.append(se_bound_report(
             f"fclt-variance-ratio-t{t:g}", ratios[0], t / t_grid[i_end],
-            ratios[1], n=n_paths))
+            ratios[1], k=k, n=n_paths))
     b_half = paths[:, t_grid.index(0.5)] if 0.5 in t_grid else paths[:, 0]
     b_end = paths[:, i_end]
     corr = float(np.corrcoef(b_half, b_end - b_half)[0, 1])
-    thresh = 3.0 / math.sqrt(n_paths)
+    thresh = k / math.sqrt(n_paths)
     reports.append(TestReport(
         name="fclt-increment-corr", statistic=corr,
         p_value=2.0 * scipy.stats.norm.sf(abs(corr) * math.sqrt(n_paths)),
-        n=n_paths, passed=abs(corr) < thresh,
+        n=n_paths, passed=abs(corr) < thresh, alpha=alpha,
         detail=f"|corr| < {thresh:.4f}; var(B_1)/1 = {var_end:.3f}"))
     return np.array(t_grid), paths, reports
 

@@ -99,9 +99,9 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
     reports.append(chi2_gof(obs, probs, alpha=alpha, name="eta-geometric"))
     reports.append(TestReport(
         name="band-invariant", statistic=float(diag["band_violations"]),
-        p_value=float("nan"), n=diag["n_candidates"],
+        p_value=float("nan"), n=diag["band_checks"],
         passed=diag["band_violations"] == 0,
-        detail=f"candidates={diag['n_candidates']} "
+        detail=f"checks={diag['band_checks']} "
                f"max_low={diag['band_max_low']:.3g} "
                f"max_high={diag['band_max_high']:.3g}"))
     reports.append(TestReport(
@@ -175,7 +175,7 @@ def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
     including a history-dependent predictable band."""
     pi = PrmStream(seed, stream=1)
     pibar = PrmStream(seed, stream=2)
-    res = split(pi, pibar, lambda t: 1.0, lambda t: 2.0, (0.0, float(horizon)), 3.0)
+    res = split(pi, pibar, lambda t: (1.0, 2.0), (0.0, float(horizon)), 3.0)
     nbin = 100
     w = horizon / nbin
     edges = np.arange(0.0, horizon + w, w)
@@ -208,7 +208,7 @@ def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
     pibar2 = PrmStream(seed, stream=12)
     level = 0.5
     for k in range(2000):
-        r = split(pi2, pibar2, lambda t, lv=level: lv, lambda t, lv=level: lv + 1.0,
+        r = split(pi2, pibar2, lambda t, lv=level: (lv, lv + 1.0),
                   (float(k), float(k + 1.0)), 4.0)
         d2.append(len(r.down[r.down[:, 1] <= mark_cut]))
         u2.append(len(r.up[r.up[:, 1] <= 1.0]))

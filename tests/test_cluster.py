@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hawkes_renewal import (BorelLaw, ExponentialKernel, GammaSchedule,
-                            RateSpec, SupercriticalError, borel_pmf,
+                            RateSpec, SupercriticalError,
                             check_envelope_inequality, simulate_cluster)
 from hawkes_renewal.cluster import (alpha0_stationary_ad, alpha0_stationary_o,
-                                    alpha_from_counts_ad, _gamma_star)
+                                    count_updates, scan_units, _gamma_star)
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.prm import spawn_rng
 from hawkes_renewal.stats import chi2_gof
@@ -16,7 +16,7 @@ from hawkes_renewal.stats import chi2_gof
 class TestBorelLaw:
     def test_single_node_probability(self):
         law = BorelLaw(0.5)
-        assert borel_pmf(law, 1) == pytest.approx(math.exp(-0.5), rel=1e-12)
+        assert law.pmf(1) == pytest.approx(math.exp(-0.5), rel=1e-12)
 
     def test_mass_sums_to_one(self):
         law = BorelLaw(0.5)
@@ -25,7 +25,7 @@ class TestBorelLaw:
 
     def test_degenerate_small_mean(self):
         law = BorelLaw(1e-9)
-        assert borel_pmf(law, 1) == pytest.approx(1.0, abs=1e-8)
+        assert law.pmf(1) == pytest.approx(1.0, abs=1e-8)
 
     def test_supercritical_rejected(self):
         with pytest.raises(SupercriticalError):
@@ -83,6 +83,14 @@ class TestSimulateCluster:
             c = simulate_cluster(k, 1.0, rng)
             assert c.Y == pytest.approx(float(np.max(c.times)))
             assert len(c.times) == c.W
+
+
+def alpha_from_counts_ad(counts, sched, window):
+    """The (AD) stationary scan on a fixed count array: ``counts[i-1]`` is
+    the unit count for index i, the first ``window`` entries the certified
+    backward stretch."""
+    update = count_updates(sched, lambda i: counts[i - 1])
+    return scan_units(update, window, len(counts))
 
 
 def ad_scan_oracle(counts, sched, window):

@@ -5,7 +5,7 @@ import pytest
 
 from hawkes_renewal import (ConfigError, EnvelopeFns, ExponentialKernel,
                             GammaSchedule, PowerLawKernel, RateSpec, TableKernel,
-                            ZeroKernel, eval_F, eval_f, gamma_inverse, pos_part)
+                            ZeroKernel, pos_part)
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
 
 
@@ -22,14 +22,14 @@ class TestEnvelopeValues:
         env = make_env(ZeroKernel(), RateSpec.linear(1.0, 1.0), const_sched(0.0))
         for t in [0.0, 0.5, 3.0]:
             for t2 in [0.0, 1.0, math.inf]:
-                assert eval_f(env, t, t2) == 0.0
+                assert env.f(t, t2) == 0.0
 
     def test_pure_majorant_case(self):
         # gamma = 0, delta = inf: prefactor 1, inner integral vanishes
         env = make_env(ExponentialKernel(1.0, 1.0), RateSpec.linear(1.0, 1.0),
                        const_sched(0.0))
         for t in [0.0, 0.3, 2.0, 7.5]:
-            assert eval_f(env, t) == pytest.approx(math.exp(-t), rel=1e-8)
+            assert env.f(t) == pytest.approx(math.exp(-t), rel=1e-8)
 
     def test_constant_schedule_with_refractory(self):
         # gamma = 1, delta = 1: prefactor 3, analytic integral e^{-t}
@@ -37,15 +37,15 @@ class TestEnvelopeValues:
                         g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
         env = make_env(ExponentialKernel(1.0, 1.0), rate, const_sched(1.0))
         for t in [0.0, 1.0, 2.5]:
-            assert eval_f(env, t) == pytest.approx(6.0 * math.exp(-t), rel=1e-7)
+            assert env.f(t) == pytest.approx(6.0 * math.exp(-t), rel=1e-7)
 
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]
         env = make_env(ZeroKernel(), RateSpec.linear(1.5, 1.0), const_sched(0.0),
                        D=2.0)
-        assert eval_F(env, 1.0) == pytest.approx(1.5)
-        assert eval_F(env, 2.0) == pytest.approx(1.5)
-        assert eval_F(env, 2.1) == 0.0
+        assert env.F(1.0) == pytest.approx(1.5)
+        assert env.F(2.0) == pytest.approx(1.5)
+        assert env.F(2.1) == 0.0
         assert env.F_l1 == pytest.approx(3.0, rel=1e-7)
 
     def test_f_pre_substitution(self):
@@ -54,7 +54,7 @@ class TestEnvelopeValues:
                         g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
         env = make_env(ExponentialKernel(1.0, 1.0), rate, const_sched(1.0))
         for t in [0.0, 0.7, 3.0]:
-            assert eval_F(env, t) == pytest.approx(7.0 * math.exp(-t), rel=1e-7)
+            assert env.F(t) == pytest.approx(7.0 * math.exp(-t), rel=1e-7)
         assert env.F_l1 == pytest.approx(7.0, rel=1e-7)
 
     def test_quadrature_riemann_consistency(self):
@@ -109,19 +109,19 @@ class TestEnvelopeValues:
 class TestGammaSchedule:
     def test_identity_inverse(self):
         sched = GammaSchedule.linear(1.0)
-        assert gamma_inverse(sched, 3.5) == pytest.approx(3.5)
+        assert sched.inverse(3.5) == pytest.approx(3.5)
 
     def test_log_inverse_at_zero(self):
         sched = GammaSchedule.log(C=2.0)
-        assert gamma_inverse(sched, 0.0) == 0.0
+        assert sched.inverse(0.0) == 0.0
 
     def test_step_function_inverse(self):
         sched = GammaSchedule(lambda t: 2.0 if t >= 1.0 else 0.0, form="custom")
-        assert gamma_inverse(sched, 1.0) == pytest.approx(1.0, abs=1e-9)
+        assert sched.inverse(1.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_bounded_schedule_gives_inf(self):
         sched = GammaSchedule(lambda t: 1.0, form="custom")
-        assert gamma_inverse(sched, 2.0) == math.inf
+        assert sched.inverse(2.0) == math.inf
 
     @pytest.mark.parametrize("sched", [
         GammaSchedule.linear(0.7),

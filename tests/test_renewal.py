@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (ExponentialKernel, GammaSchedule, PrmStream,
-                            RateSpec, RenewalConfig, ZeroKernel, ZStart,
+from hawkes_renewal import (DominationError, ExponentialKernel, GammaSchedule,
+                            PrmStream, RateSpec, RenewalConfig, ZeroKernel, ZStart,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
 from hawkes_renewal import renewal
@@ -129,6 +129,15 @@ class TestRunSystem:
             assert out.band_max_low <= 1e-9
             assert out.band_max_high <= 1e-9
 
+    def test_undominated_start_signal_is_refused(self):
+        # signal_upper = 0 understates a signal of 3, so the window bounds
+        # do not dominate the target's intensity: thinning must not go on
+        start = ZStart(signal=lambda t: 3.0, signal_upper=lambda t: 0.0,
+                       signal_abs=lambda t: 3.0, age0=5.0, alpha0=2.0)
+        with pytest.raises(DominationError):
+            run_system(reference_ad_config(D=1.0), PrmStream(1, 0),
+                       PrmStream(1, 1), start=start)
+
     def test_ordinary_setup_runs(self):
         cfg = reference_o_config(D=0.0)
         out = run_system(cfg, PrmStream(2, 0), PrmStream(2, 1))
@@ -198,19 +207,30 @@ class TestBlocks:
 
 
 class TestSuiteRenewalCounts:
+    def test_band_checks_are_the_band_sweep_candidates(self):
+        # free sweeps inspect candidates too, but only band sweeps compare
+        # them with the band; the margins show how far inside they stayed
+        diag = {}
+        iterate_regenerations(reference_ad_config(D=1.0), 100, seed=11,
+                              collect_diag=diag)
+        assert 0 < diag["band_checks"] < diag["n_candidates"]
+        assert diag["band_violations"] == 0
+        assert -1.0 < diag["band_max_low"] <= 0.0
+        assert -1.0 < diag["band_max_high"] < 0.0
+
     def test_band_gate_counts_every_block(self, monkeypatch):
         # the suite draws several rounds here; its band-invariant gate must
-        # count the candidates of all of them, not of the last round only
-        seen = {"blocks": 0, "candidates": 0}
+        # count the band checks of all of them, not of the last round only
+        seen = {"blocks": 0, "checks": 0}
 
         def counted(*args, **kwargs):
             out = run_system(*args, **kwargs)
             seen["blocks"] += 1
-            seen["candidates"] += out.n_candidates
+            seen["checks"] += out.band_checks
             return out
 
         monkeypatch.setattr(renewal, "run_system", counted)
         reports = suite_renewal(n_cycles=3000, n_blocks=100)
         band = next(r for r in reports if r.name == "band-invariant")
         assert seen["blocks"] > 100
-        assert band.n == seen["candidates"]
+        assert band.n == seen["checks"]

@@ -6,7 +6,6 @@ import scipy.stats
 
 from hawkes_renewal import REChain, invariant_cdf, return_time, step
 from hawkes_renewal.prm import spawn_rng
-from hawkes_renewal.reprocess import hitting_identity_rhs
 
 
 def geometric_chain(p):
@@ -90,6 +89,26 @@ class TestInvariant:
         from hawkes_renewal.stats import chi2_gof
         rep = chi2_gof(obs, probs, alpha=0.01)
         assert rep.passed, rep
+
+
+def hitting_identity_rhs(chain, nu_pmf, e0, e1_shifted, i_max=200):
+    """Series side of the hitting-time identity for phi(x) = x.
+
+    ``e0`` estimates E_0[sigma]; ``e1_shifted`` estimates E_1[sigma].  The
+    state-nu expectation is phi(0) + nu(0)(E_0 sigma - 0) +
+    sum_i (E_1 sigma) * S_nu(i) * mu(0)/mu[0,i].
+    """
+    mu0 = invariant_cdf(chain, 0)
+    nu0 = nu_pmf.get(0, 0.0)
+    total = nu0 * e0
+    surv = 1.0 - nu0
+    for i in range(i_max):
+        if i > 0:
+            surv -= nu_pmf.get(i, 0.0)
+        if surv <= 0:
+            break
+        total += e1_shifted * surv * mu0 / invariant_cdf(chain, i)
+    return total
 
 
 class TestHittingIdentity:

@@ -8,7 +8,8 @@ from hawkes_renewal import Path
 from hawkes_renewal.renewal import Block
 from hawkes_renewal.stats import (ad_normality, batch_means_sigma2,
                                   block_stat_from_blocks, chi2_gof,
-                                  unit_counts, windowed_functional)
+                                  functional_clt_paths, unit_counts,
+                                  windowed_functional)
 from hawkes_renewal.verify import reference_ad_config
 from hawkes_renewal.renewal import iterate_regenerations
 
@@ -115,6 +116,15 @@ class TestHelpers:
             warnings.simplefilter("error", FutureWarning)
             rep = ad_normality(rng.normal(size=50))
         assert rep.detail == "crit(1%)=1.019"
+
+    def test_fclt_gates_honour_alpha(self):
+        cfg = reference_ad_config(D=1.0)
+        reports = {a: functional_clt_paths(cfg, n=60, n_paths=6, seed=6,
+                                           alpha=a)[2] for a in (0.5, 0.01)}
+        for a, reps in reports.items():
+            assert [r.alpha for r in reps] == pytest.approx([a] * len(reps))
+        corr = [reps[-1] for reps in reports.values()]
+        assert corr[0].detail != corr[1].detail
 
     def test_chi2_pooling(self):
         obs = np.array([40, 35, 15, 6, 3, 1, 0, 0])
