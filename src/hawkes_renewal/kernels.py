@@ -555,15 +555,16 @@ class EnvelopeFns:
 
     f(t1, t2) = (gamma(0) + 1 + 1/delta) * (hbar(t1) + int_0^t2 gamma(s+1) hbar(t1+s) ds)
                 + r(t1),
-    with the convention 1/delta = 0 for the ordinary setup.  F is the band
-    width: (c_psi + L f) on [0, D], then 2 L f + c_psi g.
+    with the convention 1/delta = 0 for the ordinary setup and r = 0 when
+    none is given.  F is the band width: (c_psi + L f) on [0, D], then
+    2 L f + c_psi g.
     """
 
     def __init__(self, kernel, rate, sched, r=None, D=0.0):
         self.kernel = kernel
         self.rate = rate
         self.sched = sched
-        self.r = r if r is not None else (lambda t: 0.0)
+        self.r = r
         self.D = float(D)
         self.delta_inv = 0.0 if not math.isfinite(rate.delta) else 1.0 / rate.delta
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
@@ -574,22 +575,25 @@ class EnvelopeFns:
 
     # -- inner integral ----------------------------------------------------
 
+    def _J(self, t2):
+        """int_0^t2 gamma(s+1) exp(-rate*s) ds for an exponential kernel, cached:
+        there hbar(t1+s) = hbar(t1) exp(-rate*s), so the schedule factor is
+        shared by every t1."""
+        J = self._J_cache.get(t2)
+        if J is None:
+            a = self.kernel.rate
+            fn = lambda s: self.sched.value(s + 1.0) * math.exp(-a * s)
+            if math.isinf(t2):
+                J = integrate_to_inf(fn, 0.0, factor="gamma * majorant tail")
+            else:
+                J = integrate(fn, 0.0, t2)
+            self._J_cache[t2] = J
+        return J
+
     def _inner(self, t1, t2):
-        """int_0^t2 gamma(s+1) hbar(t1+s) ds, exact factorization when possible."""
+        """int_0^t2 gamma(s+1) hbar(t1+s) ds for a kernel that is not
+        exponential (those use hbar(t1) J(t2))."""
         k = self.kernel
-        if isinstance(k, ExponentialKernel):
-            # hbar(t1+s) = hbar(t1) exp(-rate*s): the schedule factor is shared
-            key = t2
-            J = self._J_cache.get(key)
-            if J is None:
-                a = k.rate
-                fn = lambda s: self.sched.value(s + 1.0) * math.exp(-a * s)
-                if math.isinf(t2):
-                    J = integrate_to_inf(fn, 0.0, factor="gamma * majorant tail")
-                else:
-                    J = integrate(fn, 0.0, t2)
-                self._J_cache[key] = J
-            return float(k.majorant(t1)) * J
         if isinstance(k, TableKernel):
             hi = max(0.0, k.support_end - t1)
             if not math.isinf(t2):
@@ -607,10 +611,38 @@ class EnvelopeFns:
     # -- public evaluations --------------------------------------------------
 
     def f(self, t1, t2=INF):
+        """f(t1, t2) at a float t1, or elementwise at an array t1.
+
+        For an array and an exponential kernel this is one vector expression,
+        prefactor * hbar(t1) * (1 + J(t2)) + r(t1); other kernels evaluate
+        their inner integral point by point.  ``r`` is called per point, and
+        only when one was given.
+        """
+        k = self.kernel
+        if isinstance(t1, np.ndarray):
+            if not isinstance(k, ExponentialKernel):
+                vals = [self.f(t, t2) for t in t1.ravel().tolist()]
+                return np.array(vals, dtype=float).reshape(t1.shape)
+            if (t1 < 0).any():
+                raise ConfigError("f is defined for t1 >= 0")
+            hb = k.majorant(t1)
+            val = self.prefactor * (hb + hb * self._J(t2))
+            if self.r is not None:
+                val = val + np.array([float(self.r(t)) for t in t1.ravel().tolist()]
+                                     ).reshape(t1.shape)
+            if not np.isfinite(val).all():
+                raise IntegrabilityError("f evaluated non-finite", factor="majorant or r")
+            return val
         if t1 < 0:
             raise ConfigError("f is defined for t1 >= 0")
-        val = self.prefactor * (float(self.kernel.majorant(t1)) + self._inner(t1, t2)) \
-            + float(self.r(t1))
+        if isinstance(k, ExponentialKernel):
+            # the same grouping as the array path, so both give the same bits
+            hb = float(k.majorant(t1))
+            val = self.prefactor * (hb + hb * self._J(t2))
+        else:
+            val = self.prefactor * (float(k.majorant(t1)) + self._inner(t1, t2))
+        if self.r is not None:
+            val += float(self.r(t1))
         if not math.isfinite(val):
             raise IntegrabilityError("f evaluated non-finite", factor="majorant or r")
         return val

@@ -97,7 +97,8 @@ class ZStart:
 
     ``signal_upper`` is a decreasing upper envelope of the signal (used for
     domination), ``signal_abs`` a decreasing envelope of its absolute value
-    (used by the post-alpha envelope checks).
+    (used by the post-alpha envelope checks).  ``signal_abs`` takes an array
+    of times and returns an array, or a float that holds at every time.
     """
 
     signal: object
@@ -148,6 +149,8 @@ class RenewalOutcome:
     band_violations: int = 0
     band_checks: int = 0
     envelope_failures: int = 0
+    certificates: int = 0
+    certificate_points: int = 0
     n_candidates: int = 0
     tau_tail_draws: int = 0
 
@@ -156,71 +159,140 @@ class RenewalOutcome:
 # Certified comparison of decreasing functions on a half line
 # ---------------------------------------------------------------------------
 
-def certify_dominated(ub, rhs, abs_tol=_ABS_TOL, rel_slack=_SLACK,
-                      first_step=0.05, ratio=1.3, max_depth=14, max_iter=20000):
+def _grid():
+    """The certificate's grid w_0 = 0, w_{k+1} = max(1.3 w_k, w_k + 0.05) up
+    to its first infinite point (past it a walk would only repeat that
+    point), and the right ends of the leftmost depth-0 leaves of its
+    intervals, by the bisection's own midpoint arithmetic."""
+    w = [0.0]
+    while math.isfinite(w[-1]):
+        w.append(max(w[-1] * 1.3, w[-1] + 0.05))
+    grid = np.array(w)
+    leaf = grid[1:]
+    with np.errstate(over="ignore"):  # the last finite points sum to inf
+        for _ in range(_DEPTH):
+            leaf = 0.5 * (grid[:-1] + leaf)
+    return grid, leaf
+
+
+_DEPTH = 14
+_GRID, _GRID_LEAF = _grid()
+_FIRST_RUN = 8
+_BATCH = 1024
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Verdict of :func:`certify_dominated`, true when the bound holds;
+    ``points`` counts the abscissae at which ub and rhs were evaluated."""
+
+    ok: bool
+    points: int
+
+    def __bool__(self):
+        return self.ok
+
+
+def certify_dominated(ub, rhs, abs_tol=_ABS_TOL, rel_slack=_SLACK):
     """Certify that the quantity enveloped by ``ub`` stays below ``rhs``.
 
-    ``ub(w)`` must dominate the quantity on [w, inf) and both ``ub`` and
-    ``rhs`` must be decreasing; the certificate walks a geometric grid,
-    comparing ub at the left end against rhs at the right end, refining on
-    failure, and accepts the tail once ub falls below ``abs_tol``.
+    ``ub(w)`` must dominate the quantity on [w, inf); ``ub`` and ``rhs``
+    must be decreasing and take an array of points.  The walk covers the
+    fixed geometric grid w_0 = 0, w_{k+1} = max(1.3 w_k, w_k + 0.05) with
+    the intervals (lo, hi) = (w_k, w_{k+1}) and requires
+    ub(lo) <= rhs(hi) (1 + rel_slack) + abs_tol on each, bisecting a
+    failing interval down to depth 14; it accepts at the first k >= 1 with
+    ub(w_k) <= abs_tol.  The grid is read in runs of 8, 32, 128, ...
+    intervals, and the failing intervals are bisected one depth at a time in
+    batches of at most 1024, with one array call of ub and of rhs per run or
+    batch.  Batches are taken depth first, so a long refinement holds little
+    memory.
+
+    Two exits keep a violated certificate cheap.  A grid interval whose
+    leftmost depth-0 leaf fails ends the walk as a failure: every interval
+    on the way down to that leaf has the same left end and, rhs being
+    decreasing, a smaller rhs at its right end, so the bisection would
+    reach the leaf and fail there.  For the same reason so does an interval
+    of the bisection that fails at zero width,
+    ub(lo) > rhs(lo) (1 + rel_slack) + abs_tol.  Returns a
+    :class:`Certificate`.
     """
 
-    def interval_ok(lo, hi, depth):
-        if ub(lo) <= rhs(hi) * (1.0 + rel_slack) + abs_tol:
-            return True
-        if depth <= 0:
-            return False
+    def holds(u, r):
+        return u <= r * (1.0 + rel_slack) + abs_tol
+
+    def at(fn, w):
+        v = np.asarray(fn(w), dtype=float)
+        return v if v.shape == w.shape else np.full(w.shape, v)
+
+    # grid intervals k0..m-1 per run; the failing ones are kept for bisection
+    # as columns (lo, hi, ub(lo), rhs(hi))
+    points, k0, run, done, failing = 1, 0, _FIRST_RUN, False, []
+    u = at(ub, _GRID[:1])
+    while not done:
+        if k0 == len(_GRID) - 1:
+            return Certificate(False, points)
+        k1 = min(k0 + run, len(_GRID) - 1)
+        u = np.concatenate([u[-1:], at(ub, _GRID[k0 + 1:k1 + 1])])
+        below = np.flatnonzero(u[1:] <= abs_tol)
+        done = len(below) > 0
+        m = k0 + 1 + int(below[0]) if done else k1
+        r = at(rhs, _GRID[k0 + 1:m + 1])
+        points += (k1 - k0) + (m - k0)
+        u_lo = u[:m - k0]
+        bad = ~holds(u_lo, r)
+        if bad.any():
+            points += int(bad.sum())
+            if not holds(u_lo[bad], at(rhs, _GRID_LEAF[k0:m][bad])).all():
+                return Certificate(False, points)
+            failing.append(np.array([_GRID[k0:m], _GRID[k0 + 1:m + 1], u_lo, r])[:, bad])
+        k0, run = m, 4 * run
+    stack = [(np.concatenate(failing, axis=1), _DEPTH)] if failing else []
+    while stack:
+        nodes, depth = stack.pop()
+        if nodes.shape[1] > _BATCH:
+            stack.append((nodes[:, _BATCH:], depth))
+            nodes = nodes[:, :_BATCH]
+        if depth == 0:
+            return Certificate(False, points)
+        lo, hi, u_lo, r_hi = nodes
         mid = 0.5 * (lo + hi)
-        return interval_ok(lo, mid, depth - 1) and interval_ok(mid, hi, depth - 1)
+        u_mid, r_mid = at(ub, mid), at(rhs, mid)
+        points += 2 * len(mid)
+        if not holds(u_mid, r_mid).all():  # a right half fails at zero width
+            return Certificate(False, points)
+        left, right = ~holds(u_lo, r_mid), ~holds(u_mid, r_hi)
+        kids = np.concatenate([np.array([lo, mid, u_lo, r_mid])[:, left],
+                               np.array([mid, hi, u_mid, r_hi])[:, right]], axis=1)
+        if kids.shape[1]:
+            stack.append((kids, depth - 1))
+    return Certificate(True, points)
 
-    w = 0.0
-    for _ in range(max_iter):
-        w2 = max(w * ratio, w + first_step)
-        if not interval_ok(w, w2, max_depth):
-            return False  # refined bracketing still fails: treat as violation
-        if ub(w2) <= abs_tol:
-            return True
-        w = w2
-    return False
 
-
-def _shift_sums(kernel, jumps, base, positive_part=False):
-    """Closures w -> sum_j h(base + w - u_j) and its majorant counterpart.
+def _majorant_sum(kernel, jumps, base):
+    """w -> sum_j hbar(base + w - u_j), at a float or an array of w.
 
     Exponential kernels reduce to a single cached coefficient.
     """
     jumps = np.asarray(jumps, dtype=float)
     if isinstance(kernel, ExponentialKernel):
-        a, amp = kernel.rate, kernel.amplitude
-        coef = float(np.sum(np.exp(-a * (base - jumps)))) if len(jumps) else 0.0
-        amp_eff = max(amp, 0.0) if positive_part else amp
-        exact = lambda w, c=coef: amp_eff * c * math.exp(-a * w)
-        ub = lambda w, c=coef: abs(amp) * c * math.exp(-a * w)
-        return exact, ub
-
-    def exact(w):
-        if not len(jumps):
-            return 0.0
-        vals = kernel.value(base + w - jumps)
-        if positive_part:
-            vals = np.clip(vals, 0.0, None)
-        return float(np.sum(vals))
-
-    def ub(w):
-        if not len(jumps):
-            return 0.0
-        return float(np.sum(kernel.majorant(base + w - jumps)))
-
-    return exact, ub
+        a, amp = kernel.rate, abs(kernel.amplitude)
+        coef = float(np.sum(np.exp(-a * (base - jumps))))
+        return lambda w: amp * coef * np.exp(-a * w)
+    return lambda w: np.sum(
+        kernel.majorant(base + np.asarray(w, dtype=float)[..., None] - jumps), axis=-1)
 
 
 def check_envelope_inequality(env, kernel, jumps, base, signal_abs=None):
-    """Certify |sum h(t-u) + R(t)| <= f(t - base) for all t > base."""
-    _, ub_sum = _shift_sums(kernel, jumps, base)
-    siga = signal_abs if signal_abs is not None else (lambda t: 0.0)
-    ub = lambda w: ub_sum(w) + float(siga(base + w))
-    return certify_dominated(ub, lambda w: env.f(w))
+    """Certify |sum h(t-u) + R(t)| <= f(t - base) for all t > base.
+
+    Returns a :class:`Certificate`; ``signal_abs`` bounds |R| and takes an
+    array of times."""
+    ub = _majorant_sum(kernel, jumps, base)
+    if signal_abs is not None:
+        ub_sum = ub
+        ub = lambda w: ub_sum(w) + signal_abs(base + w)
+    return certify_dominated(ub, env.f)
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +316,15 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
                                  diagnostics=exc.diagnostics) from exc
 
 
-def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000):
+def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000, certs=None):
     """Ordinary-setup alpha scan on the dominating linear process.
 
     ``zn_upto(T)`` returns the (local-time) jumps of the comparison process
     on (0, T], including the initial point at ``tau_gap``.  An integer
     offset i qualifies when the jump count respects the integrated
     schedule and the shifted kernel mass of all jumps is certified below
-    f(. , i-1) beyond i.
+    f(. , i-1) beyond i.  Each :class:`Certificate` made is appended to
+    ``certs`` when given.
     """
     ceil_gap = ceil_int(tau_gap)
     i = ceil_gap
@@ -260,8 +333,11 @@ def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000):
         jumps = zn_upto(float(i))
         if len(jumps) > sched.int_shifted(float(i)) + 1e-9:
             continue
-        _, ub = _shift_sums(kernel, jumps, float(i), positive_part=True)
-        if certify_dominated(ub, lambda w: env.f(w, i - 1.0)):
+        cert = certify_dominated(_majorant_sum(kernel, jumps, float(i)),
+                                 lambda w: env.f(w, i - 1.0))
+        if certs is not None:
+            certs.append(cert)
+        if cert:
             return i
     raise SimulationCapError("ordinary-setup alpha scan exceeded its cap")
 
@@ -296,6 +372,8 @@ class _Engine:
         self.band_violations = 0
         self.band_checks = 0
         self.envelope_failures = 0
+        self.certificates = 0
+        self.certificate_points = 0
         self.n_candidates = 0
         self.tau_tail_draws = 0
         self.swept_to = 0.0
@@ -430,18 +508,26 @@ class _Engine:
             local = np.array([u - a for u in zpre.jumps if u <= target + 1e-12])
             return np.sort(np.append(local, tau_gap))
 
+        certs = []
         off = scan_alpha_O(env, cfg.sched, cfg.kernel, zn_upto, tau_gap,
-                           cap=cfg.scan_cap)
+                           cap=cfg.scan_cap, certs=certs)
+        for cert in certs:
+            self._count(cert)
         return a + off
 
     # -- envelope check -----------------------------------------------------------
+
+    def _count(self, cert):
+        self.certificates += 1
+        self.certificate_points += cert.points
+        return cert.ok
 
     def check_envelope(self, alpha):
         ok_all = True
         for tr, st in zip(self.tracks, self.starts):
             jumps = np.array([u for u in tr.jumps if u <= alpha + 1e-12])
-            ok = check_envelope_inequality(self.env, self.cfg.kernel, jumps,
-                                           alpha, signal_abs=st.signal_abs)
+            ok = self._count(check_envelope_inequality(
+                self.env, self.cfg.kernel, jumps, alpha, signal_abs=st.signal_abs))
             if not ok:
                 ok_all = False
                 self.envelope_failures += 1
@@ -517,6 +603,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         band_max_low=eng.band_max_low, band_max_high=eng.band_max_high,
         band_violations=eng.band_violations, band_checks=eng.band_checks,
         envelope_failures=eng.envelope_failures,
+        certificates=eng.certificates, certificate_points=eng.certificate_points,
         n_candidates=eng.n_candidates, tau_tail_draws=eng.tau_tail_draws)
 
 
@@ -547,7 +634,8 @@ def merge_diag(total, part):
     """Fold the diagnostics dict ``part`` into ``total``: counts add up, band
     excursions take the maximum."""
     for key in ("band_violations", "band_checks", "envelope_failures",
-                "n_candidates", "tau_tail_draws"):
+                "certificates", "certificate_points", "n_candidates",
+                "tau_tail_draws"):
         total[key] = total.get(key, 0) + part[key]
     for key in ("band_max_low", "band_max_high"):
         total[key] = max(total.get(key, part[key]), part[key])

@@ -4,10 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (ExponentialKernel, Path, PrmStream, RateSpec,
-                            ZeroKernel, age_at, memory_at, path_to_csv,
+from hawkes_renewal import (ExponentialKernel, Path, PowerLawKernel, PrmStream,
+                            RateSpec, ZeroKernel, age_at, memory_at, path_to_csv,
                             simulate_adhp)
-from hawkes_renewal.hawkes import KernelMemory
+from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
 
 
 def thinning_oracle(pi, kernel, rate, bound, horizon, signal=None, age0=0.0,
@@ -32,6 +32,35 @@ def thinning_oracle(pi, kernel, rate, bound, horizon, signal=None, age0=0.0,
         if z <= lam:
             events.append(s)
     return np.array(events)
+
+
+def band_replay(pi, specs, width, bound, horizon, suppress):
+    """Brute-force replay of a band sweep of several tracks below one global
+    bound: the band (lam, lam + width] rides on the last track, a band point
+    ends the sweep or, with ``suppress``, is skipped.  Returns (hit, jumps of
+    each track, band points skipped)."""
+    events = [[] for _ in specs]
+    skipped = 0
+    for s, z in pi.sample(0.0, horizon, bound):
+        lams = []
+        for sp, ev in zip(specs, events):
+            us = np.array(ev)
+            mem = float(np.sum(sp["kernel"].value(s - us))) if ev else 0.0
+            mem += sp["signal"](s) if sp["signal"] is not None else 0.0
+            age = (s - ev[-1]) if ev else sp["age0"] + s
+            lams.append(0.0 if s <= sp["delay"] else sp["rate"].psi(mem, age))
+        lam = lams[-1]
+        assert max(lams + [lam + width(s)]) <= bound, "replay bound violated; enlarge it"
+        hit = lam < z <= lam + width(s)
+        if hit and suppress:
+            skipped += 1
+            continue
+        for ev, lam_i in zip(events, lams):
+            if z <= lam_i:
+                ev.append(s)
+        if hit:
+            return (s, z - lam), events, skipped
+    return None, events, skipped
 
 
 class TestQueries:
@@ -126,6 +155,43 @@ class TestSimulate:
             path = simulate_adhp(pi, kernel, rate, age0=2.0, delay=1.5,
                                  horizon=15.0)
             assert np.array_equal(oracle, path.times)
+
+    def test_band_sweep_of_several_tracks_matches_replay(self):
+        # two tracks and a delayed, banded last track (the cycle process) on
+        # one driver, in cycle mode and in suppress mode
+        ad = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        specs = [
+            dict(kernel=ExponentialKernel(1.0, 0.2), rate=ad, signal=None,
+                 upper=None, age0=2.0, delay=0.0),
+            dict(kernel=PowerLawKernel(0.3, 3.0), rate=RateSpec.linear(0.5, 0.6),
+                 signal=lambda t: 0.4 * math.exp(-t),
+                 upper=lambda t: 0.4 * math.exp(-t), age0=0.0, delay=0.0),
+            dict(kernel=ExponentialKernel(1.0, 0.2), rate=ad,
+                 signal=lambda t: -0.5 * math.exp(-t), upper=lambda t: 0.0,
+                 age0=0.0, delay=1.0),
+        ]
+        width = lambda s: 0.3 * math.exp(-0.5 * s)
+        band = (width, lambda t0, t1: width(t0))
+        outcomes = {False: [], True: []}
+        for suppress in (False, True):
+            for seed in range(40):
+                pi = PrmStream(seed, 43)
+                want_hit, want, skipped = band_replay(pi, specs, width, 12.0,
+                                                      15.0, suppress)
+                tracks = [ProcessState(sp["kernel"], sp["rate"], signal=sp["signal"],
+                                       signal_upper=sp["upper"], age0=sp["age0"],
+                                       delay=sp["delay"]) for sp in specs]
+                hit, _ = thin(tracks, pi.sample, 0.0, 15.0, band=band,
+                              suppress=suppress)
+                assert hit == want_hit, (suppress, seed)
+                for tr, ev in zip(tracks, want):
+                    assert tr.jumps == ev, (suppress, seed)
+                outcomes[suppress].append((hit is not None, skipped))
+        # cycle sweeps both end at a band point and run to the horizon; suppress
+        # sweeps never end early and skip band points
+        assert {h for h, _ in outcomes[False]} == {True, False}
+        assert not any(h for h, _ in outcomes[True])
+        assert sum(k for _, k in outcomes[True]) > 0
 
     def test_delay_suppresses_events(self):
         path = simulate_adhp(PrmStream(5, 0), ZeroKernel(), RateSpec.linear(3.0, 1.0),

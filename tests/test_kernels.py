@@ -39,6 +39,23 @@ class TestEnvelopeValues:
         for t in [0.0, 1.0, 2.5]:
             assert env.f(t) == pytest.approx(6.0 * math.exp(-t), rel=1e-7)
 
+    def test_array_f_is_the_float_f_pointwise(self):
+        # the vector path of an exponential kernel and the per-point path of
+        # the others give the bits of the float path, with and without r
+        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        ts = np.array([0.0, 0.05, 0.3, 1.7, 12.0, 40.0])
+        r = lambda t: 0.2 * math.exp(-2.0 * t)
+        for kernel, r_fn in [(ExponentialKernel(1.0, 0.2), None),
+                             (ExponentialKernel(1.3, -0.4), r),
+                             (PowerLawKernel(0.2, 4.0), r)]:
+            env = make_env(kernel, rate, GammaSchedule.linear(1.0), r=r_fn)
+            for t2 in [0.0, 2.0, math.inf]:
+                got = env.f(ts, t2)
+                assert isinstance(got, np.ndarray) and got.shape == ts.shape
+                assert got.tolist() == [env.f(float(t), t2) for t in ts]
+            with pytest.raises(ConfigError):
+                env.f(np.array([0.5, -0.1]))
+
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]
         env = make_env(ZeroKernel(), RateSpec.linear(1.5, 1.0), const_sched(0.0),

@@ -1,15 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from hawkes_renewal import (DominationError, ExponentialKernel, GammaSchedule,
-                            PrmStream, RateSpec, RenewalConfig, ZeroKernel, ZStart,
-                            iterate_regenerations, run_system, scan_alpha_AD,
-                            scan_alpha_O)
+                            PowerLawKernel, PrmStream, RateSpec, RenewalConfig,
+                            TableKernel, ZeroKernel, ZStart,
+                            check_envelope_inequality, iterate_regenerations,
+                            run_system, scan_alpha_AD, scan_alpha_O)
 from hawkes_renewal import renewal
 from hawkes_renewal.kernels import EnvelopeFns
-from hawkes_renewal.renewal import certify_dominated
+from hawkes_renewal.renewal import _majorant_sum, certify_dominated
 from hawkes_renewal.stats import functional_clt_paths, lil_envelope
 from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
                                    suite_renewal)
@@ -84,10 +86,116 @@ class TestScanAlphaO:
 
     def test_certificate_rejects_violation(self):
         env = self.make_env()[3]
-        ub = lambda w: 10.0 * math.exp(-w)
+        ub = lambda w: 10.0 * np.exp(-w)
         rhs = lambda w: env.f(w)
         assert not certify_dominated(ub, rhs)
-        assert certify_dominated(lambda w: 0.1 * math.exp(-w), rhs)
+        assert certify_dominated(lambda w: 0.1 * np.exp(-w), rhs)
+
+
+def certify_recursive(ub, rhs, abs_tol=1e-12, rel_slack=1e-9, first_step=0.05,
+                      ratio=1.3, max_depth=14, max_iter=20000):
+    """The envelope certificate as a recursive walk of scalar calls, the
+    reference for certify_dominated; returns (verdict, ub and rhs calls)."""
+    calls = 0
+
+    def at(fn, w):
+        nonlocal calls
+        calls += 1
+        return float(fn(w))
+
+    def interval_ok(lo, hi, depth):
+        if at(ub, lo) <= at(rhs, hi) * (1.0 + rel_slack) + abs_tol:
+            return True
+        if depth <= 0:
+            return False
+        mid = 0.5 * (lo + hi)
+        return interval_ok(lo, mid, depth - 1) and interval_ok(mid, hi, depth - 1)
+
+    w = 0.0
+    for _ in range(max_iter):
+        w2 = max(w * ratio, w + first_step)
+        if not interval_ok(w, w2, max_depth):
+            return False, calls
+        if at(ub, w2) <= abs_tol:
+            return True, calls
+        w = w2
+    return False, calls
+
+
+def certificate_cases():
+    """(name, ub, rhs) pairs of decreasing functions that take floats and
+    arrays: majorant sums of each kernel family against envelopes and
+    closed forms, knife edges and violations."""
+    sched = GammaSchedule.linear(1.0)
+    exp_k = ExponentialKernel(1.0, 0.3)
+    env = EnvelopeFns(exp_k, RateSpec.linear(0.5, 1.0), sched)
+    table = TableKernel([(0, .3), (1, -.1), (3, .05), (5, 0)])
+    power = lambda w: (1.0 + w) ** -3.0
+    expo = lambda w: np.exp(-1.0 * w)
+    jumps = np.array([0.2, 1.1, 1.7, 2.9])
+    cases = []
+    for c in [0.2, 1.0, 2.0, 4.0]:
+        cases.append((f"exp sum x{c} vs f", _majorant_sum(exp_k, jumps * c, 3.0), env.f))
+        cases.append((f"exp sum vs f(., {c})", _majorant_sum(exp_k, jumps, 3.0),
+                      lambda w, c=c: env.f(w, c)))
+        cases.append((f"power-law sum x{c}", _majorant_sum(PowerLawKernel(0.2, 4.0),
+                                                        jumps, c), power))
+        cases.append((f"table sum x{c}", _majorant_sum(table, jumps, c),
+                      lambda w, c=c: 0.4 * c * np.exp(-0.5 * w)))
+    for ratio in [0.5, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 + 1e-6, 1.01, 3.0]:
+        for name, shape in [("exp", expo), ("power-law", power)]:
+            cases.append((f"{ratio} {name}", lambda w, s=shape, r=ratio: r * s(w), shape))
+    for ratio in [0.5, 0.99, 1 - 1e-6, 1 + 1e-6]:
+        cases.append((f"{ratio} f", lambda w, r=ratio: r * env.f(w), env.f))
+    cases.append(("late crossing", lambda w: 1e-3 * power(w), expo))
+    cases.append(("crossing inside a refined interval",
+                  lambda w: 0.999 * expo(w) + 1e-4 * power(w), expo))
+    cases.append(("scalar zero", lambda w: 0.0, env.f))
+    cases.append(("never below abs_tol", lambda w: 1e-6, lambda w: 1.0))
+    cases.append(("slow power-law", lambda w: 0.5 * (1.0 + w) ** -2.0,
+                  lambda w: (1.0 + w) ** -2.0))
+    return cases
+
+
+class TestCertificate:
+    def test_verdicts_match_the_recursive_walk(self):
+        verdicts = set()
+        for name, ub, rhs in certificate_cases():
+            cert = certify_dominated(ub, rhs)
+            ok, calls = certify_recursive(ub, rhs)
+            assert cert.ok == ok and bool(cert) == ok, name
+            if not ok:  # a violation ends at least as early as the walk does
+                assert cert.points <= calls, (name, cert.points, calls)
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_scalar_signal_abs_and_the_atom(self):
+        cfg = reference_ad_config(D=1.0)
+        env, kernel = cfg.env, cfg.kernel
+        jumps = np.array([0.4, 2.5, 3.1])
+        for start in [ZStart.empty(), ZStart.atom(env)]:
+            for base in [3.5, 6.0]:
+                ub_sum = _majorant_sum(kernel, jumps, base)
+                ub = lambda w: ub_sum(w) + start.signal_abs(base + w)
+                cert = check_envelope_inequality(env, kernel, jumps, base,
+                                                 signal_abs=start.signal_abs)
+                assert cert.ok == certify_recursive(ub, env.f)[0]
+
+    def test_engine_certificates_match_the_recursive_walk(self, monkeypatch):
+        seen = []
+
+        def both(ub, rhs):
+            cert = certify_dominated(ub, rhs)
+            ok, _ = certify_recursive(ub, rhs)
+            assert cert.ok == ok
+            seen.append(ok)
+            return cert
+
+        monkeypatch.setattr(renewal, "certify_dominated", both)
+        for seed in range(4):
+            run_system(reference_o_config(D=0.0), PrmStream(seed, 0), PrmStream(seed, 1))
+            run_system(reference_ad_config(D=1.0), PrmStream(seed, 0), PrmStream(seed, 1))
+        assert len(seen) > 20
 
 
 class TestRunSystem:
@@ -206,7 +314,56 @@ class TestBlocks:
         assert scipy.stats.ks_2samp(w[:h], w[h:]).pvalue >= 0.01
 
 
+def blocks_digest(blocks):
+    """sha256 over rho, eta, event counts, event times and cycle records."""
+    h = hashlib.sha256()
+    for part in ([b.rho for b in blocks], [b.eta for b in blocks],
+                 [b.n_events for b in blocks],
+                 np.concatenate([b.path.times for b in blocks]),
+                 [[c.index, c.tau_gap, c.alpha_gap, c.envelope_ok, c.tau_from_tail]
+                  for b in blocks for c in b.cycles]):
+        a = np.ascontiguousarray(part, dtype=np.float64)
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutputs:
+    # seeded outputs of the reference configs, byte for byte; a change that
+    # moves them must say why and pass the exact-law gates again
+    @pytest.mark.parametrize("make, D, seed, n, pin", [
+        (reference_ad_config, 1.0, 6, 60,
+         "e6ed63e9d33dfa4dcc33818e97b979c9158015b8051daed438e3aad5dd9b371d"),
+        (reference_ad_config, 0.0, 9, 60,
+         "f6a25eabe61d7a950318a10a56093fb7cb19494c7fec95790c337b897e331c31"),
+        (reference_o_config, 0.0, 3, 12,
+         "16251f69bb02abe8dd4276df1390b63a9bd9e0708ad74e936aa2c645f6fe00ce"),
+    ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3"])
+    def test_blocks_match_their_pin(self, make, D, seed, n, pin):
+        assert blocks_digest(iterate_regenerations(make(D=D), n, seed=seed)) == pin
+
+
 class TestSuiteRenewalCounts:
+    def test_certificate_counts_cover_every_certificate(self, monkeypatch):
+        # the ordinary setup certifies in the alpha scan and at every alpha;
+        # at this seed some scan offsets fail their certificate
+        seen = {"certificates": 0, "points": 0}
+
+        def counted(ub, rhs):
+            cert = certify_dominated(ub, rhs)
+            seen["certificates"] += 1
+            seen["points"] += cert.points
+            return cert
+
+        monkeypatch.setattr(renewal, "certify_dominated", counted)
+        diag = {}
+        blocks = iterate_regenerations(reference_o_config(D=0.0), 6, seed=2,
+                                       collect_diag=diag)
+        alphas = sum(len(b.cycles) - 1 for b in blocks)
+        assert diag["certificates"] == seen["certificates"] > 2 * alphas > 0
+        assert diag["certificate_points"] == seen["points"]
+
+
     def test_band_checks_are_the_band_sweep_candidates(self):
         # free sweeps inspect candidates too, but only band sweeps compare
         # them with the band; the margins show how far inside they stayed
