@@ -14,10 +14,10 @@ from .kernels import (EnvelopeFns, ExponentialKernel, GammaSchedule, Kernel,
 from .prm import PrmStream, SplitStreams, spawn_rng, split
 from .hawkes import (KernelMemory, Path, ProcessState, age_at, memory_at,
                      path_to_csv, simulate_adhp)
-from .renewal import (Block, Certificate, CycleRecord, RenewalConfig,
-                      RenewalOutcome, ZStart, check_envelope_inequality,
-                      iterate_regenerations, run_system, scan_alpha_AD,
-                      scan_alpha_O)
+from .renewal import (Block, Certificate, CycleRecord, Diagnostics,
+                      RenewalConfig, RenewalOutcome, ZStart,
+                      check_envelope_inequality, iterate_regenerations,
+                      run_system, scan_alpha_AD, scan_alpha_O)
 from .cluster import BorelLaw, Cluster, alpha0_stationary, simulate_cluster
 from .reprocess import REChain, invariant_cdf, return_time, step
 from .stats import (BlockStat, TestReport, clt_time_average,
@@ -34,7 +34,7 @@ __all__ = [
     "KernelMemory", "Path", "ProcessState", "age_at", "memory_at",
     "path_to_csv", "simulate_adhp",
     "Block", "Certificate", "CycleRecord", "RenewalConfig", "RenewalOutcome",
-    "ZStart",
+    "Diagnostics", "ZStart",
     "check_envelope_inequality", "iterate_regenerations", "run_system",
     "scan_alpha_AD", "scan_alpha_O",
     "BorelLaw", "Cluster", "alpha0_stationary", "simulate_cluster",

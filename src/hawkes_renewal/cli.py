@@ -41,32 +41,30 @@ def _fmt(x):
 # ---------------------------------------------------------------------------
 
 _DEFAULTS = {
-    "kernel": {"form": "exponential", "rate": "1.0", "amplitude": "0.2"},
+    "kernel": {"form": "exponential", "rate": "1.0", "amplitude": "0.2",
+               "exponent": "2.5", "knots": "0:1,1:0"},
     "rate": {"form": "refractory_linear", "c": "0.5", "L": "0.4", "delta": "1.0"},
     "gamma": {"form": "linear", "C": "1.0"},
-    "envelope": {"D": "0.0", "r": "zero"},
+    "envelope": {"D": "0.0", "r": "zero", "r_coef": "1.0", "r_rate": "1.0"},
     "run": {"p": "2.0", "assumption": "B", "seed": "1", "horizon": "100.0",
             "n_blocks": "1000", "out": ".", "alpha": "0.01", "parallel": "0",
             "max_cycles": "1000000", "scan_cap": "1000000",
             "n_runs": "1000", "n_steps": "1000000",
             "fclt_units": "200", "fclt_paths": "400"},
-    "debug": {"band_f_scale": "1.0"},
     "verify": {},
 }
 
 
 def _build_kernel(sec, problems):
-    form = sec.get("form", "exponential").lower()
+    form = sec["form"].lower()
     try:
         if form == "exponential":
-            return ExponentialKernel(float(sec.get("rate", 1.0)),
-                                     float(sec.get("amplitude", 1.0)))
+            return ExponentialKernel(float(sec["rate"]), float(sec["amplitude"]))
         if form == "powerlaw":
-            return PowerLawKernel(float(sec.get("amplitude", 1.0)),
-                                  float(sec.get("exponent", 2.5)))
+            return PowerLawKernel(float(sec["amplitude"]), float(sec["exponent"]))
         if form == "table":
             knots = [tuple(float(v) for v in part.split(":"))
-                     for part in sec.get("knots", "0:1,1:0").split(",")]
+                     for part in sec["knots"].split(",")]
             return TableKernel(knots)
     except (ConfigError, ValueError) as exc:
         problems.append(f"kernel: {exc}")
@@ -76,16 +74,15 @@ def _build_kernel(sec, problems):
 
 
 def _build_rate(sec, problems):
-    form = sec.get("form", "linear").lower()
+    form = sec["form"].lower()
     try:
-        c = float(sec.get("c", 1.0))
-        L = float(sec.get("l", sec.get("L", 1.0)))
+        c, L = float(sec["c"]), float(sec["L"])
         if form == "linear":
             return RateSpec.linear(c, L)
         if form == "refractory_linear":
-            return RateSpec.refractory_linear(c, L, float(sec.get("delta", 1.0)))
+            return RateSpec.refractory_linear(c, L, float(sec["delta"]))
         if form == "hard_refractory":
-            return RateSpec.hard_refractory(c, float(sec.get("delta", 1.0)), L=L)
+            return RateSpec.hard_refractory(c, float(sec["delta"]), L=L)
     except (ConfigError, ValueError) as exc:
         problems.append(f"rate: {exc}")
         return None
@@ -94,12 +91,12 @@ def _build_rate(sec, problems):
 
 
 def _build_gamma(sec, problems, p, kernel, rate):
-    form = sec.get("form", "linear").lower()
+    form = sec["form"].lower()
     try:
         if form == "linear":
-            return GammaSchedule.linear(float(sec.get("c", sec.get("C", 1.0))))
+            return GammaSchedule.linear(float(sec["C"]))
         if form == "log":
-            raw = sec.get("c", sec.get("C", "auto"))
+            raw = sec["C"]
             if raw == "auto":
                 m = rate.L * kernel.pos_l1
                 if not 0 < m < 1:
@@ -130,11 +127,11 @@ def load_config(path=None, seed_override=None, out_override=None):
     rate = _build_rate(parser["rate"], problems)
     run = parser["run"]
     try:
-        p = float(run.get("p", 2.0))
+        p = float(run["p"])
     except ValueError:
         problems.append("run: p must be a number")
         p = 2.0
-    assumption = run.get("assumption", "B").strip().upper()
+    assumption = run["assumption"].strip().upper()
     if assumption not in ("A", "B"):
         problems.append(f"run: assumption must be A or B, got {assumption!r}")
     sched = None
@@ -142,15 +139,14 @@ def load_config(path=None, seed_override=None, out_override=None):
         sched = _build_gamma(parser["gamma"], problems, p, kernel, rate)
     env_sec = parser["envelope"]
     r_fn = None
-    r_form = env_sec.get("r", "zero").lower()
+    r_form = env_sec["r"].lower()
     if r_form == "exp":
-        coef = float(env_sec.get("r_coef", 1.0))
-        rted = float(env_sec.get("r_rate", 1.0))
+        coef, rted = float(env_sec["r_coef"]), float(env_sec["r_rate"])
         r_fn = lambda t: coef * math.exp(-rted * t)
     elif r_form != "zero":
         problems.append(f"envelope: unknown r form {r_form!r}")
     try:
-        D = float(env_sec.get("d", env_sec.get("D", 0.0)))
+        D = float(env_sec["D"])
     except ValueError:
         problems.append("envelope: D must be a number")
         D = 0.0
@@ -159,30 +155,27 @@ def load_config(path=None, seed_override=None, out_override=None):
         try:
             cfg = RenewalConfig(
                 kernel=kernel, rate=rate, sched=sched, r=r_fn, D=D, p=p,
-                assumption=assumption,
-                max_cycles=int(run.get("max_cycles", 10**6)),
-                scan_cap=int(run.get("scan_cap", 10**6)),
-                band_f_scale=float(parser["debug"].get("band_f_scale", 1.0)))
+                assumption=assumption, max_cycles=int(run["max_cycles"]),
+                scan_cap=int(run["scan_cap"]))
             problems.extend(cfg.validate())
         except (ConfigError, ValueError) as exc:
             problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
     settings = {
-        "seed": int(seed_override if seed_override is not None else run.get("seed", 1)),
-        "out": out_override or run.get("out", "."),
-        "horizon": float(run.get("horizon", 100.0)),
-        "n_blocks": int(run.get("n_blocks", 1000)),
-        "n_runs": int(run.get("n_runs", 1000)),
-        "n_steps": int(run.get("n_steps", 10**6)),
-        "fclt_units": int(run.get("fclt_units", 200)),
-        "fclt_paths": int(run.get("fclt_paths", 400)),
-        "alpha": float(run.get("alpha", 0.01)),
+        "seed": int(seed_override if seed_override is not None else run["seed"]),
+        "out": out_override or run["out"],
+        "horizon": float(run["horizon"]),
+        "n_blocks": int(run["n_blocks"]),
+        "n_runs": int(run["n_runs"]),
+        "n_steps": int(run["n_steps"]),
+        "fclt_units": int(run["fclt_units"]),
+        "fclt_paths": int(run["fclt_paths"]),
+        "alpha": float(run["alpha"]),
         # 0 means auto: use the available cores (outputs are identical
         # at any worker count, so this only affects speed)
-        "parallel": int(run.get("parallel", 0)) or (os.cpu_count() or 1),
+        "parallel": int(run["parallel"]) or (os.cpu_count() or 1),
         "verify_sizes": {k: v for k, v in parser["verify"].items()},
-        "band_f_scale": float(parser["debug"].get("band_f_scale", 1.0)),
     }
     return cfg, settings
 
@@ -273,8 +266,7 @@ def cmd_verify(cfg, settings, only=None):
         suite, _, param = key.partition(".")
         if suite in SUITES and param:
             sizes.setdefault(suite, {})[param] = int(float(val))
-    reports = run_suites(names=names, sizes=sizes, n_jobs=settings["parallel"],
-                         band_f_scale=settings["band_f_scale"])
+    reports = run_suites(names=names, sizes=sizes, n_jobs=settings["parallel"])
     _write_and_print(reports, settings, "verify_reports.csv")
     failed = [r for r in reports if r.gating and not r.passed]
     for r in failed:

@@ -150,23 +150,28 @@ def count_updates(sched, counts):
     return update
 
 
+def _dyadic_sum(term, lo, small, n):
+    """sum_j term(lo 2^j) over at most n terms, ended at the first term below
+    half its predecessor and below ``small`` plus twice that term (the
+    geometric remainder); None when no term within n ends it."""
+    total, prev = 0.0, None
+    for _ in range(n):
+        t = term(lo)
+        total += t
+        if prev is not None and t < 0.5 * prev and t < small:
+            return total + 2.0 * t
+        prev = t
+        lo *= 2
+    return None
+
+
 def _dyadic_tail(viol, tol, w_cap=32768):
     """Dyadic bound on sum_{k >= W} viol(k) for decreasing viol; returns the
     smallest tried window W meeting tol, or None."""
     W = 8
     while W <= w_cap:
-        total, prev, ok = 0.0, None, False
-        lo = W
-        for _ in range(200):
-            term = lo * viol(lo)
-            total += term
-            if prev is not None and term < 0.5 * prev and term < tol / 10.0:
-                total += 2.0 * term  # geometric remainder
-                ok = True
-                break
-            prev = term
-            lo *= 2
-        if ok and total <= tol:
+        total = _dyadic_sum(lambda lo: lo * viol(lo), W, tol / 10.0, 200)
+        if total is not None and total <= tol:
             return W
         W *= 2
     return None
@@ -348,17 +353,9 @@ def alpha0_stationary_o(kernel, rate, sched, assumption="A", p=1.0, c0=None,
         W = 8
         while W <= 2**22:
             part1 = 2.0 * rate.c_psi * ew * kernel.majorant_tail_l1(W / 2.0)
-            over, prev, lo, ok = 0.0, None, max(W // 2, 1), False
-            for _ in range(120):
-                term = lo * bounds.overhang_mass(float(lo))
-                over += term
-                if prev is not None and term < 0.5 * prev and term < target / 100.0:
-                    over += 2.0 * term
-                    ok = True
-                    break
-                prev = term
-                lo *= 2
-            if ok and part1 + 2.0 * rate.c_psi * h0 * over <= target:
+            over = _dyadic_sum(lambda lo: lo * bounds.overhang_mass(float(lo)),
+                               max(W // 2, 1), target / 100.0, 120)
+            if over is not None and part1 + 2.0 * rate.c_psi * h0 * over <= target:
                 break
             W *= 2
         else:

@@ -75,15 +75,11 @@ class KernelMemory:
         self.jumps.append(u)
 
     def _weighted(self, t, idx, amp):
+        """amp * sum_{j < idx} exp(-rate (t - u_j)) of an exponential kernel."""
         if idx == 0:
             return 0.0
-        if self._exp:
-            u = self.jumps[idx - 1]
-            return amp * math.exp(-self.kernel.rate * (t - u)) * self._S[idx - 1]
-        us = np.array(self.jumps[:idx])
-        if amp >= 0:
-            return float(np.sum(self.kernel.value(t - us)))
-        return float(np.sum(self.kernel.majorant(t - us)))
+        u = self.jumps[idx - 1]
+        return amp * math.exp(-self.kernel.rate * (t - u)) * self._S[idx - 1]
 
     def value_at(self, t):
         """sum h(t - u) over jumps u < t."""
@@ -101,14 +97,10 @@ class KernelMemory:
         until the next jump is added.
         """
         idx = bisect.bisect_right(self.jumps, t)
-        if idx == 0:
-            return 0.0
         if self._exp:
-            u = self.jumps[idx - 1]
-            return abs(self.kernel.amplitude) * math.exp(
-                -self.kernel.rate * (t - u)) * self._S[idx - 1]
+            return self._weighted(t, idx, abs(self.kernel.amplitude))
         us = np.array(self.jumps[:idx])
-        return float(np.sum(self.kernel.majorant(t - us)))
+        return float(np.sum(self.kernel.majorant(t - us))) if idx else 0.0
 
 
 class ProcessState:

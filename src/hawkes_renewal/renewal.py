@@ -12,7 +12,7 @@ by construction and restart from the certified state (age D, signal
 
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .prm import PrmStream, spawn_rng, split
 
 _SLACK = 1e-9
 _ABS_TOL = 1e-12
+_TAIL_FRAC = 1e-3  # share of ||F||_1 left to the exact tail certificate
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +34,8 @@ _ABS_TOL = 1e-12
 
 @dataclass
 class RenewalConfig:
-    """Everything the renewal system needs, with caps and check switches.
-
-    ``band_f_scale`` rescales the band width used by the mechanism only
-    (never the theoretical laws); it exists so verification suites can
-    prove their own sensitivity by breaking the construction deliberately.
-    """
+    """Everything the renewal system needs, with its caps; ``env`` is built
+    from the other fields."""
 
     kernel: object
     rate: object
@@ -47,18 +44,13 @@ class RenewalConfig:
     D: float = 0.0
     p: float = 2.0
     assumption: str = "B"
-    env: EnvelopeFns = None
     max_cycles: int = 10**6
     scan_cap: int = 10**6
-    tail_frac: float = 1e-3
-    band_f_scale: float = 1.0
-    check_band: bool = True
-    check_envelope: bool = True
+    env: EnvelopeFns = field(init=False)
 
     def __post_init__(self):
-        if self.env is None:
-            self.env = EnvelopeFns(self.kernel, self.rate, self.sched,
-                                   r=self.r, D=self.D)
+        self.env = EnvelopeFns(self.kernel, self.rate, self.sched,
+                               r=self.r, D=self.D)
         self._t_cut = None
 
     @property
@@ -69,7 +61,7 @@ class RenewalConfig:
     def cycle_horizon(self):
         """Band-mass horizon past which the tail certificate takes over."""
         if self._t_cut is None:
-            self._t_cut = self.env.t_cut(self.tail_frac) if self.env.F_l1 > 0 else 0.0
+            self._t_cut = self.env.t_cut(_TAIL_FRAC) if self.env.F_l1 > 0 else 0.0
         return self._t_cut
 
     def validate(self):
@@ -86,8 +78,6 @@ class RenewalConfig:
         problems += self.env.validate(self.assumption, self.p)
         if self.D < 0:
             problems.append("delay D must be >= 0")
-        if not (0 < self.tail_frac < 1):
-            problems.append("tail_frac must be in (0, 1)")
         return problems
 
 
@@ -134,16 +124,13 @@ class CycleRecord:
 
 
 @dataclass
-class RenewalOutcome:
-    """Stopping times, regeneration point and per-cycle diagnostics."""
+class Diagnostics:
+    """The engine's counters, summed over cycles, blocks and workers:
+    candidates inspected, band checks and violations with the largest
+    excursions below and above the band (negative while every candidate
+    stayed inside), envelope certificates with the points they evaluated
+    and the failures among those made at an alpha, and tau tail draws."""
 
-    alphas: list
-    taus: list
-    eta: int
-    rho: float
-    cycles: list
-    zstar: Path
-    track_paths: list
     band_max_low: float = -math.inf
     band_max_high: float = -math.inf
     band_violations: int = 0
@@ -153,6 +140,29 @@ class RenewalOutcome:
     certificate_points: int = 0
     n_candidates: int = 0
     tau_tail_draws: int = 0
+
+    def merge(self, other):
+        """Fold the counters of ``other`` into this record and return it: the
+        float fields (band excursions) take the maximum, counts add up."""
+        for f in fields(Diagnostics):
+            mine, theirs = getattr(self, f.name), getattr(other, f.name)
+            setattr(self, f.name,
+                    max(mine, theirs) if f.type is float else mine + theirs)
+        return self
+
+
+@dataclass(kw_only=True)
+class RenewalOutcome(Diagnostics):
+    """Stopping times, regeneration point, per-cycle records and the
+    engine's counters."""
+
+    alphas: list
+    taus: list
+    eta: int
+    rho: float
+    cycles: list
+    zstar: Path
+    track_paths: list
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +203,16 @@ class Certificate:
         return self.ok
 
 
-def certify_dominated(ub, rhs, abs_tol=_ABS_TOL, rel_slack=_SLACK):
+def certify_dominated(ub, rhs):
     """Certify that the quantity enveloped by ``ub`` stays below ``rhs``.
 
     ``ub(w)`` must dominate the quantity on [w, inf); ``ub`` and ``rhs``
     must be decreasing and take an array of points.  The walk covers the
     fixed geometric grid w_0 = 0, w_{k+1} = max(1.3 w_k, w_k + 0.05) with
     the intervals (lo, hi) = (w_k, w_{k+1}) and requires
-    ub(lo) <= rhs(hi) (1 + rel_slack) + abs_tol on each, bisecting a
-    failing interval down to depth 14; it accepts at the first k >= 1 with
-    ub(w_k) <= abs_tol.  The grid is read in runs of 8, 32, 128, ...
+    ub(lo) <= rhs(hi) (1 + 1e-9) + 1e-12 on each, bisecting a failing
+    interval down to depth 14; it accepts at the first k >= 1 with
+    ub(w_k) <= 1e-12.  The grid is read in runs of 8, 32, 128, ...
     intervals, and the failing intervals are bisected one depth at a time in
     batches of at most 1024, with one array call of ub and of rhs per run or
     batch.  Batches are taken depth first, so a long refinement holds little
@@ -214,12 +224,12 @@ def certify_dominated(ub, rhs, abs_tol=_ABS_TOL, rel_slack=_SLACK):
     decreasing, a smaller rhs at its right end, so the bisection would
     reach the leaf and fail there.  For the same reason so does an interval
     of the bisection that fails at zero width,
-    ub(lo) > rhs(lo) (1 + rel_slack) + abs_tol.  Returns a
+    ub(lo) > rhs(lo) (1 + 1e-9) + 1e-12.  Returns a
     :class:`Certificate`.
     """
 
     def holds(u, r):
-        return u <= r * (1.0 + rel_slack) + abs_tol
+        return u <= r * (1.0 + _SLACK) + _ABS_TOL
 
     def at(fn, w):
         v = np.asarray(fn(w), dtype=float)
@@ -234,7 +244,7 @@ def certify_dominated(ub, rhs, abs_tol=_ABS_TOL, rel_slack=_SLACK):
             return Certificate(False, points)
         k1 = min(k0 + run, len(_GRID) - 1)
         u = np.concatenate([u[-1:], at(ub, _GRID[k0 + 1:k1 + 1])])
-        below = np.flatnonzero(u[1:] <= abs_tol)
+        below = np.flatnonzero(u[1:] <= _ABS_TOL)
         done = len(below) > 0
         m = k0 + 1 + int(below[0]) if done else k1
         r = at(rhs, _GRID[k0 + 1:m + 1])
@@ -353,7 +363,6 @@ class _Engine:
         self.pi = pi
         self.pibar = pibar
         self.rng = tau_rng
-        self.scale = cfg.band_f_scale
         self.tracks = [
             ProcessState(cfg.kernel, cfg.rate, signal=s.signal,
                          signal_upper=s.signal_upper, age0=s.age0,
@@ -367,15 +376,7 @@ class _Engine:
         self.cycles = []
         self.cycle = None       # current/last comparison process
         self.cycle_start = None
-        self.band_max_low = -math.inf
-        self.band_max_high = -math.inf
-        self.band_violations = 0
-        self.band_checks = 0
-        self.envelope_failures = 0
-        self.certificates = 0
-        self.certificate_points = 0
-        self.n_candidates = 0
-        self.tau_tail_draws = 0
+        self.diag = Diagnostics()
         self.swept_to = 0.0
 
     # -- band helpers -------------------------------------------------------
@@ -390,23 +391,20 @@ class _Engine:
         self.cycle_start = a
 
     def width(self, s):
-        """The (scaled) band width at absolute time s."""
-        return self.scale * self.env.F(s - self.cycle_start)
+        """The band width at absolute time s."""
+        return self.env.F(s - self.cycle_start)
 
     def width_sup(self, t0, t1):
         a = self.cycle_start
-        return self.scale * self.env.F_sup(max(t0 - a, 0.0), t1 - a)
+        return self.env.F_sup(max(t0 - a, 0.0), t1 - a)
 
     def _record_band(self, s, lams, width):
-        # the invariant holds for the unscaled width F
-        if self.scale != 1.0:
-            width = self.env.F(s - self.cycle_start)
-        d = lams[0] - lams[-1]
-        self.band_checks += 1
-        self.band_max_low = max(self.band_max_low, -d)
-        self.band_max_high = max(self.band_max_high, d - width)
+        d, diag = lams[0] - lams[-1], self.diag
+        diag.band_checks += 1
+        diag.band_max_low = max(diag.band_max_low, -d)
+        diag.band_max_high = max(diag.band_max_high, d - width)
         if d < -_SLACK or d > width + _SLACK:
-            self.band_violations += 1
+            diag.band_violations += 1
 
     # -- joint candidate sweeps ----------------------------------------------
 
@@ -422,11 +420,10 @@ class _Engine:
         if mode == "free":
             hit, n = thin(self.tracks, self.pi.sample, t_from, t_to)
         else:
-            watch = self._record_band if self.cfg.check_band else None
             hit, n = thin(self.tracks + [self.cycle], self.pi.sample, t_from,
                           t_to, band=(self.width, self.width_sup),
-                          suppress=mode == "suppress", watch=watch)
-        self.n_candidates += n
+                          suppress=mode == "suppress", watch=self._record_band)
+        self.diag.n_candidates += n
         self.swept_to = t_to if hit is None else hit[0]
         return hit
 
@@ -441,14 +438,14 @@ class _Engine:
         if hit is not None:
             s, v = hit
             return s, v, False
-        m_rem = self.scale * self.env.tail_mass(horizon - a)
+        m_rem = self.env.tail_mass(horizon - a)
         if m_rem <= 0 or self.rng.random() >= 1.0 - math.exp(-m_rem):
             return None, None, False
         # a band point exists beyond the horizon: sample its time from the
         # exact conditional law and extend the simulation up to it
-        self.tau_tail_draws += 1
+        self.diag.tau_tail_draws += 1
         e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m_rem)))
-        gap = self.env.inv_cum(self.env.cum_F(horizon - a) + e / self.scale)
+        gap = self.env.inv_cum(self.env.cum_F(horizon - a) + e)
         s = a + gap
         self.sweep(horizon, s, "suppress")
         v = self.rng.random() * self.width(s)
@@ -518,11 +515,11 @@ class _Engine:
     # -- envelope check -----------------------------------------------------------
 
     def _count(self, cert):
-        self.certificates += 1
-        self.certificate_points += cert.points
+        self.diag.certificates += 1
+        self.diag.certificate_points += cert.points
         return cert.ok
 
-    def check_envelope(self, alpha):
+    def certify_tracks(self, alpha):
         ok_all = True
         for tr, st in zip(self.tracks, self.starts):
             jumps = np.array([u for u in tr.jumps if u <= alpha + 1e-12])
@@ -530,7 +527,7 @@ class _Engine:
                 self.env, self.cfg.kernel, jumps, alpha, signal_abs=st.signal_abs))
             if not ok:
                 ok_all = False
-                self.envelope_failures += 1
+                self.diag.envelope_failures += 1
         return ok_all
 
 
@@ -561,8 +558,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
 
     if eng.alpha0 > 0:
         eng.sweep(0.0, eng.alpha0, "free")
-        if cfg.check_envelope:
-            eng.check_envelope(eng.alpha0)
+        eng.certify_tracks(eng.alpha0)
 
     eta = None
     for n in range(1, cfg.max_cycles + 1):
@@ -575,7 +571,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         eng.taus.append(s_tau)
         alpha = eng.find_alpha(s_tau, s_tau - a_prev)
         eng.sweep(s_tau, alpha, "free")
-        env_ok = eng.check_envelope(alpha) if cfg.check_envelope else True
+        env_ok = eng.certify_tracks(alpha)
         eng.alphas.append(alpha)
         eng.cycles.append(CycleRecord(
             index=n, tau_gap=s_tau - a_prev, alpha_gap=alpha - s_tau,
@@ -599,12 +595,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     ]
     return RenewalOutcome(
         alphas=eng.alphas, taus=eng.taus, eta=eta, rho=rho, cycles=eng.cycles,
-        zstar=track_paths[0], track_paths=track_paths,
-        band_max_low=eng.band_max_low, band_max_high=eng.band_max_high,
-        band_violations=eng.band_violations, band_checks=eng.band_checks,
-        envelope_failures=eng.envelope_failures,
-        certificates=eng.certificates, certificate_points=eng.certificate_points,
-        n_candidates=eng.n_candidates, tau_tail_draws=eng.tau_tail_draws)
+        zstar=track_paths[0], track_paths=track_paths, **asdict(eng.diag))
 
 
 # ---------------------------------------------------------------------------
@@ -630,28 +621,16 @@ class Block:
         yield self.path
 
 
-def merge_diag(total, part):
-    """Fold the diagnostics dict ``part`` into ``total``: counts add up, band
-    excursions take the maximum."""
-    for key in ("band_violations", "band_checks", "envelope_failures",
-                "certificates", "certificate_points", "n_candidates",
-                "tau_tail_draws"):
-        total[key] = total.get(key, 0) + part[key]
-    for key in ("band_max_low", "band_max_high"):
-        total[key] = max(total.get(key, part[key]), part[key])
-    return total
-
-
 def _run_chunk(cfg, job):
     """Blocks lo..hi-1 of stream ``seed`` and their summed diagnostics."""
     seed, lo, hi = job
-    blocks, diag = [], {}
+    blocks, diag = [], Diagnostics()
     for i in range(lo, hi):
         out = run_system(cfg, PrmStream(seed, stream=3 * i),
                          PrmStream(seed, stream=3 * i + 1),
                          tau_rng=spawn_rng(seed, i, 0x7A1))
         blocks.append(Block(out.rho, out.zstar, out.eta, out.cycles))
-        merge_diag(diag, vars(out))
+        diag.merge(out)
     return blocks, diag
 
 
@@ -674,7 +653,7 @@ def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
     keyed by (seed, i).  Chunks of blocks run on ``n_jobs`` fork workers (in
     this process when n_jobs is 1) and are merged in block order, so the
     worker count never changes the output.  ``collect_diag``, when given,
-    receives the diagnostics summed over all blocks.
+    receives the :class:`Diagnostics` summed over all blocks, as a dict.
     """
     if n_blocks < 1:
         raise ConfigError("need n_blocks >= 1")
@@ -693,10 +672,10 @@ def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
         with ctx.Pool(min(n_jobs, len(jobs)), initializer=_init_worker,
                       initargs=(cfg,)) as pool:
             results = pool.map(_worker_chunk, jobs)
-    blocks, diag = [], {}
+    blocks, diag = [], Diagnostics()
     for chunk_blocks, chunk_diag in results:
         blocks.extend(chunk_blocks)
-        merge_diag(diag, chunk_diag)
+        diag.merge(chunk_diag)
     if collect_diag is not None:
-        collect_diag.update(diag)
+        collect_diag.update(asdict(diag))
     return blocks

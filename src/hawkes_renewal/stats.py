@@ -9,14 +9,14 @@ for regeneration blocks.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.stats
 
 from .errors import ConfigError
 from .prm import PrmStream, derive_key, spawn_rng
-from .renewal import ZStart, iterate_regenerations, merge_diag, run_system
+from .renewal import Diagnostics, ZStart, iterate_regenerations, run_system
 
 
 @dataclass
@@ -199,7 +199,7 @@ def blocks_until(cfg, remaining, seed, n_jobs=1, first=64,
     keeps a mean from few blocks from overshooting the demand by much.
     ``collect_diag`` receives the diagnostics summed over all rounds.
     """
-    blocks, diag, k = [], {}, 0
+    blocks, diag, k = [], Diagnostics(), 0
     while (rest := remaining(blocks)) > 0:
         m = first
         if blocks:
@@ -210,10 +210,10 @@ def blocks_until(cfg, remaining, seed, n_jobs=1, first=64,
         part = {}
         blocks += iterate_regenerations(cfg, m, seed=derive_key(seed, k) & 0x7FFFFFFF,
                                         n_jobs=n_jobs, collect_diag=part)
-        merge_diag(diag, part)
+        diag.merge(Diagnostics(**part))
         k += 1
     if collect_diag is not None:
-        collect_diag.update(diag)
+        collect_diag.update(asdict(diag))
     return blocks
 
 
@@ -249,12 +249,15 @@ def clt_time_average(cfg, n_blocks=32000, rep_blocks=32, seed=0, n_jobs=1,
     return stat, reports
 
 
-def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01,
-                         t_grid=(0.25, 0.5, 1.0)):
+_T_GRID = (0.25, 0.5, 1.0)
+
+
+def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01):
     """Rescaled partial-sum paths B_t = S_{nt} / sqrt(n sigma^2) with linear
-    interpolation; tests Brownian marginal variances and increment
-    independence, each two-sided at level ``alpha``.  Returns (t_grid,
-    paths, reports)."""
+    interpolation at t = 0.25, 0.5, 1; tests Brownian marginal variances and
+    increment independence, each two-sided at level ``alpha``.  Returns
+    (t_grid, paths, reports)."""
+    t_grid = _T_GRID
     def cut(blocks):
         """Consecutive paths of length >= n, and the length still missing."""
         paths, cur, length = [], [], 0.0
@@ -289,7 +292,7 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01,
         reports.append(se_bound_report(
             f"fclt-variance-ratio-t{t:g}", ratios[0], t / t_grid[i_end],
             ratios[1], k=k, n=n_paths))
-    b_half = paths[:, t_grid.index(0.5)] if 0.5 in t_grid else paths[:, 0]
+    b_half = paths[:, t_grid.index(0.5)]
     b_end = paths[:, i_end]
     corr = float(np.corrcoef(b_half, b_end - b_half)[0, 1])
     thresh = k / math.sqrt(n_paths)

@@ -335,12 +335,10 @@ SUITES = {
 }
 
 
-def run_suites(names=None, sizes=None, n_jobs=1, band_f_scale=1.0):
+def run_suites(names=None, sizes=None, n_jobs=1):
     """Run the named suites (all by default) and return their reports.
 
-    ``sizes`` maps suite name -> dict of keyword overrides.  A non-unit
-    ``band_f_scale`` deliberately breaks the band construction in the
-    renewal-law suites, for mutation testing.
+    ``sizes`` maps suite name -> dict of keyword overrides.
     """
     names = list(SUITES) if names is None else list(names)
     sizes = sizes or {}
@@ -349,12 +347,6 @@ def run_suites(names=None, sizes=None, n_jobs=1, band_f_scale=1.0):
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         kw = dict(sizes.get(name, {}))
-        if name in ("renewal", "coupling", "clt", "fclt", "lil") and band_f_scale != 1.0:
-            cfg = kw.pop("cfg", None) or (
-                reference_ad_config(D=1.0) if name in ("clt", "fclt", "lil")
-                else reference_ad_config(D=0.0))
-            cfg.band_f_scale = band_f_scale
-            kw["cfg"] = cfg
         if name in ("renewal", "clt", "fclt", "lil", "moments") and "n_jobs" not in kw:
             kw["n_jobs"] = n_jobs
         reports.extend(SUITES[name](**kw))

@@ -1,6 +1,8 @@
+import math
 import os
 
-from hawkes_renewal.cli import main
+from hawkes_renewal import RenewalConfig, renewal
+from hawkes_renewal.cli import load_config, main
 
 
 BASE_CONFIG = """
@@ -44,6 +46,30 @@ def write(tmp_path, text, name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text.format(out=tmp_path / "out"))
     return str(p)
+
+
+class TestConfigDefaults:
+    def test_defaults_are_those_of_the_readme(self):
+        cfg, settings = load_config(None)
+        k, r = cfg.kernel, cfg.rate
+        assert (type(k).__name__, k.rate, k.amplitude) == ("ExponentialKernel", 1.0, 0.2)
+        assert (r.name, r.c_psi, r.L, r.delta) == ("refractory_linear", 0.5, 0.4, 1.0)
+        assert (cfg.sched.form, cfg.sched.C) == ("linear", 1.0)
+        assert (cfg.D, cfg.r, cfg.p, cfg.assumption) == (0.0, None, 2.0, "B")
+        assert (settings["seed"], settings["horizon"], settings["n_blocks"],
+                settings["out"]) == (1, 100.0, 1000, ".")
+
+    def test_optional_keys_have_defaults(self, tmp_path, monkeypatch):
+        # only the parsing is under test here: validating a power-law
+        # kernel needs a long envelope set-up
+        monkeypatch.setattr(RenewalConfig, "validate", lambda cfg: [])
+        load = lambda text: load_config(write(tmp_path, text))[0]
+        pl = load("[kernel]\nform = powerlaw\n[gamma]\nform = log\n")
+        assert (pl.kernel.amplitude, pl.kernel.exponent) == (0.2, 2.5)
+        assert (pl.sched.form, pl.sched.C) == ("log", 1.0)
+        tab = load("[kernel]\nform = table\n[envelope]\nr = exp\n")
+        assert (tab.kernel.ts.tolist(), tab.kernel.vs.tolist()) == ([0.0, 1.0], [1.0, 0.0])
+        assert (tab.r(0.0), tab.r(2.0)) == (1.0, math.exp(-2.0))
 
 
 class TestSimulate:
@@ -123,10 +149,13 @@ class TestVerify:
         fname = os.path.join(str(tmp_path / "out"), "verify_reports.csv")
         assert open(fname).readline().strip() == "test,statistic,p_value,n,pass"
 
-    def test_broken_band_fails_tau_law(self, tmp_path, capsys):
+    def test_broken_band_fails_tau_law(self, tmp_path, capsys, monkeypatch):
+        # halve the band width of the mechanism; fork workers inherit it
+        width = renewal._Engine.width
+        monkeypatch.setattr(renewal._Engine, "width",
+                            lambda eng, s: 0.5 * width(eng, s))
         text = BASE_CONFIG + (
-            "\n[debug]\nband_f_scale = 0.5\n"
-            "[verify]\nrenewal.n_cycles = 1200\nrenewal.n_blocks = 300\n")
+            "\n[verify]\nrenewal.n_cycles = 1200\nrenewal.n_blocks = 300\n")
         cfg = write(tmp_path, text)
         assert main(["verify", "--config", cfg, "--only", "renewal"]) == 1
         err = capsys.readouterr().err

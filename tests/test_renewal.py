@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (DominationError, ExponentialKernel, GammaSchedule,
-                            PowerLawKernel, PrmStream, RateSpec, RenewalConfig,
-                            TableKernel, ZeroKernel, ZStart,
+from hawkes_renewal import (Diagnostics, DominationError, ExponentialKernel,
+                            GammaSchedule, PowerLawKernel, PrmStream, RateSpec,
+                            RenewalConfig, TableKernel, ZeroKernel, ZStart,
                             check_envelope_inequality, iterate_regenerations,
                             run_system, scan_alpha_AD, scan_alpha_O)
 from hawkes_renewal import renewal
@@ -253,10 +253,12 @@ class TestRunSystem:
         assert out.band_violations == 0
         assert out.envelope_failures == 0
 
-    def test_band_scale_mutation_shifts_the_law(self):
+    def test_band_scale_mutation_shifts_the_law(self, monkeypatch):
         # halving the band width must visibly inflate P(tau = inf)
+        width = renewal._Engine.width
+        monkeypatch.setattr(renewal._Engine, "width",
+                            lambda eng, s: 0.5 * width(eng, s))
         cfg = reference_ad_config(D=0.0)
-        cfg.band_f_scale = 0.5
         q = math.exp(-cfg.env.F_l1)
         n_inf = n_cyc = 0
         for b in iterate_regenerations(cfg, 300, seed=21):
@@ -285,9 +287,11 @@ class TestBlocks:
 
     def test_worker_count_does_not_change_output(self):
         cfg = reference_ad_config(D=1.0)
-        seq = iterate_regenerations(cfg, 40, seed=6, n_jobs=1)
-        par = iterate_regenerations(cfg, 40, seed=6, n_jobs=2)
+        diags = [{}, {}]
+        seq = iterate_regenerations(cfg, 40, seed=6, n_jobs=1, collect_diag=diags[0])
+        par = iterate_regenerations(cfg, 40, seed=6, n_jobs=2, collect_diag=diags[1])
         assert [b.rho for b in seq] == [b.rho for b in par]
+        assert diags[0] == diags[1] and diags[0]["band_checks"] > 0
         for a, b in zip(seq, par):
             assert np.array_equal(a.path.times, b.path.times)
         fclt = [functional_clt_paths(cfg, n=60, n_paths=6, seed=6, n_jobs=j)
@@ -341,6 +345,25 @@ class TestPinnedOutputs:
     ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3"])
     def test_blocks_match_their_pin(self, make, D, seed, n, pin):
         assert blocks_digest(iterate_regenerations(make(D=D), n, seed=seed)) == pin
+
+
+class TestDiagnostics:
+    def test_merge_sums_counts_and_keeps_the_largest_excursions(self):
+        total = Diagnostics()
+        assert total.merge(Diagnostics()) == Diagnostics()
+        assert total.band_max_low == total.band_max_high == -math.inf
+        total.merge(Diagnostics(band_max_low=-0.5, band_max_high=-2.0,
+                                band_checks=3, certificates=1,
+                                certificate_points=40, n_candidates=7))
+        total.merge(Diagnostics(band_max_low=-0.7, band_max_high=-1.0,
+                                band_violations=1, band_checks=2,
+                                envelope_failures=2, certificates=2,
+                                certificate_points=9, n_candidates=5,
+                                tau_tail_draws=1))
+        assert total == Diagnostics(
+            band_max_low=-0.5, band_max_high=-1.0, band_violations=1,
+            band_checks=5, envelope_failures=2, certificates=3,
+            certificate_points=49, n_candidates=12, tau_tail_draws=1)
 
 
 class TestSuiteRenewalCounts:
