@@ -8,9 +8,9 @@ estimation.
 
 from .errors import (BandViolationError, ConfigError, DominationError,
                      IntegrabilityError, SimulationCapError, SupercriticalError)
-from .kernels import (EnvelopeFns, ExponentialKernel, GammaSchedule, Kernel,
-                      PositivePartKernel, PowerLawKernel, RateSpec, TableKernel,
-                      ZeroKernel, check_subcritical, pos_part)
+from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, GammaSchedule,
+                      Kernel, PositivePartKernel, PowerLawKernel, RateSpec,
+                      TableKernel, ZeroKernel, check_subcritical, pos_part)
 from .prm import PrmStream, SplitStreams, spawn_rng, split
 from .hawkes import (KernelMemory, Path, ProcessState, age_at, memory_at,
                      path_to_csv, simulate_adhp)
@@ -27,7 +27,7 @@ from .stats import (BlockStat, TestReport, clt_time_average,
 __all__ = [
     "BandViolationError", "ConfigError", "DominationError",
     "IntegrabilityError", "SimulationCapError", "SupercriticalError",
-    "EnvelopeFns", "ExponentialKernel", "GammaSchedule", "Kernel",
+    "EnvelopeFns", "ExpDecay", "ExponentialKernel", "GammaSchedule", "Kernel",
     "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
     "ZeroKernel", "check_subcritical", "pos_part",
     "PrmStream", "SplitStreams", "spawn_rng", "split",

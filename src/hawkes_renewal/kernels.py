@@ -550,6 +550,38 @@ class GammaSchedule:
 # Envelope functions
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ExpDecay:
+    """The function w -> c * exp(-rate * w), at a float or an array of w.
+
+    Majorant sums of exponential kernels, their envelopes and the start
+    signals built from them have this form; the envelope certificate decides
+    two of them with one rate in closed form.
+    """
+
+    c: float
+    rate: float
+
+    def __call__(self, w):
+        return self.c * np.exp(-self.rate * w)
+
+    def shift(self, s):
+        """w -> self(s + w)."""
+        return ExpDecay(self.c * math.exp(-self.rate * s), self.rate)
+
+    def plus(self, other):
+        """self + other as an ExpDecay, or None when the sum is not one."""
+        if not isinstance(other, ExpDecay):
+            return None
+        if other.c == 0:
+            return self
+        if self.c == 0:
+            return other
+        if other.rate == self.rate:
+            return ExpDecay(self.c + other.c, self.rate)
+        return None
+
+
 class EnvelopeFns:
     """The envelope pair f and F with cached integrals.
 
@@ -646,6 +678,13 @@ class EnvelopeFns:
         if not math.isfinite(val):
             raise IntegrabilityError("f evaluated non-finite", factor="majorant or r")
         return val
+
+    def envelope(self, t2=INF):
+        """w -> f(w, t2); an :class:`ExpDecay` for an exponential kernel and
+        no r, where f(w, t2) = f(0, t2) exp(-rate * w)."""
+        if isinstance(self.kernel, ExponentialKernel) and self.r is None:
+            return ExpDecay(self.f(0.0, t2), self.kernel.rate)
+        return lambda w: self.f(w, t2)
 
     def F_pre(self, t):
         return 2.0 * self.rate.L * self.f(t) + self.rate.c_psi * float(self.rate.g(t))
@@ -744,23 +783,25 @@ class EnvelopeFns:
 
     def validate(self, assumption="A", p=0.0):
         """Moment checks from the integrability assumptions; returns problems."""
-        problems = []
-        try:
-            if assumption == "A":
-                for name, fn in [("t^p f", lambda t: t**p * self.f(t)),
-                                 ("t^p F", lambda t: t**p * self.F(t))]:
-                    v = integrate_to_inf(fn, 0.0, factor=name)
-                    if not math.isfinite(v):
-                        problems.append(f"{name} not integrable")
-            else:
-                c = 0.05
+        if assumption == "A":
+            problems = []
+            for name, fn in [("t^p f", lambda t: t**p * self.f(t)),
+                             ("t^p F", lambda t: t**p * self.F(t))]:
                 try:
-                    v = integrate_to_inf(lambda t: math.exp(c * t) * self.F(t),
-                                         0.0, factor="exp(ct) F")
-                except OverflowError:  # exp(ct) outgrows a heavy-tailed F
+                    v = integrate_to_inf(fn, 0.0, factor=name)
+                except IntegrabilityError:  # the quadrature found no finite value
                     v = math.inf
                 if not math.isfinite(v):
-                    problems.append("F lacks an exponential moment (assumption B)")
+                    problems.append(f"{name} not integrable (assumption A)")
+            return problems
+        c = 0.05
+        try:
+            v = integrate_to_inf(lambda t: math.exp(c * t) * self.F(t),
+                                 0.0, factor="exp(ct) F")
+        except OverflowError:  # exp(ct) outgrows a heavy-tailed F
+            v = math.inf
         except IntegrabilityError as exc:
-            problems.append(str(exc))
-        return problems
+            return [str(exc)]
+        if not math.isfinite(v):
+            return ["F lacks an exponential moment (assumption B)"]
+        return []

@@ -19,8 +19,8 @@ import numpy as np
 from .cluster import count_updates, scan_units
 from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
-from .kernels import (EnvelopeFns, ExponentialKernel, RateSpec, ceil_int,
-                      check_subcritical, pos_part)
+from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, RateSpec,
+                      ceil_int, check_subcritical, pos_part)
 from .prm import PrmStream, spawn_rng, split
 
 _SLACK = 1e-9
@@ -88,7 +88,8 @@ class ZStart:
     ``signal_upper`` is a decreasing upper envelope of the signal (used for
     domination), ``signal_abs`` a decreasing envelope of its absolute value
     (used by the post-alpha envelope checks).  ``signal_abs`` takes an array
-    of times and returns an array, or a float that holds at every time.
+    of times and returns an array, or a float that holds at every time; an
+    :class:`ExpDecay` keeps exponential-kernel certificates in closed form.
     """
 
     signal: object
@@ -103,15 +104,15 @@ class ZStart:
         D = env.D
         return ZStart(signal=lambda t: -env.f(t + D),
                       signal_upper=lambda t: 0.0,
-                      signal_abs=lambda t: env.f(t + D),
+                      signal_abs=_shifted(env.envelope(), D),
                       age0=D, alpha0=0.0)
 
     @staticmethod
     def empty(age0=0.0):
         """No past at all: zero signal, alpha0 = 0."""
         zero = lambda t: 0.0
-        return ZStart(signal=zero, signal_upper=zero, signal_abs=zero,
-                      age0=age0, alpha0=0.0)
+        return ZStart(signal=zero, signal_upper=zero,
+                      signal_abs=ExpDecay(0.0, 0.0), age0=age0, alpha0=0.0)
 
 
 @dataclass
@@ -207,7 +208,16 @@ def certify_dominated(ub, rhs):
     """Certify that the quantity enveloped by ``ub`` stays below ``rhs``.
 
     ``ub(w)`` must dominate the quantity on [w, inf); ``ub`` and ``rhs``
-    must be decreasing and take an array of points.  The walk covers the
+    must be decreasing and take an array of points.
+
+    When both are :class:`ExpDecay` with one rate, c_ub e^{-aw} and
+    c_rhs e^{-aw}, the verdict is the test at w = 0 alone,
+    c_ub <= c_rhs (1 + 1e-9) + 1e-12, which holds exactly when
+    ub(w) <= rhs(w) (1 + 1e-9) + 1e-12 for every w >= 0 (multiply by
+    e^{-aw} <= 1); it counts one point.  Every certificate the walk below
+    accepts is accepted.
+
+    Otherwise the walk covers the
     fixed geometric grid w_0 = 0, w_{k+1} = max(1.3 w_k, w_k + 0.05) with
     the intervals (lo, hi) = (w_k, w_{k+1}) and requires
     ub(lo) <= rhs(hi) (1 + 1e-9) + 1e-12 on each, bisecting a failing
@@ -230,6 +240,9 @@ def certify_dominated(ub, rhs):
 
     def holds(u, r):
         return u <= r * (1.0 + _SLACK) + _ABS_TOL
+
+    if isinstance(ub, ExpDecay) and isinstance(rhs, ExpDecay) and ub.rate == rhs.rate:
+        return Certificate(bool(holds(ub.c, rhs.c)), 1)
 
     def at(fn, w):
         v = np.asarray(fn(w), dtype=float)
@@ -282,15 +295,26 @@ def certify_dominated(ub, rhs):
 def _majorant_sum(kernel, jumps, base):
     """w -> sum_j hbar(base + w - u_j), at a float or an array of w.
 
-    Exponential kernels reduce to a single cached coefficient.
+    Exponential kernels reduce to one :class:`ExpDecay`.
     """
     jumps = np.asarray(jumps, dtype=float)
     if isinstance(kernel, ExponentialKernel):
         a, amp = kernel.rate, abs(kernel.amplitude)
         coef = float(np.sum(np.exp(-a * (base - jumps))))
-        return lambda w: amp * coef * np.exp(-a * w)
+        return ExpDecay(amp * coef, a)
     return lambda w: np.sum(
         kernel.majorant(base + np.asarray(w, dtype=float)[..., None] - jumps), axis=-1)
+
+
+def _shifted(fn, s):
+    """w -> fn(s + w), an :class:`ExpDecay` again when fn is one."""
+    return fn.shift(s) if isinstance(fn, ExpDecay) else lambda w: fn(s + w)
+
+
+def _plus(f, g):
+    """w -> f(w) + g(w), an :class:`ExpDecay` when both are of one rate."""
+    both = f.plus(g) if isinstance(f, ExpDecay) else None
+    return both if both is not None else lambda w: f(w) + g(w)
 
 
 def check_envelope_inequality(env, kernel, jumps, base, signal_abs=None):
@@ -300,9 +324,8 @@ def check_envelope_inequality(env, kernel, jumps, base, signal_abs=None):
     array of times."""
     ub = _majorant_sum(kernel, jumps, base)
     if signal_abs is not None:
-        ub_sum = ub
-        ub = lambda w: ub_sum(w) + signal_abs(base + w)
-    return certify_dominated(ub, env.f)
+        ub = _plus(ub, _shifted(signal_abs, base))
+    return certify_dominated(ub, env.envelope())
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +367,7 @@ def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000, certs=None):
         if len(jumps) > sched.int_shifted(float(i)) + 1e-9:
             continue
         cert = certify_dominated(_majorant_sum(kernel, jumps, float(i)),
-                                 lambda w: env.f(w, i - 1.0))
+                                 env.envelope(i - 1.0))
         if certs is not None:
             certs.append(cert)
         if cert:

@@ -7,6 +7,7 @@ estimated by the renewal-reward ratio of sums over blocks, which is exact
 for regeneration blocks.
 """
 
+import logging
 import math
 import warnings
 from dataclasses import asdict, dataclass
@@ -17,6 +18,8 @@ import scipy.stats
 from .errors import ConfigError
 from .prm import PrmStream, derive_key, spawn_rng
 from .renewal import Diagnostics, ZStart, iterate_regenerations, run_system
+
+log = logging.getLogger("hawkes_renewal")
 
 
 @dataclass
@@ -197,7 +200,8 @@ def blocks_until(cfg, remaining, seed, n_jobs=1, first=64,
     of ``size``) over the mean size so far, so ``n_jobs`` never changes the
     blocks.  A round draws at most 4 times the blocks already seen, which
     keeps a mean from few blocks from overshooting the demand by much.
-    ``collect_diag`` receives the diagnostics summed over all rounds.
+    ``collect_diag`` receives the diagnostics summed over all rounds.  Each
+    round is logged at INFO level.
     """
     blocks, diag, k = [], Diagnostics(), 0
     while (rest := remaining(blocks)) > 0:
@@ -207,6 +211,8 @@ def blocks_until(cfg, remaining, seed, n_jobs=1, first=64,
             if mean <= 0:
                 raise ConfigError("blocks of size 0 never meet the demand")
             m = max(16, min(math.ceil(rest / mean), 4 * len(blocks)))
+        log.info("block round %d: %d blocks for an open demand of %.6g",
+                 k, m, rest)
         part = {}
         blocks += iterate_regenerations(cfg, m, seed=derive_key(seed, k) & 0x7FFFFFFF,
                                         n_jobs=n_jobs, collect_diag=part)
@@ -337,7 +343,7 @@ def coupling_experiment(cfg, starts=None, n_runs=1000, extend_after=20.0,
     if starts is None:
         env = cfg.env
         flipped = ZStart(signal=lambda t: env.f(t), signal_upper=lambda t: env.f(t),
-                         signal_abs=lambda t: env.f(t), age0=0.0, alpha0=0.0)
+                         signal_abs=env.envelope(), age0=0.0, alpha0=0.0)
         starts = (ZStart.atom(env), flipped)
     if starts[0].alpha0 != starts[1].alpha0:
         raise ConfigError("coupling requires a shared certified alpha0")

@@ -7,7 +7,9 @@ ensemble sizes, so the command-line ``verify`` and the acceptance tests
 share one implementation.
 """
 
+import logging
 import math
+import time
 
 import numpy as np
 import scipy.stats
@@ -22,6 +24,8 @@ from .reprocess import REChain, return_time, invariant_cdf
 from .stats import (TestReport, blocks_until, chi2_gof, clt_time_average,
                     coupling_experiment, functional_clt_paths, ks_against,
                     lil_envelope, poisson_dispersion, se_bound_report)
+
+log = logging.getLogger("hawkes_renewal")
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +342,8 @@ SUITES = {
 def run_suites(names=None, sizes=None, n_jobs=1):
     """Run the named suites (all by default) and return their reports.
 
-    ``sizes`` maps suite name -> dict of keyword overrides.
+    ``sizes`` maps suite name -> dict of keyword overrides.  Each suite's
+    name and time are logged at INFO level.
     """
     names = list(SUITES) if names is None else list(names)
     sizes = sizes or {}
@@ -349,5 +354,7 @@ def run_suites(names=None, sizes=None, n_jobs=1):
         kw = dict(sizes.get(name, {}))
         if name in ("renewal", "clt", "fclt", "lil", "moments") and "n_jobs" not in kw:
             kw["n_jobs"] = n_jobs
+        t0 = time.perf_counter()
         reports.extend(SUITES[name](**kw))
+        log.info("suite %s: %.2f s", name, time.perf_counter() - t0)
     return reports

@@ -111,6 +111,16 @@ class TestRenewal:
         assert main(["renewal", "--config", cfg]) == 2
         assert "F lacks an exponential moment" in capsys.readouterr().err
 
+    def test_powerlaw_without_second_moment_rejected(self, tmp_path, capsys):
+        # exponent 2.5 leaves t^2 f non-integrable, which assumption A needs
+        bad = BASE_CONFIG.replace("form = exponential", "form = powerlaw") \
+                         .replace("rate = 1.0\n", "exponent = 2.5\n", 1) \
+                         .replace("[run]\n", "[gamma]\nform = log\nC = 3.0\n\n"
+                                              "[run]\nassumption = A\np = 2.0\n")
+        cfg = write(tmp_path, bad)
+        assert main(["renewal", "--config", cfg]) == 2
+        assert "t^p f not integrable (assumption A)" in capsys.readouterr().err
+
     def test_zero_band_rows_have_inf_sentinels(self, tmp_path, capsys):
         cfg = write(tmp_path, ZERO_BAND_CONFIG)
         assert main(["renewal", "--config", cfg]) == 0

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (ConfigError, EnvelopeFns, ExponentialKernel,
-                            GammaSchedule, PowerLawKernel, RateSpec, TableKernel,
-                            ZeroKernel, pos_part)
+from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
+                            ExponentialKernel, GammaSchedule, PowerLawKernel,
+                            RateSpec, TableKernel, ZeroKernel, pos_part)
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
 
 
@@ -55,6 +55,42 @@ class TestEnvelopeValues:
                 assert got.tolist() == [env.f(float(t), t2) for t in ts]
             with pytest.raises(ConfigError):
                 env.f(np.array([0.5, -0.1]))
+
+    def test_envelope_is_closed_form_only_for_exponential_kernels_without_r(self):
+        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        sched = GammaSchedule.linear(1.0)
+        ts = np.array([0.0, 0.3, 1.7, 12.0])
+        env = make_env(ExponentialKernel(1.3, -0.4), rate, sched)
+        for t2 in [0.0, 2.0, math.inf]:
+            fn = env.envelope(t2)
+            assert fn == ExpDecay(env.f(0.0, t2), 1.3)
+            assert np.allclose(fn(ts), env.f(ts, t2), rtol=1e-14, atol=0.0)
+        r = lambda t: 0.2 * math.exp(-2.0 * t)
+        for kernel, r_fn in [(ExponentialKernel(1.0, 0.2), r),
+                             (PowerLawKernel(0.2, 4.0), None)]:
+            env = make_env(kernel, rate, sched, r=r_fn)
+            fn = env.envelope(2.0)
+            assert not isinstance(fn, ExpDecay)
+            assert fn(ts).tolist() == env.f(ts, 2.0).tolist()
+
+    def test_exp_decay_shift_and_plus(self):
+        g = ExpDecay(0.8, 2.0)
+        assert g(0.0) == 0.8 and g(np.array([0.0, 1.0])).shape == (2,)
+        assert g.shift(0.5) == ExpDecay(0.8 * math.exp(-1.0), 2.0)
+        assert g.plus(ExpDecay(0.1, 2.0)) == ExpDecay(0.9, 2.0)
+        assert g.plus(ExpDecay(0.0, 0.0)) is g
+        assert ExpDecay(0.0, 0.0).plus(g) is g
+        assert g.plus(ExpDecay(0.1, 1.0)) is None
+        assert g.plus(lambda w: 0.0) is None
+
+    def test_assumption_a_names_the_failed_moment(self):
+        # t^2 f decays like t^-0.5: the quadrature cannot converge
+        env = make_env(PowerLawKernel(0.2, 2.5),
+                       RateSpec.refractory_linear(0.5, 0.4, 1.0),
+                       GammaSchedule.log(C=3.0))
+        problems = env.validate("A", 2.0)
+        assert "t^p f not integrable (assumption A)" in problems
+        assert all("assumption A" in p for p in problems)
 
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]

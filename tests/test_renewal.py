@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (Diagnostics, DominationError, ExponentialKernel,
-                            GammaSchedule, PowerLawKernel, PrmStream, RateSpec,
-                            RenewalConfig, TableKernel, ZeroKernel, ZStart,
-                            check_envelope_inequality, iterate_regenerations,
-                            run_system, scan_alpha_AD, scan_alpha_O)
+from hawkes_renewal import (Diagnostics, DominationError, ExpDecay,
+                            ExponentialKernel, GammaSchedule, PowerLawKernel,
+                            PrmStream, RateSpec, RenewalConfig, TableKernel,
+                            ZeroKernel, ZStart, check_envelope_inequality,
+                            iterate_regenerations, run_system, scan_alpha_AD,
+                            scan_alpha_O)
 from hawkes_renewal import renewal
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.renewal import _majorant_sum, certify_dominated
@@ -180,6 +181,75 @@ class TestCertificate:
                 cert = check_envelope_inequality(env, kernel, jumps, base,
                                                  signal_abs=start.signal_abs)
                 assert cert.ok == certify_recursive(ub, env.f)[0]
+
+    def test_same_rate_exponentials_are_decided_in_closed_form(self):
+        env = reference_o_config(D=0.0).env
+        rhs = env.envelope()
+        assert isinstance(rhs, ExpDecay)
+        for ratio in [0.5, 1 - 1e-6, 1 - 1e-10, 1 + 1e-10, 1.01]:
+            ub = ExpDecay(ratio * rhs.c, rhs.rate)
+            cert = certify_dominated(ub, rhs)
+            assert cert.ok == (ub.c <= rhs.c * (1 + 1e-9) + 1e-12), ratio
+            assert cert.points == 1
+        assert certify_dominated(ExpDecay(1.01 * rhs.c, rhs.rate), rhs).ok is False
+        # a zero kernel: both sides vanish
+        zero_env = EnvelopeFns(ZeroKernel(), RateSpec.linear(1.0, 0.5),
+                               GammaSchedule.linear(1.0))
+        cert = check_envelope_inequality(zero_env, ZeroKernel(), np.array([0.5]), 2.0)
+        assert cert.ok and cert.points == 1
+        # the empty start and the atom keep the sum in closed form
+        cfg = reference_ad_config(D=1.0)
+        jumps = np.array([0.4, 2.5, 3.1])
+        for start in [ZStart.empty(), ZStart.atom(cfg.env)]:
+            assert isinstance(start.signal_abs, ExpDecay)
+            for base in [3.5, 6.0]:
+                c_ub = (float(_majorant_sum(cfg.kernel, jumps, base)(0.0))
+                        + float(start.signal_abs(base)))
+                c_rhs = cfg.env.f(0.0)
+                cert = check_envelope_inequality(cfg.env, cfg.kernel, jumps, base,
+                                                 signal_abs=start.signal_abs)
+                assert cert.ok == (c_ub <= c_rhs * (1 + 1e-9) + 1e-12)
+                assert cert.points == 1
+
+    def test_closed_form_accepts_whatever_the_walk_accepts(self):
+        verdicts = set()
+        for rate in [0.5, 1.0, 3.0]:
+            for ratio in [0.1, 0.9, 0.99, 0.999, 1 - 1e-6, 1.0, 1 + 1e-10, 1.01]:
+                for c in [1e-13, 0.3, 5.0]:
+                    ub, rhs = ExpDecay(ratio * c, rate), ExpDecay(c, rate)
+                    walk_ok, _ = certify_recursive(lambda w: ub(w), lambda w: rhs(w))
+                    cert = certify_dominated(ub, rhs)
+                    assert cert.points == 1
+                    if walk_ok:
+                        assert cert.ok, (rate, ratio, c)
+                    verdicts.add((walk_ok, cert.ok))
+        # the closed form also accepts knife edges the walk cannot resolve
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_other_pairs_take_the_walk(self):
+        sched = GammaSchedule.linear(1.0)
+        rate = RateSpec.linear(0.5, 1.0)
+        kernel = ExponentialKernel(1.0, 0.3)
+        jumps = np.array([0.2, 1.1, 1.7])
+        ub = _majorant_sum(kernel, jumps, 3.0)
+        r = lambda t: 0.1 * math.exp(-2.0 * t)
+        env_r = EnvelopeFns(kernel, rate, sched, r=r)
+        for rhs in [lambda w: (1.0 + w) ** -3.0,         # power-law rhs
+                    ExpDecay(2.0, 0.5),                    # another rate
+                    env_r.envelope()]:                     # an envelope with r
+            cert = certify_dominated(ub, rhs)
+            assert cert.points > 1
+            assert cert.ok == certify_recursive(ub, rhs)[0]
+        power = PowerLawKernel(0.2, 4.0)
+        env_p = EnvelopeFns(power, rate, sched)
+        cert = check_envelope_inequality(env_p, power, jumps, 3.0)
+        assert cert.points > 1
+
+    def test_engine_certificates_are_closed_form_on_exponential_kernels(self):
+        diag = {}
+        iterate_regenerations(reference_o_config(D=0.0), 20, seed=1,
+                              collect_diag=diag)
+        assert diag["certificate_points"] == diag["certificates"] > 0
 
     def test_engine_certificates_match_the_recursive_walk(self, monkeypatch):
         seen = []

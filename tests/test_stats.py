@@ -1,3 +1,4 @@
+import logging
 import math
 import warnings
 
@@ -7,10 +8,10 @@ import pytest
 from hawkes_renewal import Path
 from hawkes_renewal.renewal import Block
 from hawkes_renewal.stats import (ad_normality, batch_means_sigma2,
-                                  block_stat_from_blocks, chi2_gof,
+                                  block_stat_from_blocks, blocks_until, chi2_gof,
                                   functional_clt_paths, unit_counts,
                                   windowed_functional)
-from hawkes_renewal.verify import reference_ad_config
+from hawkes_renewal.verify import reference_ad_config, run_suites
 from hawkes_renewal.renewal import iterate_regenerations
 
 
@@ -131,3 +132,20 @@ class TestHelpers:
         probs = np.array([0.4, 0.35, 0.15, 0.06, 0.03, 0.008, 0.0015, 0.0005])
         rep = chi2_gof(obs, probs)
         assert rep.passed
+
+
+class TestProgressLogging:
+    def test_block_rounds_and_suites_log_at_info(self, caplog):
+        cfg = reference_ad_config(D=1.0)
+        with caplog.at_level(logging.INFO, logger="hawkes_renewal"):
+            blocks = blocks_until(cfg, lambda bs: 40 - len(bs), seed=3, first=16)
+            run_suites(["borel"], sizes={"borel": {"n_clusters": 2000}})
+        rounds = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("block round")]
+        assert len(blocks) >= 40 and len(rounds) >= 2
+        assert rounds[0] == "block round 0: 16 blocks for an open demand of 40"
+        assert rounds[1].startswith("block round 1: ")
+        assert any(r.getMessage().startswith("suite borel: ") and
+                   r.getMessage().endswith(" s") for r in caplog.records)
+        assert {r.name for r in caplog.records} == {"hawkes_renewal"}
+        assert {r.levelno for r in caplog.records} == {logging.INFO}
