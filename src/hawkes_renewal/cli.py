@@ -111,29 +111,55 @@ def _build_gamma(sec, problems, p, kernel, rate):
     return None
 
 
+def _number(sec, key, kind, problems, default=None):
+    """``kind(sec[key])`` for kind int or float, or ``default`` after
+    naming the problem."""
+    try:
+        return kind(sec[key])
+    except (ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        problems.append(f"{sec.name}: {key} must be {what}, got {sec[key]!r}")
+        return default
+
+
+_RUN_NUMBERS = {"seed": int, "horizon": float, "n_blocks": int, "n_runs": int,
+                "n_steps": int, "fclt_units": int, "fclt_paths": int,
+                "alpha": float, "parallel": int, "max_cycles": int,
+                "scan_cap": int}
+
+
 def load_config(path=None, seed_override=None, out_override=None):
     """Parse the INI file into a RenewalConfig plus run settings.
 
     All validation problems are aggregated into one ConfigError.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     parser.read_dict(_DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
             raise ConfigError([f"config file not found: {path}"])
-        parser.read(path)
+        try:
+            parser.read(path)
+        except configparser.Error as exc:
+            raise ConfigError([f"config file: {exc}"]) from exc
     problems = []
     kernel = _build_kernel(parser["kernel"], problems)
     rate = _build_rate(parser["rate"], problems)
     run = parser["run"]
-    try:
-        p = float(run["p"])
-    except ValueError:
-        problems.append("run: p must be a number")
-        p = 2.0
+    p = _number(run, "p", float, problems, default=2.0)
     assumption = run["assumption"].strip().upper()
     if assumption not in ("A", "B"):
         problems.append(f"run: assumption must be A or B, got {assumption!r}")
+    nums = {key: _number(run, key, kind, problems)
+            for key, kind in _RUN_NUMBERS.items()
+            if not (key == "seed" and seed_override is not None)}
+    horizon, parallel = nums["horizon"], nums["parallel"]
+    if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
+        problems.append(f"run: horizon must be finite and positive, got {horizon!r}")
+    if parallel is not None and parallel < 0:
+        problems.append(f"run: parallel must be >= 0, got {parallel}")
+    verify_sizes = {key: _number(parser["verify"], key, lambda v: int(float(v)),
+                                 problems) for key in parser["verify"]}
     sched = None
     if kernel is not None and rate is not None:
         sched = _build_gamma(parser["gamma"], problems, p, kernel, rate)
@@ -141,41 +167,33 @@ def load_config(path=None, seed_override=None, out_override=None):
     r_fn = None
     r_form = env_sec["r"].lower()
     if r_form == "exp":
-        coef, rted = float(env_sec["r_coef"]), float(env_sec["r_rate"])
+        coef = _number(env_sec, "r_coef", float, problems)
+        rted = _number(env_sec, "r_rate", float, problems)
         r_fn = lambda t: coef * math.exp(-rted * t)
     elif r_form != "zero":
         problems.append(f"envelope: unknown r form {r_form!r}")
-    try:
-        D = float(env_sec["D"])
-    except ValueError:
-        problems.append("envelope: D must be a number")
-        D = 0.0
+    D = _number(env_sec, "D", float, problems, default=0.0)
     cfg = None
     if not problems and kernel is not None and rate is not None and sched is not None:
         try:
             cfg = RenewalConfig(
                 kernel=kernel, rate=rate, sched=sched, r=r_fn, D=D, p=p,
-                assumption=assumption, max_cycles=int(run["max_cycles"]),
-                scan_cap=int(run["scan_cap"]))
+                assumption=assumption, max_cycles=nums["max_cycles"],
+                scan_cap=nums["scan_cap"])
             problems.extend(cfg.validate())
         except (ConfigError, ValueError) as exc:
             problems.append(str(exc))
     if problems:
         raise ConfigError(problems)
     settings = {
-        "seed": int(seed_override if seed_override is not None else run["seed"]),
+        "seed": int(seed_override) if seed_override is not None else nums["seed"],
         "out": out_override or run["out"],
-        "horizon": float(run["horizon"]),
-        "n_blocks": int(run["n_blocks"]),
-        "n_runs": int(run["n_runs"]),
-        "n_steps": int(run["n_steps"]),
-        "fclt_units": int(run["fclt_units"]),
-        "fclt_paths": int(run["fclt_paths"]),
-        "alpha": float(run["alpha"]),
+        **{key: nums[key] for key in ("horizon", "n_blocks", "n_runs", "n_steps",
+                                      "fclt_units", "fclt_paths", "alpha")},
         # 0 means auto: use the available cores (outputs are identical
         # at any worker count, so this only affects speed)
-        "parallel": int(run["parallel"]) or (os.cpu_count() or 1),
-        "verify_sizes": {k: v for k, v in parser["verify"].items()},
+        "parallel": parallel or (os.cpu_count() or 1),
+        "verify_sizes": verify_sizes,
     }
     return cfg, settings
 
@@ -265,7 +283,7 @@ def cmd_verify(cfg, settings, only=None):
     for key, val in settings["verify_sizes"].items():
         suite, _, param = key.partition(".")
         if suite in SUITES and param:
-            sizes.setdefault(suite, {})[param] = int(float(val))
+            sizes.setdefault(suite, {})[param] = val
     reports = run_suites(names=names, sizes=sizes, n_jobs=settings["parallel"])
     _write_and_print(reports, settings, "verify_reports.csv")
     failed = [r for r in reports if r.gating and not r.passed]

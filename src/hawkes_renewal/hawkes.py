@@ -173,12 +173,21 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
         is suppressed.
     horizon : simulate on (origin, horizon].
 
-    Returns the realized :class:`Path`.
+    Returns the realized :class:`Path`.  The thinning never reads behind
+    its frontier, so ``pi`` forgets the columns before it as it goes
+    (``PrmStream.forget_before``): memory stays bounded whatever the
+    horizon, and afterwards ``pi`` answers only reads that start in the
+    last unit column read.
     """
     if not math.isfinite(horizon):
         raise DominationError("horizon must be finite")
     state = ProcessState(kernel, rate, signal, signal_upper, age0, delay, origin)
-    thin([state], pi.sample, origin, horizon)
+
+    def read(t0, t1, zmax):
+        pi.forget_before(t0)
+        return pi.sample(t0, t1, zmax)
+
+    thin([state], read, origin, horizon)
     return Path(np.array(state.jumps), horizon=horizon, origin=origin)
 
 

@@ -1,12 +1,13 @@
 """Lazy Poisson random measures on time x mark strips, and their splitting.
 
 A :class:`PrmStream` realizes a unit-rate PRM cell by cell: each unit
-time x mark cell gets its own counter-based RNG keyed by (seed, cell), so
+time x mark cell draws from a counter-based RNG keyed by (seed, cell), so
 any rectangle can be queried in any order, repeatedly, with identical
 results.  ``split`` implements the two derived measures that swap the two
 driving PRMs inside a predictable band.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -15,6 +16,7 @@ import numpy as np
 from .errors import BandViolationError, ConfigError
 
 _MASK64 = (1 << 64) - 1
+_FOLDS = {}  # derive_key's fold of a first part; cleared when it holds 64
 
 
 def _mix64(x):
@@ -27,9 +29,19 @@ def _mix64(x):
 
 
 def derive_key(*parts):
-    """Fold integers into a 128-bit Philox key, order-sensitive."""
+    """Fold integers into a 128-bit Philox key, order-sensitive.
+
+    The fold of the first part is memoised: a stream folds its base into
+    the key of every cell."""
     h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
-    for p in parts:
+    if parts:
+        p = int(parts[0]) & _MASK64
+        if p not in _FOLDS:
+            if len(_FOLDS) >= 64:
+                _FOLDS.clear()
+            _FOLDS[p] = _mix64(h0 ^ p), _mix64(h1 ^ _mix64(p))
+        h0, h1 = _FOLDS[p]
+    for p in parts[1:]:
         p = int(p) & _MASK64
         h0 = _mix64(h0 ^ p)
         h1 = _mix64(h1 ^ _mix64(p))
@@ -41,46 +53,56 @@ def spawn_rng(*parts):
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
 
 
+# every stream draws its cells from this one generator, resetting it to the
+# cell's key and a zero counter first; so streams are read by one thread
+_BITGEN = np.random.Philox(key=0)
+_GEN = np.random.Generator(_BITGEN)
+_STATE = _BITGEN.state
+
+
 class PrmStream:
     """Reproducible lazy PRM with Lebesgue mean measure on [0,inf)^2.
 
-    Points are materialized per unit cell [k, k+1) x [m, m+1) on demand and
-    cached, so re-querying any rectangle returns identical points and
-    enlarging the mark bound never perturbs points already seen.
+    Each unit cell [k, k+1) x [m, m+1) draws its points from its own key,
+    so any rectangle can be queried in any order, repeatedly, with
+    identical results, and enlarging the mark bound never perturbs points
+    already seen.  The points are kept in one time-sorted column per
+    integer time k, holding the cells of the mark layers m < ``layers``
+    read so far; a read with a higher mark bound materialises the missing
+    cells of its columns and merges them in.  ``forget_before`` drops the
+    columns that the caller will not read again.
     """
 
     def __init__(self, seed, stream=0):
         self.seed = int(seed)
         self.stream = int(stream)
         self._base = derive_key(self.seed, self.stream, 0xB1E55ED)
-        self._bitgen = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bitgen)
-        self._cells = {}
+        self._cols = {}  # k -> (points of column k, their times, layers)
+        self._first = 0  # the columns below it are forgotten
 
-    def _cell(self, k, m):
-        pts = self._cells.get((k, m))
-        if pts is None:
-            key = derive_key(self._base, k, m)
-            self._bitgen.state = {
-                "bit_generator": "Philox",
-                "state": {
-                    "counter": np.zeros(4, dtype=np.uint64),
-                    "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
-                },
-                "buffer": np.zeros(4, dtype=np.uint64),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            n = int(self._gen.poisson(1.0))
+    def _grow(self, k, col, need):
+        pairs, layers = (col[0].tolist(), col[2]) if col else ([], 0)
+        key = _STATE["state"]["key"]
+        for m in range(layers, need):
+            cell = derive_key(self._base, k, m)
+            key[0], key[1] = cell & _MASK64, cell >> 64
+            _BITGEN.state = _STATE
+            n = int(_GEN.poisson(1.0))
             if n:
-                ts = k + np.sort(self._gen.random(n))
-                zs = m + self._gen.random(n)
-                pts = np.column_stack([ts, zs])
-            else:
-                pts = np.empty((0, 2))
-            self._cells[(k, m)] = pts
-        return pts
+                u = _GEN.random(2 * n).tolist()
+                pairs += [(k + t, m + z) for t, z in zip(sorted(u[:n]), u[n:])]
+        pairs.sort(key=lambda p: p[0])  # stable: cells of lower layers first on ties
+        col = self._cols[k] = (np.array(pairs).reshape(-1, 2),
+                               [p[0] for p in pairs], need)
+        return col
+
+    def forget_before(self, t):
+        """Drop the columns k < floor(t); a later read of one raises."""
+        k = int(math.floor(t))
+        if k > self._first:
+            self._first = k
+            for j in [j for j in self._cols if j < k]:
+                del self._cols[j]
 
     def sample(self, t0, t1, zmax):
         """All points in (t0, t1] x [0, zmax], sorted by time.
@@ -94,19 +116,21 @@ class PrmStream:
         if t0 < 0:
             raise ConfigError("PrmStream lives on t >= 0")
         k0, k1 = int(math.floor(t0)), int(math.ceil(t1))
-        layers = int(math.ceil(zmax))
-        chunks = []
+        if k0 < self._first:
+            raise ConfigError(f"PRM read at t = {t0:g} behind forget_before"
+                              f"({self._first})")
+        need = int(math.ceil(zmax))
+        cols = []
         for k in range(k0, k1):
-            for m in range(layers):
-                pts = self._cell(k, m)
-                if len(pts):
-                    chunks.append(pts)
-        if not chunks:
-            return np.empty((0, 2))
-        allp = np.concatenate(chunks)
-        keep = (allp[:, 0] > t0) & (allp[:, 0] <= t1) & (allp[:, 1] <= zmax)
-        allp = allp[keep]
-        return allp[np.argsort(allp[:, 0], kind="stable")]
+            col = self._cols.get(k)
+            cols.append(col if col and col[2] >= need else
+                        self._grow(k, col, need))
+        pts, ts = cols[0][:2]
+        if len(cols) > 1:
+            pts, ts = (np.concatenate([c[0] for c in cols]),
+                       [t for c in cols for t in c[1]])
+        pts = pts[bisect.bisect_right(ts, t0):bisect.bisect_right(ts, t1)]
+        return pts[pts[:, 1] <= zmax]
 
 
 def in_band(lo, z, hi):

@@ -455,6 +455,9 @@ class _Engine:
     def run_cycle(self):
         """One cycle from the last alpha; returns tau (absolute) or None."""
         a = self.alphas[-1]
+        # every read of this cycle and of the later ones starts at or after a
+        self.pi.forget_before(a)
+        self.pibar.forget_before(a)
         self._new_cycle(a)
         horizon = a + max(self.cfg.D, self.cfg.cycle_horizon)
         hit = self.sweep(a, horizon, "cycle")

@@ -1,5 +1,8 @@
+import hashlib
 import math
 import os
+
+import pytest
 
 from hawkes_renewal import RenewalConfig, renewal
 from hawkes_renewal.cli import load_config, main
@@ -70,6 +73,58 @@ class TestConfigDefaults:
         tab = load("[kernel]\nform = table\n[envelope]\nr = exp\n")
         assert (tab.kernel.ts.tolist(), tab.kernel.vs.tolist()) == ([0.0, 1.0], [1.0, 0.0])
         assert (tab.r(0.0), tab.r(2.0)) == (1.0, math.exp(-2.0))
+
+
+class TestConfigProblems:
+    @pytest.mark.parametrize("command, text, problem", [
+        ("simulate", "[run]\nn_blocks = ten", "run: n_blocks must be an integer, got 'ten'"),
+        ("renewal", "[run]\nseed = x", "run: seed must be an integer, got 'x'"),
+        ("clt", "[run]\nalpha = low", "run: alpha must be a number, got 'low'"),
+        ("clt", "[run]\nalpha = 1%", "run: alpha must be a number, got '1%'"),
+        ("renewal", "[run]\nmax_cycles = 1e6", "run: max_cycles must be an integer"),
+        ("renewal", "[envelope]\nr = exp\nr_coef = big", "envelope: r_coef must be a number"),
+        ("renewal", "[envelope]\nr = exp\nr_rate = fast", "envelope: r_rate must be a number"),
+        ("simulate", "[run]\nhorizon = inf", "run: horizon must be finite and positive"),
+        ("simulate", "[run]\nhorizon = nan", "run: horizon must be finite and positive"),
+        ("simulate", "[run]\nhorizon = -5", "run: horizon must be finite and positive"),
+        ("renewal", "[run]\nparallel = -1", "run: parallel must be >= 0, got -1"),
+        ("verify", "[verify]\nrenewal.n_cycles = many",
+         "verify: renewal.n_cycles must be a number, got 'many'"),
+        ("simulate", "[run]\nseed = 1\n[run]\nseed = 2", "config file:"),
+    ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
+            "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
+            "verify-size", "duplicate-section"])
+    def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
+        cfg = write(tmp_path, text + "\n")
+        assert main([command, "--config", cfg]) == 2
+        assert f"config error: {problem}" in capsys.readouterr().err
+
+    def test_seed_flag_skips_the_file_seed(self, tmp_path):
+        _, settings = load_config(write(tmp_path, "[run]\nseed = x\n"), seed_override=4)
+        assert settings["seed"] == 4
+
+
+class TestReferenceDigests:
+    """The seeded CLI outputs of the AD D=1 and O D=0 reference configs,
+    byte for byte (horizon 2000, 200 blocks, seed 5, one worker)."""
+
+    RUN = "[run]\nhorizon = 2000\nn_blocks = 200\nseed = 5\nparallel = 1\nout = {out}\n"
+
+    @pytest.mark.parametrize("text, events, cycles", [
+        ("[envelope]\nD = 1.0\n",
+         "04a2110a9db76deb89cafa24fcc85bffa89f06f9eaf4e424ba713fead7f35a3a",
+         "0ae805699afe7aed8215ebcfe6ef53a4a0178e1f05a3322c8a9fafb36070f2ca"),
+        ("[kernel]\namplitude = 0.3\n[rate]\nform = linear\nc = 0.5\nL = 1.0\n",
+         "8b672270d9586dd2994839819282cb5714309f9af9f031c280a5a2707a4a028e",
+         "3340a664036f097be4c21288931406eba5ab37f90f2816526eaf8371c8a7f55e"),
+    ], ids=["AD-D1", "O-D0"])
+    def test_outputs_are_unchanged(self, tmp_path, capsys, text, events, cycles):
+        cfg = write(tmp_path, text + self.RUN)
+        for command, name, want in (("simulate", "events.csv", events),
+                                    ("renewal", "cycles.csv", cycles)):
+            assert main([command, "--config", cfg]) == 0
+            data = (tmp_path / "out" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == want, name
 
 
 class TestSimulate:

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (ExponentialKernel, Path, PowerLawKernel, PrmStream,
-                            RateSpec, ZeroKernel, age_at, memory_at, path_to_csv,
-                            simulate_adhp)
+from hawkes_renewal import (ConfigError, ExponentialKernel, Path, PowerLawKernel,
+                            PrmStream, RateSpec, ZeroKernel, age_at, memory_at,
+                            path_to_csv, simulate_adhp)
 from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
 
 
@@ -110,6 +110,22 @@ class TestSimulate:
         expect = delta + 1.0 / c
         se = gaps.std(ddof=1) / math.sqrt(len(gaps))
         assert gaps.mean() == pytest.approx(expect, abs=3 * se)
+
+    def test_memory_stays_bounded_on_a_long_horizon(self):
+        class Watched(PrmStream):
+            most = 0
+
+            def sample(self, t0, t1, zmax):
+                out = super().sample(t0, t1, zmax)
+                self.most = max(self.most, len(self._cols))
+                return out
+
+        pi = Watched(14, 0)
+        path = simulate_adhp(pi, ExponentialKernel(1.0, 0.5),
+                             RateSpec.refractory_linear(1.0, 1.0, 0.5), horizon=2e4)
+        assert path.n > 2e4 and pi.most <= 2 and len(pi._cols) <= 2
+        with pytest.raises(ConfigError):
+            pi.sample(1e4, 1e4 + 1.0, 1.0)
 
     def test_linear_hawkes_mean_intensity(self):
         # stationary mean c/(1 - L ||h||_1), cross-checked by an Euler scheme

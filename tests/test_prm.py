@@ -4,7 +4,67 @@ import numpy as np
 import pytest
 
 from hawkes_renewal import (BandViolationError, ConfigError, PrmStream,
-                            split)
+                            prm, split)
+
+MASK64 = (1 << 64) - 1
+
+
+def mix64(x):
+    x = (x + 0x9E3779B97F4A7C15) & MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def plain_fold(*parts):
+    """The key fold of derive_key without its memo."""
+    h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
+    for p in parts:
+        p = int(p) & MASK64
+        h0, h1 = mix64(h0 ^ p), mix64(h1 ^ mix64(p))
+    return (h1 << 64) | h0
+
+
+def sample_by_cells(seed, stream, t0, t1, zmax, cells):
+    """The PRM read cell by cell, the reference for PrmStream.sample: every
+    unit cell (k, m) of the window below ceil(zmax) from a fresh Philox
+    keyed by the cell (kept in ``cells``), concatenated in (k, m) order,
+    filtered to (t0, t1] x [0, zmax] and sorted stably by time."""
+    if zmax <= 0 or t1 <= t0:
+        return np.empty((0, 2))
+    base = plain_fold(seed, stream, 0xB1E55ED)
+    chunks = []
+    for k in range(math.floor(t0), math.ceil(t1)):
+        for m in range(math.ceil(zmax)):
+            if (k, m) not in cells:
+                gen = np.random.Generator(np.random.Philox(key=plain_fold(base, k, m)))
+                n = int(gen.poisson(1.0))
+                ts = k + np.sort(gen.random(n))
+                cells[k, m] = np.column_stack([ts, m + gen.random(n)])
+            chunks.append(cells[k, m])
+    allp = np.concatenate(chunks)
+    keep = (allp[:, 0] > t0) & (allp[:, 0] <= t1) & (allp[:, 1] <= zmax)
+    allp = allp[keep]
+    return allp[np.argsort(allp[:, 0], kind="stable")]
+
+
+def random_windows(rng, n):
+    """Windows inside one column, across columns and from an integer t0,
+    with mark bounds that rise and fall, each read twice in a row."""
+    for _ in range(n):
+        k = int(rng.integers(0, 30))
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            t0, t1 = sorted(k + rng.random(2))
+        elif kind == 1:
+            t0 = k + rng.random()
+            t1 = t0 + rng.uniform(0.5, 4.0)
+        else:
+            t0, t1 = float(k), k + float(rng.choice([rng.random(), 1.0, 2.5]))
+        zmax = float(rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 6.0),
+                                 float(rng.integers(1, 4))]))
+        yield t0, t1, zmax
+        yield t0, t1, zmax
 
 
 class TestPrmStream:
@@ -41,6 +101,64 @@ class TestPrmStream:
         high = pi.sample(0.0, 20.0, 3.0)
         below = high[high[:, 1] <= 1.0]
         assert np.array_equal(low, below)
+
+    def test_columns_match_the_per_cell_reads_bitwise(self):
+        rng = np.random.default_rng(2024)
+        for stream in range(3):
+            pi, cells = PrmStream(17, stream), {}
+            for t0, t1, zmax in random_windows(rng, 300):
+                got = pi.sample(t0, t1, zmax)
+                want = sample_by_cells(17, stream, t0, t1, zmax, cells)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (stream, t0, t1, zmax)
+
+    def test_one_derive_key_call_per_new_cell(self, monkeypatch):
+        calls = []
+        derive_key = prm.derive_key
+
+        def counted(*parts):
+            calls.append(parts)
+            return derive_key(*parts)
+
+        pi = PrmStream(23, 4)
+        monkeypatch.setattr(prm, "derive_key", counted)
+        rng = np.random.default_rng(5)
+        looked_up = set()
+        for t0, t1, zmax in random_windows(rng, 200):
+            before = len(calls)
+            pi.sample(t0, t1, zmax)
+            new = {(k, m) for k in range(math.floor(t0), math.ceil(t1))
+                   for m in range(math.ceil(zmax))} - looked_up
+            assert sorted(calls[before:]) == sorted((pi._base, k, m) for k, m in new)
+            looked_up |= new
+        assert len(calls) == len(looked_up) > 0
+
+    def test_memoised_derive_key_is_the_plain_fold(self):
+        rng = np.random.default_rng(11)
+        cases = [(), (0,), (-1,), (-(1 << 70), 3), ((1 << 128) - 1, 5, 6)]
+        for _ in range(400):
+            first = [int(rng.integers(0, 8)), int(rng.integers(-1 << 62, 1 << 62)),
+                     int(rng.integers(0, 1 << 62)) << 66 | int(rng.integers(0, 1 << 62))]
+            rest = rng.integers(-1000, 10**6, rng.integers(0, 4)).tolist()
+            cases.append((first[rng.integers(0, 3)], *rest))
+        for parts in cases + cases:
+            assert prm.derive_key(*parts) == plain_fold(*parts), parts
+        assert len(prm._FOLDS) <= 64
+
+    def test_forget_before(self):
+        pi, cells = PrmStream(6, 2), {}
+        pi.sample(0.0, 12.0, 2.0)
+        pi.forget_before(7.5)
+        assert min(pi._cols) == 7
+        for t0, t1, zmax in [(7.0, 9.5, 3.0), (7.25, 12.0, 1.5), (11.0, 14.0, 2.0)]:
+            got = pi.sample(t0, t1, zmax)
+            assert got.tobytes() == sample_by_cells(6, 2, t0, t1, zmax, cells).tobytes()
+        for t0 in (6.99, 3.0, 0.0):
+            with pytest.raises(ConfigError):
+                pi.sample(t0, 10.0, 1.0)
+        pi.forget_before(2.0)  # forgetting never moves back
+        with pytest.raises(ConfigError):
+            pi.sample(6.5, 8.0, 1.0)
 
     def test_sorted_and_in_rectangle(self):
         pts = PrmStream(3, 0).sample(1.5, 7.25, 2.2)

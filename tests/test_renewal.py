@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (Diagnostics, DominationError, ExpDecay,
-                            ExponentialKernel, GammaSchedule, PowerLawKernel,
-                            PrmStream, RateSpec, RenewalConfig, TableKernel,
-                            ZeroKernel, ZStart, check_envelope_inequality,
+from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
+                            ExpDecay, ExponentialKernel, GammaSchedule,
+                            PowerLawKernel, PrmStream, RateSpec, RenewalConfig,
+                            TableKernel, ZeroKernel, ZStart,
+                            check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
 from hawkes_renewal import renewal
@@ -375,6 +376,20 @@ class TestBlocks:
         cfg = reference_ad_config(D=0.0)
         out = run_system(cfg, PrmStream(8, 0), PrmStream(8, 1), extend_after=30.0)
         assert out.zstar.horizon == pytest.approx(out.rho + 30.0)
+
+    def test_engine_forgets_the_prm_behind_each_alpha(self):
+        forgotten = 0
+        for cfg in (reference_ad_config(D=1.0), reference_o_config(D=0.0)):
+            for seed in range(6):
+                pi, pibar = PrmStream(seed, 0), PrmStream(seed, 1)
+                out = run_system(cfg, pi, pibar, extend_after=5.0)
+                first = math.floor(out.alphas[-1])
+                assert all(k >= first for s in (pi, pibar) for k in s._cols)
+                if first > 0:
+                    forgotten += 1
+                    with pytest.raises(ConfigError):
+                        pibar.sample(first - 0.5, first + 0.5, 1.0)
+        assert forgotten > 0
 
     def test_block_laws_are_index_independent(self):
         import scipy.stats
