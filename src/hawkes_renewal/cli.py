@@ -9,6 +9,7 @@ as the literal ``inf`` with 12 significant digits elsewhere.
 
 import argparse
 import configparser
+import inspect
 import logging
 import math
 import os
@@ -128,6 +129,27 @@ _RUN_NUMBERS = {"seed": int, "horizon": float, "n_blocks": int, "n_runs": int,
                 "scan_cap": int}
 
 
+def _verify_sizes(sec, problems):
+    """[verify] as {suite: {param: value}}: each key ``suite.param`` names a
+    suite of SUITES and a numeric keyword of it, read as its default's type."""
+    sizes = {}
+    for key in sec:
+        suite, _, param = key.partition(".")
+        if suite not in SUITES:
+            problems.append(f"verify: {key}: unknown suite {suite!r}; "
+                            f"choose from {', '.join(sorted(SUITES))}")
+            continue
+        arg = inspect.signature(SUITES[suite]).parameters.get(param)
+        kind = {int: lambda v: int(float(v)), float: float}.get(
+            type(getattr(arg, "default", None)))
+        if kind is None:
+            problems.append(f"verify: {key}: suite {suite} has no numeric "
+                            f"parameter {param!r}")
+        else:
+            sizes.setdefault(suite, {})[param] = _number(sec, key, kind, problems)
+    return sizes
+
+
 def load_config(path=None, seed_override=None, out_override=None):
     """Parse the INI file into a RenewalConfig plus run settings.
 
@@ -158,8 +180,7 @@ def load_config(path=None, seed_override=None, out_override=None):
         problems.append(f"run: horizon must be finite and positive, got {horizon!r}")
     if parallel is not None and parallel < 0:
         problems.append(f"run: parallel must be >= 0, got {parallel}")
-    verify_sizes = {key: _number(parser["verify"], key, lambda v: int(float(v)),
-                                 problems) for key in parser["verify"]}
+    verify_sizes = _verify_sizes(parser["verify"], problems)
     sched = None
     if kernel is not None and rate is not None:
         sched = _build_gamma(parser["gamma"], problems, p, kernel, rate)
@@ -279,12 +300,8 @@ def cmd_re_chain(cfg, settings):
 
 def cmd_verify(cfg, settings, only=None):
     names = [only] if only else None
-    sizes = {}
-    for key, val in settings["verify_sizes"].items():
-        suite, _, param = key.partition(".")
-        if suite in SUITES and param:
-            sizes.setdefault(suite, {})[param] = val
-    reports = run_suites(names=names, sizes=sizes, n_jobs=settings["parallel"])
+    reports = run_suites(names=names, sizes=settings["verify_sizes"],
+                         n_jobs=settings["parallel"])
     _write_and_print(reports, settings, "verify_reports.csv")
     failed = [r for r in reports if r.gating and not r.passed]
     for r in failed:

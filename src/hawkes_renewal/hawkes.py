@@ -194,7 +194,7 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
 def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
     """Drive ``tracks`` on (t_from, t_to] by windowed exact thinning of one driver.
 
-    ``read(t0, t1, zmax)`` returns the driver's points in (t0, t1] x
+    ``read(t0, t1, zmax)`` returns the driver's (t, z) points in (t0, t1] x
     [0, zmax], sorted by time.  Each unit window is read up to the largest
     ``bound_from`` of the tracks; a point (s, z) is a jump of every track
     with z <= lambda(s), and an intensity above its window bound raises
@@ -223,7 +223,7 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
         bound = max(bounds) * (1.0 + _SLACK) + 1e-12
         limit = bound * (1.0 + _SLACK) + 1e-9
         moved = False
-        for s, z in read(frontier, w_end, bound).tolist():
+        for s, z in read(frontier, w_end, bound):
             n += 1
             lams = [tr.lambda_at(s) for tr in tracks]
             top, hit = max(lams), False

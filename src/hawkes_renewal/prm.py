@@ -10,6 +10,7 @@ driving PRMs inside a predictable band.
 import bisect
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .errors import BandViolationError, ConfigError
 
 _MASK64 = (1 << 64) - 1
 _FOLDS = {}  # derive_key's fold of a first part; cleared when it holds 64
+_time = itemgetter(0)
 
 
 def _mix64(x):
@@ -66,7 +68,7 @@ class PrmStream:
     Each unit cell [k, k+1) x [m, m+1) draws its points from its own key,
     so any rectangle can be queried in any order, repeatedly, with
     identical results, and enlarging the mark bound never perturbs points
-    already seen.  The points are kept in one time-sorted column per
+    already seen.  The (t, z) points are kept in one time-sorted list per
     integer time k, holding the cells of the mark layers m < ``layers``
     read so far; a read with a higher mark bound materialises the missing
     cells of its columns and merges them in.  ``forget_before`` drops the
@@ -81,7 +83,7 @@ class PrmStream:
         self._first = 0  # the columns below it are forgotten
 
     def _grow(self, k, col, need):
-        pairs, layers = (col[0].tolist(), col[2]) if col else ([], 0)
+        pairs, layers = (col[0], col[2]) if col else ([], 0)
         key = _STATE["state"]["key"]
         for m in range(layers, need):
             cell = derive_key(self._base, k, m)
@@ -91,9 +93,8 @@ class PrmStream:
             if n:
                 u = _GEN.random(2 * n).tolist()
                 pairs += [(k + t, m + z) for t, z in zip(sorted(u[:n]), u[n:])]
-        pairs.sort(key=lambda p: p[0])  # stable: cells of lower layers first on ties
-        col = self._cols[k] = (np.array(pairs).reshape(-1, 2),
-                               [p[0] for p in pairs], need)
+        pairs.sort(key=_time)  # stable: cells of lower layers first on ties
+        col = self._cols[k] = (pairs, [p[0] for p in pairs], need)
         return col
 
     def forget_before(self, t):
@@ -105,14 +106,14 @@ class PrmStream:
                 del self._cols[j]
 
     def sample(self, t0, t1, zmax):
-        """All points in (t0, t1] x [0, zmax], sorted by time.
+        """All (t, z) points in (t0, t1] x [0, zmax], as a list sorted by time.
 
         ``zmax`` must be finite: callers supply a dominating mark bound.
         """
         if math.isinf(zmax):
             raise ConfigError("PRM queries need a finite mark bound zmax")
         if zmax <= 0 or t1 <= t0:
-            return np.empty((0, 2))
+            return []
         if t0 < 0:
             raise ConfigError("PrmStream lives on t >= 0")
         k0, k1 = int(math.floor(t0)), int(math.ceil(t1))
@@ -120,17 +121,15 @@ class PrmStream:
             raise ConfigError(f"PRM read at t = {t0:g} behind forget_before"
                               f"({self._first})")
         need = int(math.ceil(zmax))
-        cols = []
+        out = []
         for k in range(k0, k1):
             col = self._cols.get(k)
-            cols.append(col if col and col[2] >= need else
-                        self._grow(k, col, need))
-        pts, ts = cols[0][:2]
-        if len(cols) > 1:
-            pts, ts = (np.concatenate([c[0] for c in cols]),
-                       [t for c in cols for t in c[1]])
-        pts = pts[bisect.bisect_right(ts, t0):bisect.bisect_right(ts, t1)]
-        return pts[pts[:, 1] <= zmax]
+            pairs, ts, _ = (col if col and col[2] >= need else
+                            self._grow(k, col, need))
+            lo = bisect.bisect_right(ts, t0) if k == k0 else 0
+            hi = bisect.bisect_right(ts, t1) if k == k1 - 1 else len(ts)
+            out += [p for p in pairs[lo:hi] if p[1] <= zmax]
+        return out
 
 
 def in_band(lo, z, hi):
@@ -144,22 +143,15 @@ def in_band(lo, z, hi):
 
 @dataclass
 class SplitStreams:
-    """The two derived measures of a band split.
+    """The two derived measures of a band split, as time-sorted (t, z) lists.
 
     ``down`` keeps original marks; ``up`` holds marks shifted down by the
     lower band edge.  ``band`` is the band callable used.
     """
 
-    down: np.ndarray
-    up: np.ndarray
+    down: list
+    up: list
     band: object
-
-
-def _by_time(pts):
-    if not pts:
-        return np.empty((0, 2))
-    out = np.array(pts)
-    return out[np.argsort(out[:, 0], kind="stable")]
 
 
 def split(pi, pibar, band, window, zmax):
@@ -183,14 +175,15 @@ def split(pi, pibar, band, window, zmax):
             raise BandViolationError(f"band lo > hi at sampled time {s:g}")
         return lo, hi
 
-    for s, z in pi.sample(t0, t1, zmax).tolist():
+    for s, z in pi.sample(t0, t1, zmax):
         lo, hi = edges(s)
         if in_band(lo, z, hi):
             up.append((s, z - lo))
         else:
             down.append((s, z))
-    for s, z in pibar.sample(t0, t1, zmax).tolist():
+    for s, z in pibar.sample(t0, t1, zmax):
         lo, hi = edges(s)
         if in_band(lo, z, hi):
             down.append((s, z))
-    return SplitStreams(down=_by_time(down), up=_by_time(up), band=band)
+    down.sort(key=_time)
+    return SplitStreams(down=down, up=up, band=band)

@@ -12,7 +12,7 @@ by construction and restart from the certified state (age D, signal
 
 import math
 import multiprocessing
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, RateSpec,
                       ceil_int, check_subcritical, pos_part)
-from .prm import PrmStream, spawn_rng, split
+from .prm import PrmStream, derive_key, spawn_rng, split
 
 _SLACK = 1e-9
 _ABS_TOL = 1e-12
@@ -496,14 +496,15 @@ class _Engine:
             return lam, lam + self.width(s)
 
         def read(t0, t1, zmax):
-            """The post-split driver on (cycle_start, .]: swapped inside the band."""
+            """The post-split driver: swapped inside the band, pi past tau."""
+            if t0 >= tau_abs:
+                return self.pi.sample(t0, t1, zmax)
             return split(self.pi, self.pibar, band, (t0, t1), zmax).down
 
         if cfg.setup == "AD":
             K = cfg.rate.K
             def counts(i):
-                pts = read(a + i - 1.0, a + i, K)
-                return len(pts)
+                return len(read(a + i - 1.0, a + i, K))
             off = scan_alpha_AD(cfg.sched, counts, tau_gap, cap=cfg.scan_cap)
             return a + off
         # ordinary setup: grow the dominating linear process on demand
@@ -621,7 +622,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     ]
     return RenewalOutcome(
         alphas=eng.alphas, taus=eng.taus, eta=eta, rho=rho, cycles=eng.cycles,
-        zstar=track_paths[0], track_paths=track_paths, **asdict(eng.diag))
+        zstar=track_paths[0], track_paths=track_paths, **vars(eng.diag))
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +652,16 @@ def _run_chunk(cfg, job):
     """Blocks lo..hi-1 of stream ``seed`` and their summed diagnostics."""
     seed, lo, hi = job
     blocks, diag = [], Diagnostics()
+    # one tail generator, re-keyed per block with a zero counter and an empty
+    # buffer as PRM cells are: it draws as spawn_rng(seed, i, 0x7A1) would
+    tau_rng = np.random.Generator(np.random.Philox(key=0))
+    fresh = tau_rng.bit_generator.state
     for i in range(lo, hi):
+        key = fresh["state"]["key"]
+        key[1], key[0] = divmod(derive_key(seed, i, 0x7A1), 1 << 64)
+        tau_rng.bit_generator.state = fresh
         out = run_system(cfg, PrmStream(seed, stream=3 * i),
-                         PrmStream(seed, stream=3 * i + 1),
-                         tau_rng=spawn_rng(seed, i, 0x7A1))
+                         PrmStream(seed, stream=3 * i + 1), tau_rng=tau_rng)
         blocks.append(Block(out.rho, out.zstar, out.eta, out.cycles))
         diag.merge(out)
     return blocks, diag
@@ -703,5 +710,5 @@ def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
         blocks.extend(chunk_blocks)
         diag.merge(chunk_diag)
     if collect_diag is not None:
-        collect_diag.update(asdict(diag))
+        collect_diag.update(vars(diag))
     return blocks

@@ -183,8 +183,8 @@ def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
     nbin = 100
     w = horizon / nbin
     edges = np.arange(0.0, horizon + w, w)
-    down = res.down[res.down[:, 1] <= 1.0]
-    up = res.up[res.up[:, 1] <= 1.0]
+    down, up = (np.array(pts).reshape(-1, 2) for pts in (res.down, res.up))
+    down, up = down[down[:, 1] <= 1.0], up[up[:, 1] <= 1.0]
     dcounts, _ = np.histogram(down[:, 0], bins=edges)
     ucounts, _ = np.histogram(up[:, 0], bins=edges)
     reports = [poisson_dispersion(dcounts, alpha=alpha, name="split-down-dispersion"),
@@ -214,8 +214,8 @@ def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
     for k in range(2000):
         r = split(pi2, pibar2, lambda t, lv=level: (lv, lv + 1.0),
                   (float(k), float(k + 1.0)), 4.0)
-        d2.append(len(r.down[r.down[:, 1] <= mark_cut]))
-        u2.append(len(r.up[r.up[:, 1] <= 1.0]))
+        d2.append(sum(z <= mark_cut for _, z in r.down))
+        u2.append(sum(z <= 1.0 for _, z in r.up))
         level = 0.5 + (d2[-1] % 2)  # predictable: measurable w.r.t. the past
     u2 = np.array(u2)
     d2 = np.array(d2)

@@ -90,14 +90,24 @@ class TestConfigProblems:
         ("renewal", "[run]\nparallel = -1", "run: parallel must be >= 0, got -1"),
         ("verify", "[verify]\nrenewal.n_cycles = many",
          "verify: renewal.n_cycles must be a number, got 'many'"),
+        ("verify", "[verify]\nre-chain.n_stepz = 5",
+         "verify: re-chain.n_stepz: suite re-chain has no numeric parameter 'n_stepz'"),
+        ("verify", "[verify]\nrechain.n_steps = 5",
+         "verify: rechain.n_steps: unknown suite 'rechain'; choose from borel, clt,"),
         ("simulate", "[run]\nseed = 1\n[run]\nseed = 2", "config file:"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
-            "verify-size", "duplicate-section"])
+            "verify-size", "verify-parameter", "verify-suite", "duplicate-section"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
         assert main([command, "--config", cfg]) == 2
         assert f"config error: {problem}" in capsys.readouterr().err
+
+    def test_verify_sizes_are_read_as_their_keyword_types(self, tmp_path):
+        text = "[verify]\nprm-split.alpha = 0.05\nrenewal.n_cycles = 1e3\n"
+        _, settings = load_config(write(tmp_path, text))
+        assert settings["verify_sizes"] == {"prm-split": {"alpha": 0.05},
+                                            "renewal": {"n_cycles": 1000}}
 
     def test_seed_flag_skips_the_file_seed(self, tmp_path):
         _, settings = load_config(write(tmp_path, "[run]\nseed = x\n"), seed_override=4)

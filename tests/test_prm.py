@@ -97,8 +97,8 @@ class TestPrmStream:
     def test_mark_layers_are_consistent(self):
         # enlarging the mark bound must not perturb points below it
         pi = PrmStream(9, 0)
-        low = pi.sample(0.0, 20.0, 1.0)
-        high = pi.sample(0.0, 20.0, 3.0)
+        low = np.array(pi.sample(0.0, 20.0, 1.0)).reshape(-1, 2)
+        high = np.array(pi.sample(0.0, 20.0, 3.0)).reshape(-1, 2)
         below = high[high[:, 1] <= 1.0]
         assert np.array_equal(low, below)
 
@@ -107,7 +107,7 @@ class TestPrmStream:
         for stream in range(3):
             pi, cells = PrmStream(17, stream), {}
             for t0, t1, zmax in random_windows(rng, 300):
-                got = pi.sample(t0, t1, zmax)
+                got = np.array(pi.sample(t0, t1, zmax)).reshape(-1, 2)
                 want = sample_by_cells(17, stream, t0, t1, zmax, cells)
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (stream, t0, t1, zmax)
@@ -151,7 +151,7 @@ class TestPrmStream:
         pi.forget_before(7.5)
         assert min(pi._cols) == 7
         for t0, t1, zmax in [(7.0, 9.5, 3.0), (7.25, 12.0, 1.5), (11.0, 14.0, 2.0)]:
-            got = pi.sample(t0, t1, zmax)
+            got = np.array(pi.sample(t0, t1, zmax)).reshape(-1, 2)
             assert got.tobytes() == sample_by_cells(6, 2, t0, t1, zmax, cells).tobytes()
         for t0 in (6.99, 3.0, 0.0):
             with pytest.raises(ConfigError):
@@ -160,8 +160,21 @@ class TestPrmStream:
         with pytest.raises(ConfigError):
             pi.sample(6.5, 8.0, 1.0)
 
+    def test_reads_are_time_sorted_lists_of_float_tuples(self):
+        pi, seen = PrmStream(3, 0), 0
+        for t0, t1, zmax in [(1.5, 7.25, 2.2), (0.0, 1.0, 0.5), (4.0, 4.5, 3.0),
+                             (7.0, 9.0, 1.0)]:
+            pts = pi.sample(t0, t1, zmax)
+            assert type(pts) is list
+            assert all(type(p) is tuple and len(p) == 2 for p in pts)
+            assert all(type(v) is float for p in pts for v in p)
+            assert [s for s, _ in pts] == sorted(s for s, _ in pts)
+            seen += len(pts)
+        assert seen > 10
+        assert pi.sample(3.0, 3.0, 1.0) == [] and pi.sample(3.0, 4.0, 0.0) == []
+
     def test_sorted_and_in_rectangle(self):
-        pts = PrmStream(3, 0).sample(1.5, 7.25, 2.2)
+        pts = np.array(PrmStream(3, 0).sample(1.5, 7.25, 2.2)).reshape(-1, 2)
         assert np.all(np.diff(pts[:, 0]) >= 0)
         assert np.all((pts[:, 0] > 1.5) & (pts[:, 0] <= 7.25))
         assert np.all((pts[:, 1] >= 0) & (pts[:, 1] <= 2.2))
@@ -192,9 +205,28 @@ class TestSplit:
         assert len(res.down) == (len(p) - n_p_band) + n_q_band
         assert len(p) + n_q_band == len(res.down) + len(res.up)
         # shifted marks stay inside the band width
-        if len(res.up):
-            assert np.all(res.up[:, 1] > 0.0)
-            assert np.all(res.up[:, 1] <= 1.5)
+        up = np.array(res.up).reshape(-1, 2)
+        if len(up):
+            assert np.all(up[:, 1] > 0.0)
+            assert np.all(up[:, 1] <= 1.5)
+
+    def test_streams_are_time_sorted_lists(self):
+        pi, pibar = PrmStream(7, 0), PrmStream(7, 1)
+        res = split(pi, pibar, lambda t: (0.3 + 0.2 * math.sin(t), 1.4), (0.0, 60.0), 2.0)
+        for pts in (res.down, res.up):
+            assert type(pts) is list and pts
+            assert all(type(p) is tuple and len(p) == 2 for p in pts)
+            assert [s for s, _ in pts] == sorted(s for s, _ in pts)
+
+    def test_window_past_the_band_end_is_pi_alone(self):
+        # the renewal engine's band is empty after tau, and there it reads
+        # pi alone instead of splitting
+        tau = 3.7
+        band = lambda s: (0.0, 0.0) if s > tau else (0.4, 1.6)
+        pi, pibar = PrmStream(5, 0), PrmStream(5, 1)
+        assert split(pi, pibar, band, (2.0, 5.0), 2.5).down != pi.sample(2.0, 5.0, 2.5)
+        for t0, t1 in [(tau, 5.0), (4.0, 9.5), (7.2, 7.9), (9.5, 12.0)]:
+            assert split(pi, pibar, band, (t0, t1), 2.5).down == pi.sample(t0, t1, 2.5)
 
     def test_band_violation_detected(self):
         pi, pibar = PrmStream(4, 0), PrmStream(4, 1)
@@ -204,8 +236,8 @@ class TestSplit:
     def test_constant_band_counts_are_poissonian(self):
         pi, pibar = PrmStream(8, 0), PrmStream(8, 1)
         res = split(pi, pibar, lambda t: (1.0, 2.0), (0.0, 4000.0), 3.0)
-        down = res.down[res.down[:, 1] <= 1.0]
-        up = res.up
+        down, up = (np.array(pts).reshape(-1, 2) for pts in (res.down, res.up))
+        down = down[down[:, 1] <= 1.0]
         d, _ = np.histogram(down[:, 0], bins=np.arange(0, 4001, 40))
         u, _ = np.histogram(up[:, 0], bins=np.arange(0, 4001, 40))
         for counts in (d, u):

@@ -1,3 +1,5 @@
+import bisect
+import copy
 import hashlib
 import math
 
@@ -11,7 +13,7 @@ from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
-from hawkes_renewal import renewal
+from hawkes_renewal import renewal, spawn_rng
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.renewal import _majorant_sum, certify_dominated
 from hawkes_renewal.stats import functional_clt_paths, lil_envelope
@@ -390,6 +392,53 @@ class TestBlocks:
                     with pytest.raises(ConfigError):
                         pibar.sample(first - 0.5, first + 0.5, 1.0)
         assert forgotten > 0
+
+    def test_pibar_is_never_read_past_tau(self):
+        # from tau on the band is empty, so the post-split reader reads pi
+        # alone and pibar's cells there are never drawn
+        class Recorded(PrmStream):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.reads = []
+
+            def sample(self, t0, t1, zmax):
+                self.reads.append(t0)
+                return super().sample(t0, t1, zmax)
+
+        n_reads = n_taus = 0
+        for cfg in (reference_ad_config(D=1.0), reference_o_config(D=0.0)):
+            for seed in range(8):
+                pibar = Recorded(seed, 1)
+                out = run_system(cfg, PrmStream(seed, 0), pibar)
+                for t0 in pibar.reads:
+                    # the cycle j reading at t0 runs from alphas[j] to alphas[j + 1]
+                    j = bisect.bisect_right(out.alphas, t0) - 1
+                    assert t0 < out.taus[j], (seed, t0, out.taus[j])
+                n_reads += len(pibar.reads)
+                n_taus += out.eta
+        assert n_reads > 0 and n_taus > 0
+
+    def test_block_tail_generators_draw_as_spawned_ones(self, monkeypatch):
+        # the blocks of a chunk share one tail generator, re-keyed per block
+        states = []
+
+        def recorded(*args, tau_rng, **kwargs):
+            states.append(copy.deepcopy(tau_rng.bit_generator.state))
+            return run_system(*args, tau_rng=tau_rng, **kwargs)
+
+        def draws(gen):
+            return [gen.random(), gen.poisson(1.7), gen.random(5).tolist(),
+                    gen.poisson(0.3, 4).tolist(), gen.random()]
+
+        monkeypatch.setattr(renewal, "run_system", recorded)
+        for seed in (0, 3, 2**40 + 1):
+            del states[:]
+            iterate_regenerations(reference_ad_config(D=1.0), 20, seed=seed)
+            assert len(states) == 20
+            for i, state in enumerate(states):
+                rekeyed = np.random.Generator(np.random.Philox(0))
+                rekeyed.bit_generator.state = state
+                assert draws(rekeyed) == draws(spawn_rng(seed, i, 0x7A1)), (seed, i)
 
     def test_block_laws_are_index_independent(self):
         import scipy.stats
