@@ -127,6 +127,10 @@ _RUN_NUMBERS = {"seed": int, "horizon": float, "n_blocks": int, "n_runs": int,
                 "n_steps": int, "fclt_units": int, "fclt_paths": int,
                 "alpha": float, "parallel": int, "max_cycles": int,
                 "scan_cap": int}
+# the least value of each [run] count; n_runs and fclt_paths feed sample
+# variances, so they need two
+_RUN_LEAST = {"n_blocks": 1, "n_runs": 2, "n_steps": 1, "fclt_units": 1,
+              "fclt_paths": 2, "parallel": 0, "max_cycles": 1, "scan_cap": 1}
 
 
 def _verify_sizes(sec, problems):
@@ -146,7 +150,10 @@ def _verify_sizes(sec, problems):
             problems.append(f"verify: {key}: suite {suite} has no numeric "
                             f"parameter {param!r}")
         else:
-            sizes.setdefault(suite, {})[param] = _number(sec, key, kind, problems)
+            value = _number(sec, key, kind, problems)
+            if param == "alpha" and value is not None and not 0 < value < 1:
+                problems.append(f"verify: {key} must be in (0, 1), got {value!r}")
+            sizes.setdefault(suite, {})[param] = value
     return sizes
 
 
@@ -175,11 +182,14 @@ def load_config(path=None, seed_override=None, out_override=None):
     nums = {key: _number(run, key, kind, problems)
             for key, kind in _RUN_NUMBERS.items()
             if not (key == "seed" and seed_override is not None)}
-    horizon, parallel = nums["horizon"], nums["parallel"]
+    horizon, alpha = nums["horizon"], nums["alpha"]
     if horizon is not None and not (math.isfinite(horizon) and horizon > 0):
         problems.append(f"run: horizon must be finite and positive, got {horizon!r}")
-    if parallel is not None and parallel < 0:
-        problems.append(f"run: parallel must be >= 0, got {parallel}")
+    if alpha is not None and not 0 < alpha < 1:
+        problems.append(f"run: alpha must be in (0, 1), got {alpha!r}")
+    for key, least in _RUN_LEAST.items():
+        if nums[key] is not None and nums[key] < least:
+            problems.append(f"run: {key} must be >= {least}, got {nums[key]}")
     verify_sizes = _verify_sizes(parser["verify"], problems)
     sched = None
     if kernel is not None and rate is not None:
@@ -213,7 +223,7 @@ def load_config(path=None, seed_override=None, out_override=None):
                                       "fclt_units", "fclt_paths", "alpha")},
         # 0 means auto: use the available cores (outputs are identical
         # at any worker count, so this only affects speed)
-        "parallel": parallel or (os.cpu_count() or 1),
+        "parallel": nums["parallel"] or (os.cpu_count() or 1),
         "verify_sizes": verify_sizes,
     }
     return cfg, settings

@@ -7,11 +7,11 @@ with its generalized inverse, and the envelope pair ``f``/``F`` whose
 integrals drive every regeneration probability downstream.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .errors import ConfigError, IntegrabilityError
@@ -36,8 +36,6 @@ class Kernel:
     subclass guarantees majorant(t) >= |value(t)| and monotone decay, which
     is what keeps the envelope inequalities conservative.
     """
-
-    sign_allowed = True
 
     def value(self, t):
         raise NotImplementedError
@@ -583,7 +581,7 @@ class ExpDecay:
 
 
 class EnvelopeFns:
-    """The envelope pair f and F with cached integrals.
+    """The envelope pair f and F, and the band-mass table of F.
 
     f(t1, t2) = (gamma(0) + 1 + 1/delta) * (hbar(t1) + int_0^t2 gamma(s+1) hbar(t1+s) ds)
                 + r(t1),
@@ -602,8 +600,10 @@ class EnvelopeFns:
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
         self._J_cache = {}
         self._F_l1 = None
-        self._cum = None
-        self._cum_end = None
+        # where F may jump, and the band-mass table: knots x_k and
+        # C_k = int_0^{x_k} F, grown on demand
+        self._jumps = sorted({0.0, self.D, *(b for b in rate.g_breaks if b > 0)})
+        self._x, self._C, self._done = [0.0], [0.0], False
 
     # -- inner integral ----------------------------------------------------
 
@@ -697,8 +697,6 @@ class EnvelopeFns:
     def F_sup(self, lo, hi):
         """sup of F on [lo, hi]; F is decreasing on each side of the delay D,
         where it may jump either way."""
-        if hi <= lo:
-            return self.F(lo)
         out = self.F(lo)
         if lo <= self.D < hi:
             out = max(out, self.F_pre(self.D))
@@ -709,77 +707,57 @@ class EnvelopeFns:
     @property
     def F_l1(self):
         if self._F_l1 is None:
-            breaks = [b for b in self.rate.g_breaks if b > 0]
-            head = integrate(self.F, 0.0, self.D, points=breaks) if self.D > 0 else 0.0
-            tail = integrate_to_inf(self.F_pre, self.D,
-                                    points=breaks, factor="F tail")
+            head = integrate(self.F, 0.0, self.D, points=self._jumps)
+            tail = integrate_to_inf(self.F_pre, self.D, points=self._jumps, factor="F tail")
             self._F_l1 = head + tail
         return self._F_l1
 
-    def _build_cum(self):
-        total = self.F_l1
-        if total <= 0:
-            self._cum_end = max(self.D, 1.0)
-            self._cum = lambda t: 0.0
-            return
-        # find an endpoint where the remaining band mass is negligible
-        T = max(self.D + 1.0, 1.0)
-        for _ in range(120):
-            tail = integrate_to_inf(self.F_pre, max(T, self.D), factor="F tail")
-            if tail <= 1e-13 * total:
-                break
-            T *= 1.6
-        knots = np.unique(np.concatenate([
-            np.linspace(0.0, min(T, max(self.D * 2.0, 4.0)), 257),
-            np.geomspace(max(1e-3, min(4.0, T / 2.0)), T, 257),
-            np.array([self.D, T] + [b for b in self.rate.g_breaks if 0 < b < T]),
-        ]))
-        knots = knots[(knots >= 0) & (knots <= T)]
-        cum = np.zeros(len(knots))
-        for i in range(1, len(knots)):
-            cum[i] = cum[i - 1] + integrate(self.F, knots[i - 1], knots[i])
-        interp = PchipInterpolator(knots, np.maximum.accumulate(cum), extrapolate=False)
-        end_val = float(cum[-1])
-        def cum_fn(t):
-            if t <= 0:
-                return 0.0
-            if t >= knots[-1]:
-                return end_val
-            return float(interp(t))
-        self._cum = cum_fn
-        self._cum_end = float(knots[-1])
+    def _mass(self, lo, hi):
+        """int_lo^hi F with no jump of F inside (lo, hi).  F may jump at
+        either end, so the quadrature stays one ulp inside both."""
+        return integrate(self.F, math.nextafter(lo, INF), math.nextafter(hi, -INF))
+
+    def _grow(self):
+        """Append the next knot (0, D, the g breaks and steps of max(1/4,
+        x/32) between and past them) to the band-mass table.  It is complete
+        after the first segment past the last jump that adds at most 1e-13
+        of the mass so far: it depends on the config alone."""
+        x, C = self._x[-1], self._C[-1]
+        hi = min([x + max(0.25, x / 32.0)] + [b for b in self._jumps if b > x])
+        seg = self._mass(x, hi)
+        self._done = x >= self._jumps[-1] and seg <= 1e-13 * C
+        self._x.append(hi)
+        self._C.append(C + seg)
 
     def cum_F(self, t):
-        """int_0^t F(s) ds via a validated monotone interpolant."""
-        if self._cum is None:
-            self._build_cum()
-        return self._cum(t)
+        """int_0^t F(s) ds: the table up to its last knot x_k <= t, plus one
+        quadrature on [x_k, t]."""
+        if t <= 0:
+            return 0.0
+        while self._x[-1] <= t and not self._done:
+            self._grow()
+        k = bisect.bisect_right(self._x, t) - 1
+        return self._C[k] + self._mass(self._x[k], t)
 
     def tail_mass(self, t):
         return max(self.F_l1 - self.cum_F(t), 0.0)
 
     def t_cut(self, frac):
         """Smallest t with tail mass <= frac * ||F||_1."""
-        if self._cum is None:
-            self._build_cum()
-        total = self.F_l1
-        if total <= 0:
-            return 0.0
-        target = total * (1.0 - frac)
-        if self.cum_F(self._cum_end) <= target:
-            return self._cum_end
-        return brentq(lambda t: self.cum_F(t) - target, 0.0, self._cum_end, xtol=1e-10)
+        return self.inv_cum(self.F_l1 * (1.0 - frac))
 
     def inv_cum(self, mass):
-        """Smallest t with cum_F(t) >= mass (requires mass < ||F||_1)."""
-        if self._cum is None:
-            self._build_cum()
+        """Smallest t with cum_F(t) >= mass; the end of the complete table
+        when no t reaches it."""
         if mass <= 0:
             return 0.0
-        end = self.cum_F(self._cum_end)
-        if mass >= end:
-            return self._cum_end
-        return brentq(lambda t: self.cum_F(t) - mass, 0.0, self._cum_end, xtol=1e-12)
+        while self._C[-1] < mass and not self._done:
+            self._grow()
+        k = bisect.bisect_left(self._C, mass)
+        if k == len(self._C):
+            return self._x[-1]
+        lo, C = self._x[k - 1], self._C[k - 1]
+        return brentq(lambda t: C + self._mass(lo, t) - mass, lo, self._x[k], xtol=1e-12)
 
     def validate(self, assumption="A", p=0.0):
         """Moment checks from the integrability assumptions; returns problems."""

@@ -13,6 +13,7 @@ by construction and restart from the certified state (age D, signal
 import math
 import multiprocessing
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -51,18 +52,25 @@ class RenewalConfig:
     def __post_init__(self):
         self.env = EnvelopeFns(self.kernel, self.rate, self.sched,
                                r=self.r, D=self.D)
-        self._t_cut = None
 
     @property
     def setup(self):
         return self.rate.setup
 
+    @cached_property
+    def _cut(self):
+        horizon = max(self.D, self.env.t_cut(_TAIL_FRAC))
+        return horizon, self.env.tail_mass(horizon)
+
     @property
     def cycle_horizon(self):
-        """Band-mass horizon past which the tail certificate takes over."""
-        if self._t_cut is None:
-            self._t_cut = self.env.t_cut(_TAIL_FRAC) if self.env.F_l1 > 0 else 0.0
-        return self._t_cut
+        """Cycle length max(D, t_cut) past which the tail certificate takes over."""
+        return self._cut[0]
+
+    @property
+    def cycle_tail_mass(self):
+        """The band mass beyond the cycle horizon, computed with it."""
+        return self._cut[1]
 
     def validate(self):
         problems = list(self.rate.validate())
@@ -459,19 +467,19 @@ class _Engine:
         self.pi.forget_before(a)
         self.pibar.forget_before(a)
         self._new_cycle(a)
-        horizon = a + max(self.cfg.D, self.cfg.cycle_horizon)
+        horizon = a + self.cfg.cycle_horizon
         hit = self.sweep(a, horizon, "cycle")
         if hit is not None:
             s, v = hit
             return s, v, False
-        m_rem = self.env.tail_mass(horizon - a)
+        m_rem = self.cfg.cycle_tail_mass
         if m_rem <= 0 or self.rng.random() >= 1.0 - math.exp(-m_rem):
             return None, None, False
         # a band point exists beyond the horizon: sample its time from the
         # exact conditional law and extend the simulation up to it
         self.diag.tau_tail_draws += 1
         e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m_rem)))
-        gap = self.env.inv_cum(self.env.cum_F(horizon - a) + e)
+        gap = self.env.inv_cum(self.env.cum_F(self.cfg.cycle_horizon) + e)
         s = a + gap
         self.sweep(horizon, s, "suppress")
         v = self.rng.random() * self.width(s)
@@ -690,6 +698,8 @@ def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
     """
     if n_blocks < 1:
         raise ConfigError("need n_blocks >= 1")
+    if n_jobs < 1:
+        raise ConfigError("need n_jobs >= 1")
     chunk = max(16, n_blocks // (4 * n_jobs) + 1)
     jobs = [(seed, lo, min(lo + chunk, n_blocks))
             for lo in range(0, n_blocks, chunk)]

@@ -95,9 +95,29 @@ class TestConfigProblems:
         ("verify", "[verify]\nrechain.n_steps = 5",
          "verify: rechain.n_steps: unknown suite 'rechain'; choose from borel, clt,"),
         ("simulate", "[run]\nseed = 1\n[run]\nseed = 2", "config file:"),
+        ("clt", "[run]\nalpha = 0", "run: alpha must be in (0, 1), got 0.0"),
+        ("clt", "[run]\nalpha = 1.5", "run: alpha must be in (0, 1), got 1.5"),
+        ("clt", "[run]\nalpha = nan", "run: alpha must be in (0, 1), got nan"),
+        ("verify", "[verify]\nclt.alpha = 1",
+         "verify: clt.alpha must be in (0, 1), got 1.0"),
+        ("verify", "[verify]\nprm-split.alpha = -0.01",
+         "verify: prm-split.alpha must be in (0, 1), got -0.01"),
+        ("renewal", "[run]\nn_blocks = 0", "run: n_blocks must be >= 1, got 0"),
+        ("clt", "[run]\nfclt_paths = 0", "run: fclt_paths must be >= 2, got 0"),
+        ("clt", "[run]\nfclt_paths = 1", "run: fclt_paths must be >= 2, got 1"),
+        ("clt", "[run]\nfclt_units = 0", "run: fclt_units must be >= 1, got 0"),
+        ("coupling", "[run]\nn_runs = 0", "run: n_runs must be >= 2, got 0"),
+        ("coupling", "[run]\nn_runs = 1", "run: n_runs must be >= 2, got 1"),
+        ("re-chain", "[run]\nn_steps = 0", "run: n_steps must be >= 1, got 0"),
+        ("renewal", "[run]\nmax_cycles = 0", "run: max_cycles must be >= 1, got 0"),
+        ("renewal", "[run]\nscan_cap = 0", "run: scan_cap must be >= 1, got 0"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
-            "verify-size", "verify-parameter", "verify-suite", "duplicate-section"])
+            "verify-size", "verify-parameter", "verify-suite", "duplicate-section",
+            "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",
+            "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
+            "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
+            "max_cycles-zero", "scan_cap-zero"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
         assert main([command, "--config", cfg]) == 2

@@ -147,6 +147,47 @@ class TestEnvelopeValues:
         assert env.tail_mass(tc) == pytest.approx(1e-3 * env.F_l1, rel=1e-3)
         m = 0.4 * env.F_l1
         assert env.cum_F(env.inv_cum(m)) == pytest.approx(m, rel=1e-6)
+        # exact on the AD D=0, AD D=1 and O D=0 references, also next to the
+        # jumps of F at D and at the g breaks, where int_0^t F has a kink
+        ad, o = ExponentialKernel(1.0, 0.2), ExponentialKernel(1.0, 0.3)
+        for env in [make_env(ad, rate, GammaSchedule.linear(1.0), D=0.0),
+                    make_env(ad, rate, GammaSchedule.linear(1.0), D=1.0),
+                    make_env(o, RateSpec.linear(0.5, 1.0), GammaSchedule.linear(1.0))]:
+            jumps = sorted({env.D, *env.rate.g_breaks} - {0.0})
+            near = [b + d for b in jumps for d in (-1 / 64, 1 / 64)]
+            for t in near + list(np.arange(6001) / 500.0):
+                direct = integrate(env.F, 0.0, float(t), points=jumps)
+                assert env.cum_F(float(t)) == pytest.approx(direct, abs=1e-9)
+            for frac in (1e-3, 0.1, 0.5):
+                assert env.tail_mass(env.t_cut(frac)) == pytest.approx(frac * env.F_l1,
+                                                                       rel=1e-9)
+
+    def test_a_query_next_to_a_jump_stays_on_its_side(self):
+        # F(1) is the value left of the g break; a quadrature that evaluates
+        # it for the segment right of 1 bisects toward it some 40 levels deep
+        env = make_env(ExponentialKernel(1.0, 0.2), RateSpec.refractory_linear(0.5, 0.4, 1.0),
+                       GammaSchedule.linear(1.0), D=0.0)
+        env.cum_F(3.0)
+        F, seen = env.F, []
+        env.F = lambda t: seen.append(t) or F(t)
+        env.cum_F(1.0 + 1 / 64)
+        assert min(seen) > 1.0 and len(seen) < 20
+
+    def test_band_mass_does_not_depend_on_the_query_order(self):
+        def env():
+            return make_env(ExponentialKernel(1.0, 0.2), RateSpec.refractory_linear(0.5, 0.4, 1.0),
+                            GammaSchedule.linear(1.0), D=1.0)
+        far, near = env(), env()
+        far.cum_F(200.0)
+        tc = near.t_cut(1e-3)
+        beyond = 2.0 * near.F_l1  # more mass than F has: the table's end
+        assert near.inv_cum(beyond) == near.inv_cum(beyond)
+        assert far.t_cut(1e-3) == tc
+        assert far.inv_cum(beyond) == near.inv_cum(beyond)
+        for m in np.linspace(0.0, 1.0, 41) * near.F_l1:
+            assert far.inv_cum(float(m)) == near.inv_cum(float(m))
+        for t in [0.0, 0.5, 1.0, 1.0 + 1e-12, 3.7, tc, 30.0, 200.0, 1e3]:
+            assert far.cum_F(t) == near.cum_F(t)
 
     def test_monotonicity(self):
         rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)

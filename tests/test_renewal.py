@@ -284,6 +284,31 @@ class TestRunSystem:
         assert out.rho == pytest.approx(2.5)
         assert out.taus == [math.inf]
 
+    @pytest.mark.parametrize("make, D", [(reference_ad_config, 0.0), (reference_ad_config, 1.0),
+                                         (reference_o_config, 0.0), (reference_ad_config, 8.0)])
+    def test_cycle_tail_mass_is_cached_with_the_horizon(self, make, D, monkeypatch):
+        cfg = make(D=D)
+        env = cfg.env
+        cut = max(D, env.t_cut(renewal._TAIL_FRAC))
+        assert cfg.cycle_horizon == cut
+        assert cfg.cycle_tail_mass == env.tail_mass(cut)
+        # the cycles read the cached value instead of asking the envelope
+        calls = []
+        monkeypatch.setattr(EnvelopeFns, "tail_mass",
+                            lambda self, t: calls.append(t) or 0.0)
+        iterate_regenerations(cfg, 8, seed=3)
+        assert calls == []
+
+    def test_tail_draws_land_past_the_horizon(self, monkeypatch):
+        # with half the band mass left to the tail, tail draws are common
+        monkeypatch.setattr(renewal, "_TAIL_FRAC", 0.5)
+        cfg = reference_ad_config(D=1.0)
+        diag = {}
+        blocks = iterate_regenerations(cfg, 40, seed=2, collect_diag=diag)
+        drawn = [c.tau_gap for b in blocks for c in b.cycles if c.tau_from_tail]
+        assert diag["tau_tail_draws"] == len(drawn) > 0
+        assert all(cfg.cycle_horizon < g < math.inf for g in drawn)
+
     def test_reproducible(self):
         cfg = reference_ad_config(D=0.0)
         outs = [run_system(cfg, PrmStream(9, 0), PrmStream(9, 1)) for _ in range(2)]
@@ -351,6 +376,11 @@ class TestBlocks:
             assert b.path.count(b.rho - 1.0, b.rho) == 0
             assert np.all(b.path.times > 0)
             assert np.all(b.path.times <= b.rho)
+
+    @pytest.mark.parametrize("n_jobs", [0, -1])
+    def test_worker_count_below_one_is_refused(self, n_jobs):
+        with pytest.raises(ConfigError, match="need n_jobs >= 1"):
+            iterate_regenerations(reference_ad_config(D=1.0), 4, n_jobs=n_jobs)
 
     def test_block_tuple_unpacking(self):
         cfg = reference_ad_config(D=1.0)
