@@ -83,10 +83,16 @@ class ExponentialKernel(Kernel):
         self.rate = float(rate)
         self.amplitude = float(amplitude)
 
+    # a float skips np.asarray: np.exp of a float gives the array path's
+    # bits (math.exp does not), at a sixth of the cost
     def value(self, t):
+        if isinstance(t, float):
+            return self.amplitude * np.exp(-self.rate * t)
         return self.amplitude * np.exp(-self.rate * np.asarray(t, dtype=float))
 
     def majorant(self, t):
+        if isinstance(t, float):
+            return abs(self.amplitude) * np.exp(-self.rate * t)
         return abs(self.amplitude) * np.exp(-self.rate * np.asarray(t, dtype=float))
 
     @property

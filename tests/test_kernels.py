@@ -278,6 +278,23 @@ class TestKernels:
         t = k.majorant_decay_time(1e-6)
         assert float(k.majorant(t)) == pytest.approx(1e-6, rel=1e-9)
 
+    def test_exponential_float_path_gives_the_array_bits(self):
+        # value and majorant at a float skip np.asarray; they must give the
+        # bits of the array path, and so must f, which relies on it
+        rng = np.random.default_rng(31)
+        ts = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0, 700.0, 745.0],
+                             rng.exponential(3.0, 20000), rng.uniform(0.0, 1e-3, 2000)])
+        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        for k in [ExponentialKernel(1.0, 0.2), ExponentialKernel(1.3, -0.4),
+                  ExponentialKernel(0.37, 2.5)]:
+            for fn in (k.value, k.majorant):
+                got = [fn(t) for t in ts.tolist()]
+                assert all(type(v) is np.float64 for v in got[:50])
+                assert np.array(got).tobytes() == fn(ts).tobytes()
+            env = make_env(k, rate, GammaSchedule.linear(1.0))
+            some = ts[:3000]
+            assert np.array([env.f(t) for t in some.tolist()]).tobytes() == env.f(some).tobytes()
+
     def test_powerlaw_needs_integrable_exponent(self):
         with pytest.raises(ConfigError):
             PowerLawKernel(1.0, 0.9)
