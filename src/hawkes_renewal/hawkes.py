@@ -176,8 +176,8 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
     Returns the realized :class:`Path`.  The thinning never reads behind
     its frontier, so ``pi`` forgets the columns before it as it goes
     (``PrmStream.forget_before``): memory stays bounded whatever the
-    horizon, and afterwards ``pi`` answers only reads that start in the
-    last unit column read.
+    horizon, and afterwards ``pi`` answers only reads that start at or
+    after the integer part of the last window start.
     """
     if not math.isfinite(horizon):
         raise DominationError("horizon must be finite")

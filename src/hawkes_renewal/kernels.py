@@ -712,9 +712,12 @@ class EnvelopeFns:
 
     @property
     def F_l1(self):
+        """||F||_1: the mass between each two jumps of F, then the mass past
+        the last one, each quadrature one ulp inside the jumps."""
         if self._F_l1 is None:
-            head = integrate(self.F, 0.0, self.D, points=self._jumps)
-            tail = integrate_to_inf(self.F_pre, self.D, points=self._jumps, factor="F tail")
+            j = self._jumps
+            head = sum(self._mass(lo, hi) for lo, hi in zip(j, j[1:]))
+            tail = integrate_to_inf(self.F_pre, math.nextafter(j[-1], INF), factor="F tail")
             self._F_l1 = head + tail
         return self._F_l1
 

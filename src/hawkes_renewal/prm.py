@@ -1,10 +1,10 @@
 """Lazy Poisson random measures on time x mark strips, and their splitting.
 
-A :class:`PrmStream` realizes a unit-rate PRM cell by cell: each unit
-time x mark cell draws from a counter-based RNG keyed by (seed, cell), so
-any rectangle can be queried in any order, repeatedly, with identical
-results.  ``split`` implements the two derived measures that swap the two
-driving PRMs inside a predictable band.
+A :class:`PrmStream` realizes a unit-rate PRM cell by cell: each cell of
+``_WIDTH`` time units by one mark unit draws from a counter-based RNG keyed
+by (seed, cell), so any rectangle can be queried in any order, repeatedly,
+with identical results.  ``split`` implements the two derived measures
+that swap the two driving PRMs inside a predictable band.
 """
 
 import bisect
@@ -19,6 +19,9 @@ from .errors import BandViolationError, ConfigError
 _MASK64 = (1 << 64) - 1
 _FOLDS = {}  # derive_key's fold of a first part; cleared when it holds 64
 _time = itemgetter(0)
+# time units per cell: one key fold, generator reset and pair of draws
+# serve this many unit columns
+_WIDTH = 8
 
 
 def _mix64(x):
@@ -65,14 +68,15 @@ _STATE = _BITGEN.state
 class PrmStream:
     """Reproducible lazy PRM with Lebesgue mean measure on [0,inf)^2.
 
-    Each unit cell [k, k+1) x [m, m+1) draws its points from its own key,
-    so any rectangle can be queried in any order, repeatedly, with
-    identical results, and enlarging the mark bound never perturbs points
-    already seen.  The (t, z) points are kept in one time-sorted list per
-    integer time k, holding the cells of the mark layers m < ``layers``
-    read so far; a read with a higher mark bound materialises the missing
-    cells of its columns and merges them in.  ``forget_before`` drops the
-    columns that the caller will not read again.
+    Each cell [8k, 8k+8) x [m, m+1) draws its points from its own key: a
+    Poisson(8) count of i.i.d. uniform points.  So any rectangle can be
+    queried in any order, repeatedly, with identical results, and enlarging
+    the mark bound never perturbs points already seen.  The (t, z) points
+    are kept in one time-sorted list per column [8k, 8k+8), holding the
+    cells of the mark layers m < ``layers`` read so far; a read with a
+    higher mark bound materialises the missing cells of its columns and
+    merges them in.  ``forget_before`` drops the columns that the caller
+    will not read again.
     """
 
     def __init__(self, seed, stream=0):
@@ -80,28 +84,32 @@ class PrmStream:
         self.stream = int(stream)
         self._base = derive_key(self.seed, self.stream, 0xB1E55ED)
         self._cols = {}  # k -> (points of column k, their times, layers)
-        self._first = 0  # the columns below it are forgotten
+        self._first = 0  # reads that start before this time are refused
 
     def _grow(self, k, col, need):
         pairs, layers = (col[0], col[2]) if col else ([], 0)
         key = _STATE["state"]["key"]
+        start = _WIDTH * k
         for m in range(layers, need):
             cell = derive_key(self._base, k, m)
             key[0], key[1] = cell & _MASK64, cell >> 64
             _BITGEN.state = _STATE
-            n = int(_GEN.poisson(1.0))
+            n = int(_GEN.poisson(_WIDTH))
             if n:
                 u = _GEN.random(2 * n).tolist()
-                pairs += [(k + t, m + z) for t, z in zip(sorted(u[:n]), u[n:])]
+                pairs += [(start + _WIDTH * t, m + z)
+                          for t, z in zip(sorted(u[:n]), u[n:])]
         pairs.sort(key=_time)  # stable: cells of lower layers first on ties
         col = self._cols[k] = (pairs, [p[0] for p in pairs], need)
         return col
 
     def forget_before(self, t):
-        """Drop the columns k < floor(t); a later read of one raises."""
-        k = int(math.floor(t))
-        if k > self._first:
-            self._first = k
+        """Refuse later reads that start before floor(t), and drop the
+        columns that lie wholly before it."""
+        first = int(math.floor(t))
+        if first > self._first:
+            self._first = first
+            k = first // _WIDTH
             for j in [j for j in self._cols if j < k]:
                 del self._cols[j]
 
@@ -116,10 +124,10 @@ class PrmStream:
             return []
         if t0 < 0:
             raise ConfigError("PrmStream lives on t >= 0")
-        k0, k1 = int(math.floor(t0)), int(math.ceil(t1))
-        if k0 < self._first:
+        if t0 < self._first:
             raise ConfigError(f"PRM read at t = {t0:g} behind forget_before"
                               f"({self._first})")
+        k0, k1 = int(math.floor(t0 / _WIDTH)), int(math.ceil(t1 / _WIDTH))
         need = int(math.ceil(zmax))
         out = []
         for k in range(k0, k1):

@@ -142,11 +142,11 @@ class TestReferenceDigests:
 
     @pytest.mark.parametrize("text, events, cycles", [
         ("[envelope]\nD = 1.0\n",
-         "04a2110a9db76deb89cafa24fcc85bffa89f06f9eaf4e424ba713fead7f35a3a",
-         "0ae805699afe7aed8215ebcfe6ef53a4a0178e1f05a3322c8a9fafb36070f2ca"),
+         "b4f7ae70f66b649c83322609dc97d865d60433f00c0974dd5980a16701f501f5",
+         "b80df8f25088bed1c6c325d723400b1f14f222196176213d37016100833c7a19"),
         ("[kernel]\namplitude = 0.3\n[rate]\nform = linear\nc = 0.5\nL = 1.0\n",
-         "8b672270d9586dd2994839819282cb5714309f9af9f031c280a5a2707a4a028e",
-         "3340a664036f097be4c21288931406eba5ab37f90f2816526eaf8371c8a7f55e"),
+         "e2aca9d9a7dd0267acfd0b7096041a3440c8d89d04c74012aaecd29883b39e68",
+         "6b588ba7b10cc6cf746135b8b984408c6e3a42a6d07c49d6dd2bb3225abd4871"),
     ], ids=["AD-D1", "O-D0"])
     def test_outputs_are_unchanged(self, tmp_path, capsys, text, events, cycles):
         cfg = write(tmp_path, text + self.RUN)

@@ -173,6 +173,17 @@ class TestEnvelopeValues:
         env.cum_F(1.0 + 1 / 64)
         assert min(seen) > 1.0 and len(seen) < 20
 
+    def test_total_mass_stays_inside_the_jumps_of_f(self):
+        # the same for ||F||_1: no piece of its quadrature evaluates F at D
+        # or at the g break, so none bisects toward a jump
+        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        for D in (0.0, 0.5, 1.0, 2.0):
+            env = make_env(ExponentialKernel(1.0, 0.2), rate, GammaSchedule.linear(1.0), D=D)
+            f, seen = env.f, []
+            env.f = lambda t, t2=math.inf: seen.append(t) or f(t, t2)
+            assert env.F_l1 > 0
+            assert not {D, 1.0} & set(seen) and len(seen) < 600, (D, len(seen))
+
     def test_band_mass_does_not_depend_on_the_query_order(self):
         def env():
             return make_env(ExponentialKernel(1.0, 0.2), RateSpec.refractory_linear(0.5, 0.4, 1.0),

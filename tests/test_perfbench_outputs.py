@@ -13,11 +13,11 @@ import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name, seed, digest", [
-    ("ad-blocks", 1, "68c13a9762504e7383fe00bdfdbffc27b12eb664110aa17a690612bef1409d64"),
-    ("ad-blocks", 2, "7493c50fee19e5f2eeea3b26a1907299f0b5bde778a46479ca7bac127d5c164d"),
-    ("o-blocks", 1, "44e5951fff13e8d53ed956bfb49d195cba34bd84de671e6f7bab1215eb333026"),
-    ("o-blocks", 2, "9e34dcd125f88a263783fe7eb8a5b34a2fa5ffb550d3950ca0607fb2622702ca"),
-    ("clt-ensemble", 1, "5fdfc0bd548edc5c27a8b8028686d31ef5a7086878c479306e89be1c20c493ca"),
+    ("ad-blocks", 1, "2f056efe8cc5c537085f96eea6145ee75de5add581177cc095762e209bb26bf1"),
+    ("ad-blocks", 2, "49ccae0ea1685e8e723979cc8731af8a3130bd87598716c7eab7eaa3b4f9c2b4"),
+    ("o-blocks", 1, "5a173357a25ac8c9c0b2e0578771d49fd7cfbaad2e7a8a246de43bfac9b74fdc"),
+    ("o-blocks", 2, "3713adaf17ad205bdfeb5558b806b805c4830c0d8f183597be7d33097681d66b"),
+    ("clt-ensemble", 1, "eaf1a8575b304f5a5375ec7111f4b662e44b27f15cd3bed0f890d67ad3418d8f"),
 ], ids=["ad-blocks-1", "ad-blocks-2", "o-blocks-1", "o-blocks-2", "clt-ensemble-1"])
 def test_solution_passes_its_checks_with_its_pinned_digest(name, seed, digest):
     sol = workloads.solve(workloads.WORKLOADS[name], seed)

@@ -7,6 +7,7 @@ from hawkes_renewal import (BandViolationError, ConfigError, PrmStream,
                             prm, split)
 
 MASK64 = (1 << 64) - 1
+WIDTH = 8  # time units per PRM cell
 
 
 def mix64(x):
@@ -27,19 +28,21 @@ def plain_fold(*parts):
 
 def sample_by_cells(seed, stream, t0, t1, zmax, cells):
     """The PRM read cell by cell, the reference for PrmStream.sample: every
-    unit cell (k, m) of the window below ceil(zmax) from a fresh Philox
-    keyed by the cell (kept in ``cells``), concatenated in (k, m) order,
-    filtered to (t0, t1] x [0, zmax] and sorted stably by time."""
+    cell (k, m) = [8k, 8k+8) x [m, m+1) that meets the window, below
+    ceil(zmax), from a fresh Philox keyed by the cell (kept in ``cells``):
+    a Poisson(8) count, then sorted uniform times and uniform marks.  The
+    cells are concatenated in (k, m) order, filtered to (t0, t1] x
+    [0, zmax] and sorted stably by time."""
     if zmax <= 0 or t1 <= t0:
         return np.empty((0, 2))
     base = plain_fold(seed, stream, 0xB1E55ED)
     chunks = []
-    for k in range(math.floor(t0), math.ceil(t1)):
+    for k in range(math.floor(t0 / WIDTH), math.ceil(t1 / WIDTH)):
         for m in range(math.ceil(zmax)):
             if (k, m) not in cells:
                 gen = np.random.Generator(np.random.Philox(key=plain_fold(base, k, m)))
-                n = int(gen.poisson(1.0))
-                ts = k + np.sort(gen.random(n))
+                n = int(gen.poisson(8.0))
+                ts = WIDTH * k + WIDTH * np.sort(gen.random(n))
                 cells[k, m] = np.column_stack([ts, m + gen.random(n)])
             chunks.append(cells[k, m])
     allp = np.concatenate(chunks)
@@ -49,18 +52,26 @@ def sample_by_cells(seed, stream, t0, t1, zmax, cells):
 
 
 def random_windows(rng, n):
-    """Windows inside one column, across columns and from an integer t0,
-    with mark bounds that rise and fall, each read twice in a row."""
+    """Windows inside one unit, across units, from an integer t0, across a
+    cell boundary 8j (or ending on it) and up to 20 units long, with mark
+    bounds that rise and fall, each read twice in a row."""
     for _ in range(n):
-        k = int(rng.integers(0, 30))
-        kind = rng.integers(0, 3)
+        k = int(rng.integers(0, 60))
+        kind = rng.integers(0, 5)
         if kind == 0:
             t0, t1 = sorted(k + rng.random(2))
         elif kind == 1:
             t0 = k + rng.random()
             t1 = t0 + rng.uniform(0.5, 4.0)
-        else:
+        elif kind == 2:
             t0, t1 = float(k), k + float(rng.choice([rng.random(), 1.0, 2.5]))
+        elif kind == 3:
+            j = WIDTH * int(rng.integers(1, 8))
+            t0 = j - 3.0 * rng.random()
+            t1 = j + float(rng.choice([3.0 * rng.random(), 0.0, float(WIDTH)]))
+        else:
+            t0 = k + rng.random()
+            t1 = t0 + rng.uniform(4.0, 20.0)
         zmax = float(rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 6.0),
                                  float(rng.integers(1, 4))]))
         yield t0, t1, zmax
@@ -93,6 +104,39 @@ class TestPrmStream:
             n = len(PrmStream(s, 3).sample(0.0, 1000.0, 1.0))
             ok += abs(n - 1000) < 4.0 * math.sqrt(1000.0)
         assert ok / n_seeds >= 0.97
+
+    def test_unit_column_counts_are_poisson_across_cells(self):
+        # the counts of unit time x unit mark boxes, aligned with the cells
+        # and shifted half a unit so that every eighth box straddles two
+        # cells, are i.i.d. Poisson(1): mean, variance, a chi-square fit,
+        # every position inside a cell, and no correlation between layers
+        # or between neighbouring boxes
+        from scipy import stats
+        horizon, layers = 4000, 3
+        pts = np.array(PrmStream(2026, 9).sample(0.0, horizon + 1.0, float(layers)))
+        for shift in (0.0, 0.5):
+            edges = np.arange(horizon + 1) + shift
+            counts = np.array([np.histogram(pts[(pts[:, 1] >= m) & (pts[:, 1] < m + 1), 0],
+                                            bins=edges)[0] for m in range(layers)])
+            n = counts.size
+            assert abs(counts.mean() - 1.0) < 4.0 * math.sqrt(1.0 / n)
+            assert abs(counts.var(ddof=1) - 1.0) < 4.0 * math.sqrt(3.0 / n)
+            observed = np.bincount(np.minimum(counts.ravel(), 4), minlength=5)
+            pmf = stats.poisson.pmf(np.arange(4), 1.0)
+            expected = n * np.append(pmf, 1.0 - pmf.sum())
+            assert stats.chisquare(observed, expected).pvalue > 1e-3
+            by_position = counts.reshape(layers, -1, WIDTH).mean(axis=(0, 1))
+            per = counts.size // WIDTH
+            assert np.all(np.abs(by_position - 1.0) < 4.0 * math.sqrt(1.0 / per))
+            bound = 4.0 / math.sqrt(counts.shape[1])
+            for a, b in [(0, 1), (0, 2), (1, 2)]:
+                assert abs(np.corrcoef(counts[a], counts[b])[0, 1]) < bound
+            for row in counts:
+                assert abs(np.corrcoef(row[:-1], row[1:])[0, 1]) < bound
+                across = row[WIDTH - 1::WIDTH]
+                nxt = row[WIDTH::WIDTH]
+                r = np.corrcoef(across[:len(nxt)], nxt)[0, 1]
+                assert abs(r) < 4.0 / math.sqrt(len(nxt))
 
     def test_mark_layers_are_consistent(self):
         # enlarging the mark bound must not perturb points below it
@@ -127,7 +171,7 @@ class TestPrmStream:
         for t0, t1, zmax in random_windows(rng, 200):
             before = len(calls)
             pi.sample(t0, t1, zmax)
-            new = {(k, m) for k in range(math.floor(t0), math.ceil(t1))
+            new = {(k, m) for k in range(math.floor(t0 / WIDTH), math.ceil(t1 / WIDTH))
                    for m in range(math.ceil(zmax))} - looked_up
             assert sorted(calls[before:]) == sorted((pi._base, k, m) for k, m in new)
             looked_up |= new
@@ -146,19 +190,24 @@ class TestPrmStream:
         assert len(prm._FOLDS) <= 64
 
     def test_forget_before(self):
+        # reads from floor(t) on are answered; the columns [8k, 8k+8) wholly
+        # before it are dropped
         pi, cells = PrmStream(6, 2), {}
-        pi.sample(0.0, 12.0, 2.0)
-        pi.forget_before(7.5)
-        assert min(pi._cols) == 7
-        for t0, t1, zmax in [(7.0, 9.5, 3.0), (7.25, 12.0, 1.5), (11.0, 14.0, 2.0)]:
+        pi.sample(0.0, 36.0, 2.0)
+        pi.forget_before(17.5)
+        assert sorted(pi._cols) == [2, 3, 4]
+        for t0, t1, zmax in [(17.0, 19.5, 3.0), (17.25, 36.0, 1.5), (23.0, 26.0, 2.0),
+                             (35.0, 44.0, 2.0)]:
             got = np.array(pi.sample(t0, t1, zmax)).reshape(-1, 2)
             assert got.tobytes() == sample_by_cells(6, 2, t0, t1, zmax, cells).tobytes()
-        for t0 in (6.99, 3.0, 0.0):
+        for t0 in (16.99, 16.0, 3.0, 0.0):
             with pytest.raises(ConfigError):
-                pi.sample(t0, 10.0, 1.0)
+                pi.sample(t0, 20.0, 1.0)
         pi.forget_before(2.0)  # forgetting never moves back
         with pytest.raises(ConfigError):
-            pi.sample(6.5, 8.0, 1.0)
+            pi.sample(16.5, 18.0, 1.0)
+        pi.forget_before(24.0)
+        assert sorted(pi._cols) == [3, 4, 5]
 
     def test_reads_are_time_sorted_lists_of_float_tuples(self):
         pi, seen = PrmStream(3, 0), 0
