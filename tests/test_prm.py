@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from hawkes_renewal import (BandViolationError, ConfigError, PrmStream,
                             prm, split)
@@ -111,7 +112,6 @@ class TestPrmStream:
         # cells, are i.i.d. Poisson(1): mean, variance, a chi-square fit,
         # every position inside a cell, and no correlation between layers
         # or between neighbouring boxes
-        from scipy import stats
         horizon, layers = 4000, 3
         pts = np.array(PrmStream(2026, 9).sample(0.0, horizon + 1.0, float(layers)))
         for shift in (0.0, 0.5):
