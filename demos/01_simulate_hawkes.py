@@ -9,8 +9,8 @@ so rerunning the script reproduces every number.
 
 import numpy as np
 
-from hawkes_renewal import (ExponentialKernel, PrmStream, RateSpec, ZeroKernel,
-                            age_at, memory_at, simulate_adhp)
+from hawkes_renewal import (ExponentialKernel, PrmStream, ProcessState, RateSpec,
+                            ZeroKernel, simulate_adhp)
 
 # --- a Poisson process is a Hawkes process with no memory -----------------
 
@@ -27,10 +27,12 @@ hawkes = simulate_adhp(PrmStream(seed=2), kernel, rate, horizon=5000.0)
 print(f"linear Hawkes: empirical rate {hawkes.n / 5000:.3f}, "
       f"theory c/(1 - L||h||) = {1.0 / 0.5:.3f}")
 
-# the memory and age processes can be queried at any time
+# replaying the jumps into a process state queries memory and age at any time
+state = ProcessState(kernel, rate)
+for u in hawkes.times:
+    state.add_jump(float(u))
 t = float(hawkes.times[100]) + 0.25
-print(f"memory at t={t:.2f}: {memory_at(hawkes, kernel, None, t):.3f}, "
-      f"age: {age_at(hawkes, 0.0, t):.3f}")
+print(f"memory at t={t:.2f}: {state.memory_at(t):.3f}, age: {state.age_at(t):.3f}")
 
 # --- age-dependent variant: excitation gated by a refractory period --------
 

@@ -6,13 +6,9 @@ simple block moment: sigma^2 = E[S_1^2] / E[rho_1] for the centered block
 sums.  No mixing estimates, no burn-in: the renewal structure is exact.
 """
 
-import math
-
-import numpy as np
-
 from hawkes_renewal import iterate_regenerations
 from hawkes_renewal.stats import (block_stat_from_blocks, clt_time_average,
-                                  functional_clt_paths, windowed_functional)
+                                  functional_clt_paths)
 from hawkes_renewal.verify import reference_ad_config
 
 cfg = reference_ad_config(D=1.0)
@@ -33,8 +29,3 @@ tg, paths, reports = functional_clt_paths(cfg, n=100, n_paths=120, seed=7)
 print("\nrescaled path variances (expect ~ t):")
 for t, col in zip(tg, paths.T):
     print(f"  t={t:4.2f}: var = {col.var(ddof=1):.3f}")
-
-# a sliding-window functional, integrated exactly between breakpoints
-b = max(blocks, key=lambda blk: blk.n_events)
-vals = windowed_functional(b.path.times, lambda c: float(c), 1.0, int(b.rho))
-print(f"\nwindowed count functional over one block: {np.round(vals, 3).tolist()[:8]} ...")

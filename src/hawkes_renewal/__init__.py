@@ -12,17 +12,16 @@ from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, GammaSchedule,
                       Kernel, PositivePartKernel, PowerLawKernel, RateSpec,
                       TableKernel, ZeroKernel, check_subcritical, pos_part)
 from .prm import PrmStream, SplitStreams, spawn_rng, split
-from .hawkes import (KernelMemory, Path, ProcessState, age_at, memory_at,
-                     path_to_csv, simulate_adhp)
+from .hawkes import (KernelMemory, Path, ProcessState, path_to_csv,
+                     simulate_adhp)
 from .renewal import (Block, Certificate, CycleRecord, Diagnostics,
                       RenewalConfig, RenewalOutcome, ZStart,
                       check_envelope_inequality, iterate_regenerations,
                       run_system, scan_alpha_AD, scan_alpha_O)
-from .cluster import BorelLaw, Cluster, alpha0_stationary, simulate_cluster
+from .cluster import BorelLaw, Cluster, simulate_cluster
 from .reprocess import REChain, invariant_cdf, return_time, step
 from .stats import (BlockStat, TestReport, clt_time_average,
-                    coupling_experiment, functional_clt_paths,
-                    lil_envelope, windowed_functional)
+                    coupling_experiment, functional_clt_paths, lil_envelope)
 
 __all__ = [
     "BandViolationError", "ConfigError", "DominationError",
@@ -31,14 +30,13 @@ __all__ = [
     "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
     "ZeroKernel", "check_subcritical", "pos_part",
     "PrmStream", "SplitStreams", "spawn_rng", "split",
-    "KernelMemory", "Path", "ProcessState", "age_at", "memory_at",
-    "path_to_csv", "simulate_adhp",
+    "KernelMemory", "Path", "ProcessState", "path_to_csv", "simulate_adhp",
     "Block", "Certificate", "CycleRecord", "RenewalConfig", "RenewalOutcome",
     "Diagnostics", "ZStart",
     "check_envelope_inequality", "iterate_regenerations", "run_system",
     "scan_alpha_AD", "scan_alpha_O",
-    "BorelLaw", "Cluster", "alpha0_stationary", "simulate_cluster",
+    "BorelLaw", "Cluster", "simulate_cluster",
     "REChain", "invariant_cdf", "return_time", "step",
     "BlockStat", "TestReport", "clt_time_average", "coupling_experiment",
-    "functional_clt_paths", "lil_envelope", "windowed_functional",
+    "functional_clt_paths", "lil_envelope",
 ]

@@ -162,7 +162,8 @@ def load_config(path=None, seed_override=None, out_override=None):
 
     All validation problems are aggregated into one ConfigError.
     """
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
     parser.read_dict(_DEFAULTS)
     if path is not None:
         if not os.path.exists(path):
@@ -200,6 +201,10 @@ def load_config(path=None, seed_override=None, out_override=None):
     if r_form == "exp":
         coef = _number(env_sec, "r_coef", float, problems)
         rted = _number(env_sec, "r_rate", float, problems)
+        if coef is not None and not coef >= 0:
+            problems.append(f"envelope: r_coef must be >= 0, got {coef!r}")
+        if rted is not None and not rted > 0:
+            problems.append(f"envelope: r_rate must be > 0, got {rted!r}")
         r_fn = lambda t: coef * math.exp(-rted * t)
     elif r_form != "zero":
         problems.append(f"envelope: unknown r form {r_form!r}")

@@ -41,11 +41,6 @@ class Path:
         return int(np.searchsorted(self.times, b, side="right")
                    - np.searchsorted(self.times, a, side="right"))
 
-    def last_before(self, t):
-        """Largest event time strictly below t, or None."""
-        i = np.searchsorted(self.times, t, side="left")
-        return float(self.times[i - 1]) if i else None
-
 
 class KernelMemory:
     """Incremental evaluation of sum_j h(t - u_j) over recorded jumps u_j < t.
@@ -250,19 +245,6 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
         if not moved:
             frontier = w_end
     return None, n
-
-
-def memory_at(path, kernel, signal, t):
-    """Exact memory sum_{u < t} h(t - u) + R(t) for a realized path."""
-    us = path.times[path.times < t]
-    base = float(np.sum(kernel.value(t - us))) if len(us) else 0.0
-    return base + (float(signal(t)) if signal is not None else 0.0)
-
-
-def age_at(path, age0, t):
-    """Age at t with the left-limit convention: last jump strictly before t."""
-    u = path.last_before(t)
-    return (t - u) if u is not None else age0 + (t - path.origin)
 
 
 def path_to_csv(path, fh):

@@ -52,10 +52,6 @@ class Kernel:
     def majorant_l1(self):
         raise NotImplementedError
 
-    def majorant_tail_l1(self, t):
-        """Integral of the majorant over [t, inf)."""
-        raise NotImplementedError
-
     def majorant_decay_time(self, eps):
         """Smallest t with majorant(t) <= eps (inf if never)."""
         raise NotImplementedError
@@ -63,15 +59,6 @@ class Kernel:
     def sample_displacement(self, rng, size=None):
         """Draw from the normalized positive part h_+ / ||h_+||."""
         raise NotImplementedError
-
-    def displacement_mgf(self, theta):
-        """E exp(theta X) for X ~ h_+/||h_+||, or inf when divergent."""
-        raise NotImplementedError
-
-    def displacement_moment(self, q):
-        """E X^q for X ~ h_+/||h_+||."""
-        dens = lambda x: (max(self.value(x), 0.0) / self.pos_l1) * x**q
-        return integrate_to_inf(dens, 0.0, factor="displacement moment")
 
 
 class ExponentialKernel(Kernel):
@@ -103,9 +90,6 @@ class ExponentialKernel(Kernel):
     def majorant_l1(self):
         return abs(self.amplitude) / self.rate
 
-    def majorant_tail_l1(self, t):
-        return abs(self.amplitude) / self.rate * math.exp(-self.rate * t)
-
     def majorant_decay_time(self, eps):
         a = abs(self.amplitude)
         if a <= eps:
@@ -114,11 +98,6 @@ class ExponentialKernel(Kernel):
 
     def sample_displacement(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
-
-    def displacement_mgf(self, theta):
-        if theta >= self.rate:
-            return INF
-        return self.rate / (self.rate - theta)
 
     def __repr__(self):
         return f"ExponentialKernel(rate={self.rate}, amplitude={self.amplitude})"
@@ -147,9 +126,6 @@ class PowerLawKernel(Kernel):
     def majorant_l1(self):
         return abs(self.amplitude) / (self.exponent - 1.0)
 
-    def majorant_tail_l1(self, t):
-        return abs(self.amplitude) * (1.0 + t) ** (1.0 - self.exponent) / (self.exponent - 1.0)
-
     def majorant_decay_time(self, eps):
         a = abs(self.amplitude)
         if a <= eps:
@@ -159,9 +135,6 @@ class PowerLawKernel(Kernel):
     def sample_displacement(self, rng, size=None):
         u = rng.random(size)
         return (1.0 - u) ** (-1.0 / (self.exponent - 1.0)) - 1.0
-
-    def displacement_mgf(self, theta):
-        return INF if theta > 0 else 1.0
 
     def __repr__(self):
         return f"PowerLawKernel(amplitude={self.amplitude}, exponent={self.exponent})"
@@ -228,17 +201,6 @@ class TableKernel(Kernel):
     def majorant_l1(self):
         return float(np.sum(self._maj_steps[:-1] * np.diff(self.ts)))
 
-    def majorant_tail_l1(self, t):
-        if t >= self.ts[-1]:
-            return 0.0
-        total = 0.0
-        for k in range(len(self.ts) - 1):
-            lo, hi = self.ts[k], self.ts[k + 1]
-            if hi <= t:
-                continue
-            total += self._maj_steps[k] * (hi - max(lo, t))
-        return total
-
     def majorant_decay_time(self, eps):
         for k in range(len(self.ts)):
             if self._maj_steps[k] <= eps:
@@ -269,11 +231,6 @@ class TableKernel(Kernel):
                 disc = v0 * v0 - 4.0 * a * c
                 out[i] = t0 + (-v0 + math.sqrt(max(disc, 0.0))) / (2.0 * a)
         return out[0] if scalar else out
-
-    def displacement_mgf(self, theta):
-        val = integrate(lambda x: max(float(self.value(x)), 0.0) * math.exp(theta * x),
-                        0.0, self.support_end, points=list(self.ts[1:-1]))
-        return val / self.pos_l1
 
     def __repr__(self):
         return f"TableKernel({len(self.ts)} knots, support=[0,{self.ts[-1]}])"
@@ -306,17 +263,11 @@ class PositivePartKernel(Kernel):
     def majorant_l1(self):
         return self.base.majorant_l1
 
-    def majorant_tail_l1(self, t):
-        return self.base.majorant_tail_l1(t)
-
     def majorant_decay_time(self, eps):
         return self.base.majorant_decay_time(eps)
 
     def sample_displacement(self, rng, size=None):
         return self.base.sample_displacement(rng, size)
-
-    def displacement_mgf(self, theta):
-        return self.base.displacement_mgf(theta)
 
 
 def pos_part(kernel):

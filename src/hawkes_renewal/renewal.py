@@ -17,12 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .cluster import count_updates, scan_units
 from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, RateSpec,
                       ceil_int, check_subcritical, pos_part)
 from .prm import PrmStream, derive_key, spawn_rng, split
+from .reprocess import step
 
 _SLACK = 1e-9
 _ABS_TOL = 1e-12
@@ -347,14 +347,23 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
     interval past the cycle start.  Returns the first integer offset past
     ceil(tau_gap) at which the chain reaches zero, which is exactly the
     first offset whose whole backward count profile fits under the
-    schedule.
+    schedule.  The chain is M_i = max(M_{i-1} - 1, u_i) from M_0 = 0, with
+    u_i the least integer at which gamma reaches ``counts(i)``; past
+    ``cap`` offsets the scan raises :class:`SimulationCapError` with the
+    chain's last state.
     """
     ceil_gap = ceil_int(tau_gap)
-    try:
-        return scan_units(count_updates(sched, counts), ceil_gap, cap) + ceil_gap
-    except SimulationCapError as exc:
-        raise SimulationCapError("age-dependent alpha scan exceeded its cap",
-                                 diagnostics=exc.diagnostics) from exc
+    m = 0
+    for i in range(1, cap + 1):
+        u = sched.ceil_inverse(int(counts(i)))
+        if u is None:
+            raise ConfigError("unit count exceeded sup gamma: is the schedule "
+                              "bounded?")
+        m = step(m, u)
+        if m == 0 and i > ceil_gap:
+            return i
+    raise SimulationCapError("age-dependent alpha scan exceeded its cap",
+                             diagnostics={"last_state": m})
 
 
 def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000, certs=None):

@@ -1,10 +1,9 @@
 """Regeneration-block statistics.
 
 Coupling-time experiments, time-average and functional central limit
-estimation over blocks, a weak iterated-logarithm diagnostic, and the
-windowed functionals of sliding-window type.  The invariant mean is always
-estimated by the renewal-reward ratio of sums over blocks, which is exact
-for regeneration blocks.
+estimation over blocks, and a weak iterated-logarithm diagnostic.  The
+invariant mean is always estimated by the renewal-reward ratio of sums over
+blocks, which is exact for regeneration blocks.
 """
 
 import logging
@@ -413,62 +412,3 @@ def lil_envelope(cfg, n_max=10**5, seed=0, n_jobs=1, eps=0.5):
         gating=False,
         detail=f"max|r|={np.max(np.abs(ratio)):.3f}, "
                f"range=({np.min(ratio):.3f},{np.max(ratio):.3f})")]
-
-
-# ---------------------------------------------------------------------------
-# Windowed functionals
-# ---------------------------------------------------------------------------
-
-def _warn_on_growth(t_fn, setup, growth):
-    """Probe |T| against the variance growth condition; warn only."""
-    msg = ("windowed functional grows faster than the setup's variance "
-           "condition allows; sigma^2 may be infinite")
-    cs = np.arange(1, 31)
-    try:
-        vals = np.abs([float(t_fn(int(c))) for c in cs])
-    except OverflowError:
-        warnings.warn(msg)
-        return
-    c_g = growth if growth is not None else 1.0
-    if setup == "AD":
-        ref = np.exp(c_g * cs)
-    else:
-        ref = (cs / (1.0 + np.log(cs))) ** c_g
-    # calibrate the constant on small counts, then probe the tail
-    scale = max(float(np.max(vals[:10] / ref[:10])), 1e-12)
-    if np.any(vals[10:] > scale * ref[10:] * (1.0 + 1e-9)):
-        warnings.warn(msg)
-
-
-def windowed_functional(times, t_fn, m, n_units, setup=None, growth=None):
-    """Exact unit integrals of s -> T(count of events in (s-m, s]).
-
-    The integrand is piecewise constant between window entry/exit times, so
-    each unit integral is a finite exact sum.  ``t_fn`` maps the window
-    count to a real value.
-
-    When ``setup``/``growth`` are given, the functional is probed against
-    the growth condition that keeps the block variance finite (exponential
-    in the count for the age-dependent setup, the stated power form
-    otherwise); a violation only warns.
-    """
-    if setup is not None:
-        _warn_on_growth(t_fn, setup, growth)
-    times = np.asarray(times, dtype=float)
-    out = np.empty(n_units)
-    for k in range(1, n_units + 1):
-        lo, hi = float(k - 1), float(k)
-        cuts = {lo, hi}
-        for u in times[(times > lo) & (times < hi)]:
-            cuts.add(float(u))
-        for u in times[(times + m > lo) & (times + m < hi)]:
-            cuts.add(float(u + m))
-        cuts = sorted(cuts)
-        val = 0.0
-        for b0, b1 in zip(cuts[:-1], cuts[1:]):
-            s = 0.5 * (b0 + b1)
-            cnt = int(np.searchsorted(times, s, side="right")
-                      - np.searchsorted(times, s - m, side="right"))
-            val += t_fn(cnt) * (b1 - b0)
-        out[k - 1] = val
-    return out

@@ -1,12 +1,14 @@
 import hashlib
 import math
 import os
+import pathlib
 
 import pytest
 
 from hawkes_renewal import RenewalConfig, renewal
 from hawkes_renewal.cli import load_config, main
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 BASE_CONFIG = """
 [kernel]
@@ -74,6 +76,18 @@ class TestConfigDefaults:
         assert (tab.kernel.ts.tolist(), tab.kernel.vs.tolist()) == ([0.0, 1.0], [1.0, 0.0])
         assert (tab.r(0.0), tab.r(2.0)) == (1.0, math.exp(-2.0))
 
+    def test_readme_sample_config_loads(self, tmp_path):
+        readme = (ROOT / "README.md").read_text()
+        sample = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg, settings = load_config(write(tmp_path, sample))
+        default_cfg, default_settings = load_config(None)
+        assert settings == {**default_settings,
+                            "verify_sizes": {"renewal": {"n_cycles": 10000}}}
+        describe = lambda c: (repr(c.kernel), c.rate.name, c.rate.c_psi, c.rate.L,
+                              c.rate.delta, c.sched.form, c.sched.C, c.r, c.D,
+                              c.p, c.assumption, c.max_cycles, c.scan_cap)
+        assert describe(cfg) == describe(default_cfg)
+
 
 class TestConfigProblems:
     @pytest.mark.parametrize("command, text, problem", [
@@ -84,6 +98,9 @@ class TestConfigProblems:
         ("renewal", "[run]\nmax_cycles = 1e6", "run: max_cycles must be an integer"),
         ("renewal", "[envelope]\nr = exp\nr_coef = big", "envelope: r_coef must be a number"),
         ("renewal", "[envelope]\nr = exp\nr_rate = fast", "envelope: r_rate must be a number"),
+        ("renewal", "[envelope]\nr = exp\nr_coef = -2.0",
+         "envelope: r_coef must be >= 0, got -2.0"),
+        ("renewal", "[envelope]\nr = exp\nr_rate = 0", "envelope: r_rate must be > 0, got 0.0"),
         ("simulate", "[run]\nhorizon = inf", "run: horizon must be finite and positive"),
         ("simulate", "[run]\nhorizon = nan", "run: horizon must be finite and positive"),
         ("simulate", "[run]\nhorizon = -5", "run: horizon must be finite and positive"),
@@ -112,6 +129,7 @@ class TestConfigProblems:
         ("renewal", "[run]\nmax_cycles = 0", "run: max_cycles must be >= 1, got 0"),
         ("renewal", "[run]\nscan_cap = 0", "run: scan_cap must be >= 1, got 0"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
+            "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
             "verify-size", "verify-parameter", "verify-suite", "duplicate-section",
             "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",

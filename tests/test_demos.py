@@ -10,8 +10,9 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("name", ["01_simulate_hawkes", "03_coupling",
-                                  "04_cluster_borel", "05_re_chain"])
+@pytest.mark.parametrize("name", ["01_simulate_hawkes", "02_regeneration_times",
+                                  "03_coupling", "04_cluster_borel", "05_re_chain",
+                                  "06_clt_blocks"])
 def test_demo_exits_cleanly(name, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hawkes_renewal import (ConfigError, ExponentialKernel, Path, PowerLawKernel,
-                            PrmStream, RateSpec, ZeroKernel, age_at, memory_at,
-                            path_to_csv, simulate_adhp)
+                            PrmStream, RateSpec, ZeroKernel, path_to_csv,
+                            simulate_adhp)
 from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
 
 
@@ -65,32 +65,36 @@ def band_replay(pi, specs, width, bound, horizon, suppress):
 
 class TestQueries:
     def test_memory_of_empty_path(self):
-        p = Path(np.array([]), horizon=10.0)
-        assert memory_at(p, ExponentialKernel(1.0, 1.0), None, 5.0) == 0.0
+        assert KernelMemory(ExponentialKernel(1.0, 1.0)).value_at(5.0) == 0.0
 
     def test_memory_single_jump(self):
-        p = Path(np.array([1.0]), horizon=10.0)
-        got = memory_at(p, ExponentialKernel(1.0, 1.0), None, 2.0)
-        assert got == pytest.approx(math.exp(-1.0))
+        mem = KernelMemory(ExponentialKernel(1.0, 1.0))
+        mem.add(1.0)
+        assert mem.value_at(2.0) == pytest.approx(math.exp(-1.0))
+        # a jump at t itself is not yet in the memory at t
+        assert mem.value_at(1.0) == 0.0
 
     def test_incremental_memory_matches_direct_sum(self):
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0, 50, 200))
         k = ExponentialKernel(1.3, 0.7)
         mem = KernelMemory(k)
-        path = Path(times, horizon=50.0)
         for u in times:
             mem.add(float(u))
         for t in rng.uniform(0, 60, 50):
-            direct = memory_at(path, k, None, t)
+            us = times[times < t]
+            direct = float(np.sum(0.7 * np.exp(-1.3 * (t - us))))
             assert mem.value_at(t) == pytest.approx(direct, abs=1e-10)
 
     def test_age_conventions(self):
-        p = Path(np.array([1.5]), horizon=10.0)
-        assert age_at(Path(np.array([]), horizon=10.0), 2.0, 3.0) == 5.0
-        assert age_at(p, 0.0, 2.0) == pytest.approx(0.5)
+        rate = RateSpec.linear(1.0, 0.5)
+        fresh = ProcessState(ZeroKernel(), rate, age0=2.0)
+        assert fresh.age_at(3.0) == 5.0
+        st = ProcessState(ZeroKernel(), rate)
+        st.add_jump(1.5)
+        assert st.age_at(2.0) == pytest.approx(0.5)
         # at the jump time itself the left limit applies
-        assert age_at(p, 0.0, 1.5) == pytest.approx(1.5)
+        assert st.age_at(1.5) == pytest.approx(1.5)
 
 
 class TestSimulate:

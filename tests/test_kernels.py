@@ -148,7 +148,14 @@ class TestEnvelopeValues:
         m = 0.4 * env.F_l1
         assert env.cum_F(env.inv_cum(m)) == pytest.approx(m, rel=1e-6)
         # exact on the AD D=0, AD D=1 and O D=0 references, also next to the
-        # jumps of F at D and at the g breaks, where int_0^t F has a kink
+        # jumps of F at D and at the g breaks, where int_0^t F has a kink.
+        # The reference integrates piece by piece between the jumps; each
+        # piece after the first starts one ulp right of its jump, so no
+        # piece evaluates F at its start with the value left of it.
+        def direct(F, t, jumps):
+            below = [j for j in jumps if j < t]
+            starts = [0.0] + [math.nextafter(j, math.inf) for j in below]
+            return sum(integrate(F, lo, hi) for lo, hi in zip(starts, below + [t]))
         ad, o = ExponentialKernel(1.0, 0.2), ExponentialKernel(1.0, 0.3)
         for env in [make_env(ad, rate, GammaSchedule.linear(1.0), D=0.0),
                     make_env(ad, rate, GammaSchedule.linear(1.0), D=1.0),
@@ -156,8 +163,8 @@ class TestEnvelopeValues:
             jumps = sorted({env.D, *env.rate.g_breaks} - {0.0})
             near = [b + d for b in jumps for d in (-1 / 64, 1 / 64)]
             for t in near + list(np.arange(6001) / 500.0):
-                direct = integrate(env.F, 0.0, float(t), points=jumps)
-                assert env.cum_F(float(t)) == pytest.approx(direct, abs=1e-9)
+                want = direct(env.F, float(t), jumps)
+                assert env.cum_F(float(t)) == pytest.approx(want, abs=1e-9)
             for frac in (1e-3, 0.1, 0.5):
                 assert env.tail_mass(env.t_cut(frac)) == pytest.approx(frac * env.F_l1,
                                                                        rel=1e-9)

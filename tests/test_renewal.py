@@ -9,7 +9,7 @@ import pytest
 from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             ExpDecay, ExponentialKernel, GammaSchedule,
                             PowerLawKernel, PrmStream, RateSpec, RenewalConfig,
-                            TableKernel, ZeroKernel, ZStart,
+                            SimulationCapError, TableKernel, ZeroKernel, ZStart,
                             check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
@@ -54,6 +54,25 @@ class TestScanAlphaAD:
             tau_gap = float(rng.uniform(0, 3))
             got = scan_alpha_AD(sched, counts_fn(counts), tau_gap)
             assert got == ad_oracle(counts, sched, tau_gap)
+        # integer gaps, up to a 30-unit stretch before the first offset
+        sched = GammaSchedule.linear(1.0)
+        rng = spawn_rng(4)
+        for k in range(300):
+            counts = rng.poisson(0.5, size=400)
+            tau_gap = float(30 if k % 2 else k % 7)
+            got = scan_alpha_AD(sched, counts_fn(counts), tau_gap)
+            assert got == ad_oracle(counts, sched, tau_gap)
+
+    def test_cap_raises_with_the_chain_state(self):
+        sched = GammaSchedule.linear(1.0)
+        with pytest.raises(SimulationCapError, match="age-dependent alpha scan") as exc:
+            scan_alpha_AD(sched, lambda i: 5, 0.5, cap=20)
+        assert exc.value.diagnostics == {"last_state": 5}
+
+    def test_bounded_schedule_is_a_config_error(self):
+        sched = GammaSchedule(lambda t: 1.0, form="custom")
+        with pytest.raises(ConfigError, match="sup gamma"):
+            scan_alpha_AD(sched, lambda i: 2, 0.5)
 
 
 class TestScanAlphaO:

@@ -9,8 +9,7 @@ from hawkes_renewal import Path
 from hawkes_renewal.renewal import Block
 from hawkes_renewal.stats import (ad_normality, batch_means_sigma2,
                                   block_stat_from_blocks, blocks_until, chi2_gof,
-                                  functional_clt_paths, unit_counts,
-                                  windowed_functional)
+                                  functional_clt_paths, unit_counts)
 from hawkes_renewal.verify import reference_ad_config, run_suites
 from hawkes_renewal.renewal import iterate_regenerations
 
@@ -19,52 +18,6 @@ def fake_block(times, rho):
     times = np.asarray(times, dtype=float)
     return Block(rho=float(rho), path=Path(times, horizon=float(rho)),
                  eta=0, cycles=[])
-
-
-class TestWindowedFunctional:
-    def oracle_count_integral(self, times, m, n_units):
-        # integral of the window count = total overlap length of [u, u+m)
-        out = np.zeros(n_units)
-        for k in range(1, n_units + 1):
-            lo, hi = k - 1.0, float(k)
-            for u in times:
-                out[k - 1] += max(0.0, min(u + m, hi) - max(u, lo))
-        return out
-
-    def test_count_functional_is_exact(self):
-        rng = np.random.default_rng(0)
-        times = np.sort(rng.uniform(0, 12, 30))
-        got = windowed_functional(times, lambda c: float(c), 1.0, 10)
-        want = self.oracle_count_integral(times, 1.0, 10)
-        assert np.allclose(got, want, atol=1e-12)
-
-    def test_nonlinear_functional_matches_riemann(self):
-        rng = np.random.default_rng(1)
-        times = np.sort(rng.uniform(0, 8, 25))
-        t_fn = lambda c: float(c) ** 2
-        got = windowed_functional(times, t_fn, 1.5, 6)
-        h = 1e-4
-        for k in range(1, 7):
-            ss = np.arange(k - 1 + h / 2, k, h)
-            counts = np.searchsorted(times, ss, side="right") - \
-                np.searchsorted(times, ss - 1.5, side="right")
-            assert got[k - 1] == pytest.approx(float(np.sum(counts**2) * h), abs=1e-2)
-
-    def test_empty_path(self):
-        got = windowed_functional(np.array([]), lambda c: float(c), 1.0, 5)
-        assert np.all(got == 0.0)
-
-    def test_growth_condition_warns_only(self):
-        times = np.array([0.5, 1.5])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            windowed_functional(times, lambda c: math.exp(float(c) ** 2), 1.0, 2,
-                                setup="AD")
-        assert any("grows faster" in str(w.message) for w in caught)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            got = windowed_functional(times, lambda c: 3.0 * c, 1.0, 2, setup="AD")
-        assert not caught and len(got) == 2
 
 
 class TestBlockStat:
