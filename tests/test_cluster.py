@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (BorelLaw, ExponentialKernel, SupercriticalError,
-                            simulate_cluster)
+from hawkes_renewal import (BorelLaw, ExponentialKernel, GammaSchedule,
+                            SupercriticalError, scan_alpha_AD, simulate_cluster)
 from hawkes_renewal.prm import spawn_rng
 from hawkes_renewal.stats import chi2_gof
 
@@ -82,3 +82,30 @@ class TestSimulateCluster:
             assert c.Y == pytest.approx(float(np.max(c.times)))
             assert len(c.times) == c.W
 
+
+def ad_scan_oracle(counts, sched, window):
+    """Direct double-loop evaluation of the backward envelope condition."""
+    n = len(counts)
+    for idx in range(window + 1, n + 1):
+        ok = True
+        for j in range(idx):
+            if counts[idx - j - 1] > sched.value(j) + 1e-12:
+                ok = False
+                break
+        if ok:
+            return idx
+    raise AssertionError("oracle found no admissible index")
+
+
+class TestStationaryStartAD:
+    """The age-dependent alpha scan behind an integer gap of empty units."""
+
+    def test_matches_double_loop_oracle(self):
+        sched = GammaSchedule.linear(1.0)
+        rng = spawn_rng(4)
+        for k in range(300):
+            window = 30 if k % 2 else k % 7
+            counts = rng.poisson(0.5, size=window + 200)
+            at = lambda i: int(counts[i - 1]) if i <= len(counts) else 0
+            got = scan_alpha_AD(sched, at, float(window))
+            assert got == ad_scan_oracle(counts, sched, window)
