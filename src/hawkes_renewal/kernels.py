@@ -52,10 +52,6 @@ class Kernel:
     def majorant_l1(self):
         raise NotImplementedError
 
-    def majorant_decay_time(self, eps):
-        """Smallest t with majorant(t) <= eps (inf if never)."""
-        raise NotImplementedError
-
     def sample_displacement(self, rng, size=None):
         """Draw from the normalized positive part h_+ / ||h_+||."""
         raise NotImplementedError
@@ -90,12 +86,6 @@ class ExponentialKernel(Kernel):
     def majorant_l1(self):
         return abs(self.amplitude) / self.rate
 
-    def majorant_decay_time(self, eps):
-        a = abs(self.amplitude)
-        if a <= eps:
-            return 0.0
-        return math.log(a / eps) / self.rate
-
     def sample_displacement(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
@@ -125,12 +115,6 @@ class PowerLawKernel(Kernel):
     @property
     def majorant_l1(self):
         return abs(self.amplitude) / (self.exponent - 1.0)
-
-    def majorant_decay_time(self, eps):
-        a = abs(self.amplitude)
-        if a <= eps:
-            return 0.0
-        return (a / eps) ** (1.0 / self.exponent) - 1.0
 
     def sample_displacement(self, rng, size=None):
         u = rng.random(size)
@@ -201,12 +185,6 @@ class TableKernel(Kernel):
     def majorant_l1(self):
         return float(np.sum(self._maj_steps[:-1] * np.diff(self.ts)))
 
-    def majorant_decay_time(self, eps):
-        for k in range(len(self.ts)):
-            if self._maj_steps[k] <= eps:
-                return float(self.ts[k])
-        return float(self.ts[-1])
-
     def sample_displacement(self, rng, size=None):
         segs = self._pos_segments()
         areas = np.array([a for _, _, a in segs])
@@ -262,9 +240,6 @@ class PositivePartKernel(Kernel):
     @property
     def majorant_l1(self):
         return self.base.majorant_l1
-
-    def majorant_decay_time(self, eps):
-        return self.base.majorant_decay_time(eps)
 
     def sample_displacement(self, rng, size=None):
         return self.base.sample_displacement(rng, size)

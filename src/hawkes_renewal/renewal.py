@@ -11,7 +11,9 @@ by construction and restart from the certified state (age D, signal
 """
 
 import math
-import multiprocessing
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -74,6 +76,12 @@ class RenewalConfig:
 
     def validate(self):
         problems = list(self.rate.validate())
+        if self.r is not None:
+            rs = [float(self.r(t)) for t in np.linspace(0.0, 20.0, 41).tolist()]
+            if any(v < 0 for v in rs):
+                problems.append("start bound r must be >= 0")
+            if any(b > a + 1e-12 for a, b in zip(rs[:-1], rs[1:])):
+                problems.append("start bound r must be decreasing")
         c_h = None
         if self.setup == "O":
             try:
@@ -684,26 +692,83 @@ def _run_chunk(cfg, job):
     return blocks, diag
 
 
-_worker_cfg = None  # set only inside fork workers, by the pool initializer
+def _child(cfg, jobs, write_fd):
+    """Body of a forked child: run ``jobs`` and send ``(ok, chunk results or
+    exception)`` down ``write_fd``, pickled; never returns."""
+    status = 1
+    try:
+        try:
+            out = True, [_run_chunk(cfg, job) for job in jobs]
+        except Exception as exc:
+            out = False, exc
+        # pickled whole before writing, so a result that cannot be pickled
+        # sends nothing and the parent sees a child without a result
+        data = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _init_worker(cfg):
-    global _worker_cfg
-    _worker_cfg = cfg
-
-
-def _worker_chunk(job):
-    return _run_chunk(_worker_cfg, job)
+def _run_forked(cfg, jobs, n):
+    """Chunk results of ``jobs`` in job order.  Forked child w runs
+    jobs[w::n] for w = 1..n-1 while this process runs jobs[0::n].  If
+    anything fails, every child is killed and reaped before the error
+    (a child's own exception, with its fields) is raised here."""
+    children = []  # (pid, read end of its pipe) of each child not yet reaped
+    try:
+        for w in range(1, n):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(cfg, jobs[w::n], write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [None] * len(jobs)
+        results[0::n] = [_run_chunk(cfg, job) for job in jobs[0::n]]
+        for w in range(1, n):
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0:
+                raise RuntimeError(f"block worker pid {pid} exited with "
+                                   f"status {status} and sent no result")
+            ok, out = pickle.loads(data)
+            if not ok:
+                raise out
+            results[w::n] = out
+        return results
+    except BaseException:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+        for pid, _ in children:
+            os.waitpid(pid, 0)
+        raise
 
 
 def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
     """Generate i.i.d. regeneration blocks.
 
     Block i restarts from the certified regeneration state on fresh streams
-    keyed by (seed, i).  Chunks of blocks run on ``n_jobs`` fork workers (in
-    this process when n_jobs is 1) and are merged in block order, so the
-    worker count never changes the output.  ``collect_diag``, when given,
-    receives the :class:`Diagnostics` summed over all blocks, as a dict.
+    keyed by (seed, i).  The blocks are cut into chunks that run on
+    ``n_jobs`` processes, each with a fixed share: this one runs chunks
+    0, n, 2n, ... and forked child w runs chunks w, w + n, ... (n is
+    ``n_jobs``, or the chunk count when that is smaller; everything runs
+    here where ``os.fork`` is missing).  The chunks are merged in block
+    order, so the worker count never changes the output.  A child's
+    exception is raised here with its fields, a child that exits without
+    a result raises RuntimeError naming its pid and exit status, and no
+    child outlives the call.  ``collect_diag``, when given, receives the
+    :class:`Diagnostics` summed over all blocks, as a dict.
     """
     if n_blocks < 1:
         raise ConfigError("need n_blocks >= 1")
@@ -712,18 +777,11 @@ def iterate_regenerations(cfg, n_blocks, seed=0, n_jobs=1, collect_diag=None):
     chunk = max(16, n_blocks // (4 * n_jobs) + 1)
     jobs = [(seed, lo, min(lo + chunk, n_blocks))
             for lo in range(0, n_blocks, chunk)]
-    ctx = None
-    if n_jobs > 1 and len(jobs) > 1:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # no fork on this platform: run in process
-            pass
-    if ctx is None:
-        results = map(lambda job: _run_chunk(cfg, job), jobs)
+    n = min(n_jobs, len(jobs)) if hasattr(os, "fork") else 1
+    if n > 1:
+        results = _run_forked(cfg, jobs, n)
     else:
-        with ctx.Pool(min(n_jobs, len(jobs)), initializer=_init_worker,
-                      initargs=(cfg,)) as pool:
-            results = pool.map(_worker_chunk, jobs)
+        results = [_run_chunk(cfg, job) for job in jobs]
     blocks, diag = [], Diagnostics()
     for chunk_blocks, chunk_diag in results:
         blocks.extend(chunk_blocks)

@@ -154,9 +154,10 @@ class TestConfigProblems:
 
 class TestReferenceDigests:
     """The seeded CLI outputs of the AD D=1 and O D=0 reference configs,
-    byte for byte (horizon 2000, 200 blocks, seed 5, one worker)."""
+    byte for byte (horizon 2000, 200 blocks, seed 5), with one worker and,
+    for the blocks, with two as well."""
 
-    RUN = "[run]\nhorizon = 2000\nn_blocks = 200\nseed = 5\nparallel = 1\nout = {out}\n"
+    RUN = "[run]\nhorizon = 2000\nn_blocks = 200\nseed = 5\nout = {out}\n"
 
     @pytest.mark.parametrize("text, events, cycles", [
         ("[envelope]\nD = 1.0\n",
@@ -167,9 +168,11 @@ class TestReferenceDigests:
          "6b588ba7b10cc6cf746135b8b984408c6e3a42a6d07c49d6dd2bb3225abd4871"),
     ], ids=["AD-D1", "O-D0"])
     def test_outputs_are_unchanged(self, tmp_path, capsys, text, events, cycles):
-        cfg = write(tmp_path, text + self.RUN)
-        for command, name, want in (("simulate", "events.csv", events),
-                                    ("renewal", "cycles.csv", cycles)):
+        for command, name, want, parallel in (
+                ("simulate", "events.csv", events, 1),
+                ("renewal", "cycles.csv", cycles, 1),
+                ("renewal", "cycles.csv", cycles, 2)):
+            cfg = write(tmp_path, f"{text}{self.RUN}parallel = {parallel}\n")
             assert main([command, "--config", cfg]) == 0
             data = (tmp_path / "out" / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == want, name

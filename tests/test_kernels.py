@@ -293,8 +293,6 @@ class TestKernels:
         k = ExponentialKernel(2.0, -3.0)
         assert k.pos_l1 == 0.0
         assert k.majorant_l1 == pytest.approx(1.5)
-        t = k.majorant_decay_time(1e-6)
-        assert float(k.majorant(t)) == pytest.approx(1e-6, rel=1e-9)
 
     def test_exponential_float_path_gives_the_array_bits(self):
         # value and majorant at a float skip np.asarray; they must give the

@@ -2,6 +2,9 @@ import bisect
 import copy
 import hashlib
 import math
+import os
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -282,6 +285,20 @@ class TestCertificate:
         assert len(seen) > 20
 
 
+class TestConfigValidate:
+    @pytest.mark.parametrize("r, problems", [
+        (lambda t: 0.5 * math.exp(-t), []),
+        (lambda t: -2.0 * math.exp(-t),
+         ["start bound r must be >= 0", "start bound r must be decreasing"]),
+        (lambda t: (1.0 + t) ** 3 * math.exp(-t), ["start bound r must be decreasing"]),
+    ], ids=["decreasing", "negative", "rising-then-falling"])
+    def test_start_bound_r_is_spot_checked(self, r, problems):
+        cfg = RenewalConfig(ExponentialKernel(1.0, 0.2),
+                            RateSpec.refractory_linear(0.5, 0.4, 1.0),
+                            GammaSchedule.linear(1.0), r=r)
+        assert cfg.validate() == problems
+
+
 class TestRunSystem:
     def test_zero_band_regenerates_immediately(self):
         # F == 0: the first cycle certifies tau = inf, rho = alpha0
@@ -400,14 +417,18 @@ class TestBlocks:
         assert rho == blk.rho and path is blk.path
 
     def test_worker_count_does_not_change_output(self):
+        # 70 blocks make 5 chunks of 16 at n_jobs 2, 3 and 9: this process
+        # and 1, 2 or 4 forked children, each with a share of the chunks
         cfg = reference_ad_config(D=1.0)
-        diags = [{}, {}]
-        seq = iterate_regenerations(cfg, 40, seed=6, n_jobs=1, collect_diag=diags[0])
-        par = iterate_regenerations(cfg, 40, seed=6, n_jobs=2, collect_diag=diags[1])
-        assert [b.rho for b in seq] == [b.rho for b in par]
-        assert diags[0] == diags[1] and diags[0]["band_checks"] > 0
-        for a, b in zip(seq, par):
-            assert np.array_equal(a.path.times, b.path.times)
+        seq_diag = {}
+        seq = iterate_regenerations(cfg, 70, seed=6, n_jobs=1, collect_diag=seq_diag)
+        assert seq_diag["band_checks"] > 0
+        for n_jobs in (2, 3, 9):
+            diag = {}
+            par = iterate_regenerations(cfg, 70, seed=6, n_jobs=n_jobs,
+                                        collect_diag=diag)
+            assert diag == seq_diag, n_jobs
+            assert blocks_digest(par) == blocks_digest(seq), n_jobs
         fclt = [functional_clt_paths(cfg, n=60, n_paths=6, seed=6, n_jobs=j)
                 for j in (1, 2)]
         assert np.array_equal(fclt[0][1], fclt[1][1])
@@ -492,6 +513,82 @@ class TestBlocks:
         # terminal-window law just before the regeneration gap
         w = np.array([b.path.count(b.rho - 2.0, b.rho - 1.0) for b in blocks])
         assert scipy.stats.ks_2samp(w[:h], w[h:]).pvalue >= 0.01
+
+
+@pytest.fixture
+def no_children_left():
+    """Fails a test that runs longer than 60 s (raising in this process, so
+    the block source kills its children) or leaves a child process."""
+    def timed_out(signum, frame):
+        raise TimeoutError("forked block source did not return")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_children(monkeypatch, action):
+    """Make ``renewal._run_chunk`` call ``action`` first in forked children."""
+    parent, run = os.getpid(), renewal._run_chunk
+
+    def chunk(cfg, job):
+        if os.getpid() != parent:
+            action()
+        return run(cfg, job)
+
+    monkeypatch.setattr(renewal, "_run_chunk", chunk)
+
+
+def raiser(exc):
+    def action():
+        raise exc
+    return action
+
+
+class TestForkedBlocks:
+    @pytest.mark.parametrize("exc, field, value", [
+        (SimulationCapError("cap hit in a child", diagnostics={"last_state": [3, 1]}),
+         "diagnostics", {"last_state": [3, 1]}),
+        (ConfigError(["first problem", "second problem"]),
+         "problems", ["first problem", "second problem"]),
+        (DominationError("no bound in a child", at_time=12.5), "at_time", 12.5),
+    ], ids=["cap", "config", "domination"])
+    def test_child_error_is_raised_with_its_fields(self, monkeypatch,
+                                                   no_children_left,
+                                                   exc, field, value):
+        in_children(monkeypatch, raiser(exc))
+        with pytest.raises(type(exc)) as info:
+            iterate_regenerations(reference_ad_config(D=1.0), 40, seed=6, n_jobs=3)
+        assert str(info.value) == str(exc)
+        assert getattr(info.value, field) == value
+
+    def test_child_without_result_is_named(self, monkeypatch, no_children_left):
+        in_children(monkeypatch, lambda: os._exit(3))
+        with pytest.raises(RuntimeError,
+                           match=r"block worker pid \d+ exited with status 3 "
+                                 r"and sent no result"):
+            iterate_regenerations(reference_ad_config(D=1.0), 40, seed=6, n_jobs=2)
+
+    def test_parent_error_kills_its_children(self, monkeypatch, no_children_left):
+        # the children would sleep past the alarm unless they are killed
+        parent = os.getpid()
+
+        def chunk(cfg, job):
+            if os.getpid() != parent:
+                time.sleep(600)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(renewal, "_run_chunk", chunk)
+        t0 = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            iterate_regenerations(reference_ad_config(D=1.0), 40, seed=6, n_jobs=3)
+        assert time.perf_counter() - t0 < 30
 
 
 def blocks_digest(blocks):
