@@ -18,7 +18,7 @@ import sys
 from .errors import ConfigError
 from .hawkes import path_to_csv, simulate_adhp
 from .kernels import (ExponentialKernel, GammaSchedule, PowerLawKernel,
-                      RateSpec, TableKernel)
+                      RateSpec, TableKernel, borel_c_h)
 from .prm import PrmStream
 from .renewal import RenewalConfig, iterate_regenerations
 from .stats import summarize, write_reports
@@ -103,7 +103,7 @@ def _build_gamma(sec, problems, p, kernel, rate):
                 if not 0 < m < 1:
                     problems.append("gamma: auto log schedule needs 0 < L*||h+|| < 1")
                     return None
-                return GammaSchedule.log(p=p, c_h=m - math.log(m) - 1.0)
+                return GammaSchedule.log(p=p, c_h=borel_c_h(m))
             return GammaSchedule.log(C=float(raw))
     except (ConfigError, ValueError) as exc:
         problems.append(f"gamma: {exc}")

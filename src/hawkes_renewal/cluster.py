@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SimulationCapError, SupercriticalError
+from .kernels import borel_c_h
 
 
 @dataclass
@@ -30,7 +31,7 @@ class BorelLaw:
 
     @property
     def c_h(self):
-        return self.m - math.log(self.m) - 1.0
+        return borel_c_h(self.m)
 
     def logpmf(self, n):
         if n < 1:

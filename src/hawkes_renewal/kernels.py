@@ -262,6 +262,12 @@ def check_subcritical(kernel, L):
     return m
 
 
+def borel_c_h(m):
+    """c_h = m - ln(m) - 1, the exponential-moment threshold of the Borel(m)
+    cluster size, for a mean offspring 0 < m < 1."""
+    return m - math.log(m) - 1.0
+
+
 # ---------------------------------------------------------------------------
 # Rate specifications
 # ---------------------------------------------------------------------------
@@ -314,12 +320,12 @@ class RateSpec:
             name="hard_refractory",
         )
 
-    def validate(self, x_grid=None, a_grid=None):
+    def validate(self):
         """Grid spot-checks of the structural assumptions; returns problems."""
         problems = []
-        xs = x_grid if x_grid is not None else np.linspace(-5.0, 10.0, 13)
+        xs = np.linspace(-5.0, 10.0, 13)
         delta_cap = 4.0 if not math.isfinite(self.delta) else max(4.0, 3.0 * self.delta)
-        ages = a_grid if a_grid is not None else np.linspace(0.0, delta_cap, 17)
+        ages = np.linspace(0.0, delta_cap, 17)
         for x in xs:
             for a in ages:
                 v = self.psi(float(x), float(a))
@@ -558,6 +564,7 @@ class EnvelopeFns:
         """int_0^t2 gamma(s+1) hbar(t1+s) ds for a kernel that is not
         exponential (those use hbar(t1) J(t2))."""
         k = self.kernel
+        fn = lambda s: self.sched.value(s + 1.0) * float(k.majorant(t1 + s))
         if isinstance(k, TableKernel):
             hi = max(0.0, k.support_end - t1)
             if not math.isinf(t2):
@@ -565,11 +572,12 @@ class EnvelopeFns:
             if hi <= 0:
                 return 0.0
             breaks = [t - t1 for t in k.ts if 0.0 < t - t1 < hi]
-            return integrate(lambda s: self.sched.value(s + 1.0) * float(k.majorant(t1 + s)),
-                             0.0, hi, points=breaks)
-        fn = lambda s: self.sched.value(s + 1.0) * float(k.majorant(t1 + s))
+            return integrate(fn, 0.0, hi, points=breaks)
         if math.isinf(t2):
-            return integrate_to_inf(fn, 0.0, factor="gamma * majorant tail")
+            # in units of 1 + t1, the scale on which hbar(t1 + s) decays
+            w = 1.0 + t1
+            return integrate_to_inf(lambda u: w * fn(w * u), 0.0,
+                                    factor="gamma * majorant tail")
         return integrate(fn, 0.0, t2)
 
     # -- public evaluations --------------------------------------------------
@@ -701,20 +709,21 @@ class EnvelopeFns:
             for name, fn in [("t^p f", lambda t: t**p * self.f(t)),
                              ("t^p F", lambda t: t**p * self.F(t))]:
                 try:
-                    v = integrate_to_inf(fn, 0.0, factor=name)
+                    integrate_to_inf(fn, 0.0, factor=name)
                 except IntegrabilityError:  # the quadrature found no finite value
-                    v = math.inf
-                if not math.isfinite(v):
                     problems.append(f"{name} not integrable (assumption A)")
             return problems
         c = 0.05
+
+        def weighted(t):
+            # QUADPACK samples t far past 1.4e4, where exp(ct) overflows, also
+            # when F decays fast enough; where F has underflowed to 0 the
+            # integrand is 0, and only an overflow before that fails the moment
+            v = self.F(t)
+            return v * math.exp(c * t) if v > 0 else 0.0
+
         try:
-            v = integrate_to_inf(lambda t: math.exp(c * t) * self.F(t),
-                                 0.0, factor="exp(ct) F")
-        except OverflowError:  # exp(ct) outgrows a heavy-tailed F
-            v = math.inf
-        except IntegrabilityError as exc:
-            return [str(exc)]
-        if not math.isfinite(v):
+            integrate_to_inf(weighted, 0.0, factor="exp(ct) F")
+        except (OverflowError, IntegrabilityError):  # no finite value
             return ["F lacks an exponential moment (assumption B)"]
         return []

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, RateSpec,
-                      ceil_int, check_subcritical, pos_part)
+                      borel_c_h, ceil_int, check_subcritical, pos_part)
 from .prm import PrmStream, derive_key, spawn_rng, split
 from .reprocess import step
 
@@ -86,7 +86,7 @@ class RenewalConfig:
         if self.setup == "O":
             try:
                 m = check_subcritical(self.kernel, self.rate.L)
-                c_h = m - math.log(m) - 1.0 if m > 0 else None
+                c_h = borel_c_h(m) if m > 0 else None
             except ConfigError as exc:
                 problems.extend(exc.problems)
         problems += self.sched.check_assumption(self.setup, self.assumption,

@@ -46,9 +46,6 @@ class REChain:
 
         return REChain(cdf=cdf, sampler=sampler)
 
-    def survival(self, k):
-        return 1.0 - self.cdf(k)
-
     def run(self, start, n_steps, rng):
         """Trajectory (M_0, ..., M_n)."""
         xs = self.sampler(rng, n_steps)

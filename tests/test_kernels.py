@@ -1,11 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
-                            ExponentialKernel, GammaSchedule, PowerLawKernel,
-                            RateSpec, TableKernel, ZeroKernel, pos_part)
+                            ExponentialKernel, GammaSchedule,
+                            IntegrabilityError, PowerLawKernel, RateSpec,
+                            TableKernel, ZeroKernel, pos_part)
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
 
 
@@ -15,6 +17,20 @@ def const_sched(c):
 
 def make_env(kernel, rate, sched, r=None, D=0.0):
     return EnvelopeFns(kernel, rate, sched, r=r, D=D)
+
+
+# the inner integral I(t1) = int_0^inf gamma(s+1) hbar(t1+s) ds of
+# PowerLawKernel(0.2, 4): in closed form for the linear schedule (C = 1),
+# computed with mpmath at 30 digits for the log schedule (C = 3)
+POWERLAW_INNER = [
+    ("linear", t1, 0.2 * ((1.0 + t1) ** -2 / 2.0 - t1 * (1.0 + t1) ** -3 / 3.0))
+    for t1 in (0.0, 10.0, 300.0, 3000.0, 1e5)
+] + [
+    ("log", 10.0, 2.1511624464231875e-04),
+    ("log", 300.0, 3.1212957513469757e-08),
+    ("log", 3000.0, 4.8202720255113513e-11),
+    ("log", 1e5, 2.0025910929340465e-15),
+]
 
 
 class TestEnvelopeValues:
@@ -38,6 +54,15 @@ class TestEnvelopeValues:
         env = make_env(ExponentialKernel(1.0, 1.0), rate, const_sched(1.0))
         for t in [0.0, 1.0, 2.5]:
             assert env.f(t) == pytest.approx(6.0 * math.exp(-t), rel=1e-7)
+
+    @pytest.mark.parametrize("form, t1, inner", POWERLAW_INNER,
+                             ids=[f"{form}-{t1:g}" for form, t1, _ in POWERLAW_INNER])
+    def test_powerlaw_f_holds_far_out(self, form, t1, inner):
+        sched = GammaSchedule.linear(1.0) if form == "linear" else GammaSchedule.log(C=3.0)
+        env = make_env(PowerLawKernel(0.2, 4.0), RateSpec.refractory_linear(0.5, 0.4, 1.0),
+                       sched)
+        want = env.prefactor * (0.2 * (1.0 + t1) ** -4 + inner)
+        assert abs(env.f(t1) - want) <= max(1e-8 * want, 1e-14)
 
     def test_array_f_is_the_float_f_pointwise(self):
         # the vector path of an exponential kernel and the per-point path of
@@ -91,6 +116,14 @@ class TestEnvelopeValues:
         problems = env.validate("A", 2.0)
         assert "t^p f not integrable (assumption A)" in problems
         assert all("assumption A" in p for p in problems)
+
+    def test_assumption_b_moment_follows_the_kernel_rate(self):
+        # F decays like exp(-rate t), so exp(0.05 t) F is integrable only
+        # for rate > 0.05, also where exp(0.05 t) alone overflows
+        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        for kernel_rate, ok in [(0.04, False), (0.06, True), (0.1, True), (3.0, True)]:
+            env = make_env(ExponentialKernel(kernel_rate, 0.01), rate, GammaSchedule.linear(1.0))
+            assert (env.validate("B") == []) == ok, kernel_rate
 
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]
@@ -358,6 +391,13 @@ class TestQuadrature:
         assert integrate(math.sin, 0.0, math.pi) == pytest.approx(2.0, rel=1e-9)
         assert integrate_to_inf(lambda t: math.exp(-0.5 * t), 0.0) == \
             pytest.approx(2.0, rel=1e-7)
+
+    def test_a_divergent_integrand_raises_with_its_factor_and_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrabilityError) as exc:
+                integrate_to_inf(lambda t: 1.0 / (1.0 + t), 0.0, factor="1/(1+t)")
+        assert exc.value.factor == "1/(1+t)"
 
     def test_breakpoint_handling(self):
         fn = lambda t: 1.0 if t < 1.0 else 0.0
