@@ -138,6 +138,8 @@ def _verify_sizes(sec, problems):
     suite of SUITES and a numeric keyword of it, read as its default's type."""
     sizes = {}
     for key in sec:
+        if key in sec.parser.defaults():  # named as [DEFAULT] already
+            continue
         suite, _, param = key.partition(".")
         if suite not in SUITES:
             problems.append(f"verify: {key}: unknown suite {suite!r}; "
@@ -157,6 +159,22 @@ def _verify_sizes(sec, problems):
     return sizes
 
 
+def _unknown_keys(parser):
+    """Name each section and key of the file that _DEFAULTS does not know
+    ([verify] keys are checked by _verify_sizes); DEFAULT counts as a
+    section, since configparser copies its keys into every other one."""
+    inherited = parser.defaults()
+    problems = [f"unknown section [{parser.default_section}]"] if inherited else []
+    for name in parser.sections():
+        if name not in _DEFAULTS:
+            problems.append(f"unknown section [{name}]")
+        elif name != "verify":
+            known = {parser.optionxform(key) for key in _DEFAULTS[name]}
+            problems += [f"{name}: unknown key {key!r}" for key in parser[name]
+                         if key not in known and key not in inherited]
+    return problems
+
+
 def load_config(path=None, seed_override=None, out_override=None):
     """Parse the INI file into a RenewalConfig plus run settings.
 
@@ -172,7 +190,7 @@ def load_config(path=None, seed_override=None, out_override=None):
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError([f"config file: {exc}"]) from exc
-    problems = []
+    problems = _unknown_keys(parser)
     kernel = _build_kernel(parser["kernel"], problems)
     rate = _build_rate(parser["rate"], problems)
     run = parser["run"]

@@ -48,10 +48,6 @@ class Kernel:
         """Integral of the positive part h_+ over [0, inf)."""
         raise NotImplementedError
 
-    @property
-    def majorant_l1(self):
-        raise NotImplementedError
-
     def sample_displacement(self, rng, size=None):
         """Draw from the normalized positive part h_+ / ||h_+||."""
         raise NotImplementedError
@@ -82,10 +78,6 @@ class ExponentialKernel(Kernel):
     def pos_l1(self):
         return max(self.amplitude, 0.0) / self.rate
 
-    @property
-    def majorant_l1(self):
-        return abs(self.amplitude) / self.rate
-
     def sample_displacement(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
 
@@ -111,10 +103,6 @@ class PowerLawKernel(Kernel):
     @property
     def pos_l1(self):
         return max(self.amplitude, 0.0) / (self.exponent - 1.0)
-
-    @property
-    def majorant_l1(self):
-        return abs(self.amplitude) / (self.exponent - 1.0)
 
     def sample_displacement(self, rng, size=None):
         u = rng.random(size)
@@ -181,10 +169,6 @@ class TableKernel(Kernel):
     def pos_l1(self):
         return sum(a for _, _, a in self._pos_segments())
 
-    @property
-    def majorant_l1(self):
-        return float(np.sum(self._maj_steps[:-1] * np.diff(self.ts)))
-
     def sample_displacement(self, rng, size=None):
         segs = self._pos_segments()
         areas = np.array([a for _, _, a in segs])
@@ -236,10 +220,6 @@ class PositivePartKernel(Kernel):
     @property
     def pos_l1(self):
         return self.base.pos_l1
-
-    @property
-    def majorant_l1(self):
-        return self.base.majorant_l1
 
     def sample_displacement(self, rng, size=None):
         return self.base.sample_displacement(rng, size)
@@ -583,32 +563,12 @@ class EnvelopeFns:
     # -- public evaluations --------------------------------------------------
 
     def f(self, t1, t2=INF):
-        """f(t1, t2) at a float t1, or elementwise at an array t1.
-
-        For an array and an exponential kernel this is one vector expression,
-        prefactor * hbar(t1) * (1 + J(t2)) + r(t1); other kernels evaluate
-        their inner integral point by point.  ``r`` is called per point, and
-        only when one was given.
-        """
-        k = self.kernel
-        if isinstance(t1, np.ndarray):
-            if not isinstance(k, ExponentialKernel):
-                vals = [self.f(t, t2) for t in t1.ravel().tolist()]
-                return np.array(vals, dtype=float).reshape(t1.shape)
-            if (t1 < 0).any():
-                raise ConfigError("f is defined for t1 >= 0")
-            hb = k.majorant(t1)
-            val = self.prefactor * (hb + hb * self._J(t2))
-            if self.r is not None:
-                val = val + np.array([float(self.r(t)) for t in t1.ravel().tolist()]
-                                     ).reshape(t1.shape)
-            if not np.isfinite(val).all():
-                raise IntegrabilityError("f evaluated non-finite", factor="majorant or r")
-            return val
+        """f(t1, t2) at a float t1; an exponential kernel reads hbar(t1) J(t2)
+        for its inner integral.  ``r`` is called only when one was given."""
         if t1 < 0:
             raise ConfigError("f is defined for t1 >= 0")
+        k = self.kernel
         if isinstance(k, ExponentialKernel):
-            # the same grouping as the array path, so both give the same bits
             hb = float(k.majorant(t1))
             val = self.prefactor * (hb + hb * self._J(t2))
         else:

@@ -154,12 +154,11 @@ class SplitStreams:
     """The two derived measures of a band split, as time-sorted (t, z) lists.
 
     ``down`` keeps original marks; ``up`` holds marks shifted down by the
-    lower band edge.  ``band`` is the band callable used.
+    lower band edge.
     """
 
     down: list
     up: list
-    band: object
 
 
 def split(pi, pibar, band, window, zmax):
@@ -194,4 +193,4 @@ def split(pi, pibar, band, window, zmax):
         if in_band(lo, z, hi):
             down.append((s, z))
     down.sort(key=_time)
-    return SplitStreams(down=down, up=up, band=band)
+    return SplitStreams(down=down, up=up)

@@ -103,9 +103,9 @@ class ZStart:
 
     ``signal_upper`` is a decreasing upper envelope of the signal (used for
     domination), ``signal_abs`` a decreasing envelope of its absolute value
-    (used by the post-alpha envelope checks).  ``signal_abs`` takes an array
-    of times and returns an array, or a float that holds at every time; an
-    :class:`ExpDecay` keeps exponential-kernel certificates in closed form.
+    (used by the post-alpha envelope checks).  ``signal_abs`` takes one
+    float time; an :class:`ExpDecay` keeps exponential-kernel certificates
+    in closed form.
     """
 
     signal: object
@@ -186,26 +186,7 @@ class RenewalOutcome(Diagnostics):
 # Certified comparison of decreasing functions on a half line
 # ---------------------------------------------------------------------------
 
-def _grid():
-    """The certificate's grid w_0 = 0, w_{k+1} = max(1.3 w_k, w_k + 0.05) up
-    to its first infinite point (past it a walk would only repeat that
-    point), and the right ends of the leftmost depth-0 leaves of its
-    intervals, by the bisection's own midpoint arithmetic."""
-    w = [0.0]
-    while math.isfinite(w[-1]):
-        w.append(max(w[-1] * 1.3, w[-1] + 0.05))
-    grid = np.array(w)
-    leaf = grid[1:]
-    with np.errstate(over="ignore"):  # the last finite points sum to inf
-        for _ in range(_DEPTH):
-            leaf = 0.5 * (grid[:-1] + leaf)
-    return grid, leaf
-
-
 _DEPTH = 14
-_GRID, _GRID_LEAF = _grid()
-_FIRST_RUN = 8
-_BATCH = 1024
 
 
 @dataclass(frozen=True)
@@ -224,7 +205,7 @@ def certify_dominated(ub, rhs):
     """Certify that the quantity enveloped by ``ub`` stays below ``rhs``.
 
     ``ub(w)`` must dominate the quantity on [w, inf); ``ub`` and ``rhs``
-    must be decreasing and take an array of points.
+    must be decreasing and are called at one float w at a time.
 
     When both are :class:`ExpDecay` with one rate, c_ub e^{-aw} and
     c_rhs e^{-aw}, the verdict is the test at w = 0 alone,
@@ -238,14 +219,12 @@ def certify_dominated(ub, rhs):
     the intervals (lo, hi) = (w_k, w_{k+1}) and requires
     ub(lo) <= rhs(hi) (1 + 1e-9) + 1e-12 on each, bisecting a failing
     interval down to depth 14; it accepts at the first k >= 1 with
-    ub(w_k) <= 1e-12.  The grid is read in runs of 8, 32, 128, ...
-    intervals, and the failing intervals are bisected one depth at a time in
-    batches of at most 1024, with one array call of ub and of rhs per run or
-    batch.  Batches are taken depth first, so a long refinement holds little
-    memory.
+    ub(w_k) <= 1e-12.  A first pass walks the grid, evaluating each grid
+    point once; a second bisects the failing intervals depth first,
+    carrying ub(lo) and rhs(hi) down, so no point is evaluated twice.
 
     Two exits keep a violated certificate cheap.  A grid interval whose
-    leftmost depth-0 leaf fails ends the walk as a failure: every interval
+    leftmost depth-14 leaf fails ends the walk as a failure: every interval
     on the way down to that leaf has the same left end and, rhs being
     decreasing, a smaller rhs at its right end, so the bisection would
     reach the leaf and fail there.  For the same reason so does an interval
@@ -260,56 +239,44 @@ def certify_dominated(ub, rhs):
     if isinstance(ub, ExpDecay) and isinstance(rhs, ExpDecay) and ub.rate == rhs.rate:
         return Certificate(bool(holds(ub.c, rhs.c)), 1)
 
-    def at(fn, w):
-        v = np.asarray(fn(w), dtype=float)
-        return v if v.shape == w.shape else np.full(w.shape, v)
-
-    # grid intervals k0..m-1 per run; the failing ones are kept for bisection
-    # as columns (lo, hi, ub(lo), rhs(hi))
-    points, k0, run, done, failing = 1, 0, _FIRST_RUN, False, []
-    u = at(ub, _GRID[:1])
-    while not done:
-        if k0 == len(_GRID) - 1:
-            return Certificate(False, points)
-        k1 = min(k0 + run, len(_GRID) - 1)
-        u = np.concatenate([u[-1:], at(ub, _GRID[k0 + 1:k1 + 1])])
-        below = np.flatnonzero(u[1:] <= _ABS_TOL)
-        done = len(below) > 0
-        m = k0 + 1 + int(below[0]) if done else k1
-        r = at(rhs, _GRID[k0 + 1:m + 1])
-        points += (k1 - k0) + (m - k0)
-        u_lo = u[:m - k0]
-        bad = ~holds(u_lo, r)
-        if bad.any():
-            points += int(bad.sum())
-            if not holds(u_lo[bad], at(rhs, _GRID_LEAF[k0:m][bad])).all():
+    # pass 1: the grid, keeping the failing intervals as (lo, hi, ub(lo), rhs(hi))
+    lo, u_lo, points, failing = 0.0, ub(0.0), 1, []
+    while True:
+        hi = max(lo * 1.3, lo + 0.05)
+        u_hi, r_hi = ub(hi), rhs(hi)
+        points += 2
+        if not holds(u_lo, r_hi):
+            leaf = hi
+            for _ in range(_DEPTH):
+                leaf = 0.5 * (lo + leaf)
+            points += 1
+            if not holds(u_lo, rhs(leaf)):
                 return Certificate(False, points)
-            failing.append(np.array([_GRID[k0:m], _GRID[k0 + 1:m + 1], u_lo, r])[:, bad])
-        k0, run = m, 4 * run
-    stack = [(np.concatenate(failing, axis=1), _DEPTH)] if failing else []
-    while stack:
-        nodes, depth = stack.pop()
-        if nodes.shape[1] > _BATCH:
-            stack.append((nodes[:, _BATCH:], depth))
-            nodes = nodes[:, :_BATCH]
+            failing.append((lo, hi, u_lo, r_hi, _DEPTH))
+        if u_hi <= _ABS_TOL:
+            break
+        if math.isinf(hi):  # the grid ends at its first infinite point
+            return Certificate(False, points)
+        lo, u_lo = hi, u_hi
+    # pass 2: bisect them depth first
+    while failing:
+        lo, hi, u_lo, r_hi, depth = failing.pop()
         if depth == 0:
             return Certificate(False, points)
-        lo, hi, u_lo, r_hi = nodes
         mid = 0.5 * (lo + hi)
-        u_mid, r_mid = at(ub, mid), at(rhs, mid)
-        points += 2 * len(mid)
-        if not holds(u_mid, r_mid).all():  # a right half fails at zero width
+        u_mid, r_mid = ub(mid), rhs(mid)
+        points += 2
+        if not holds(u_mid, r_mid):  # a right half fails at zero width
             return Certificate(False, points)
-        left, right = ~holds(u_lo, r_mid), ~holds(u_mid, r_hi)
-        kids = np.concatenate([np.array([lo, mid, u_lo, r_mid])[:, left],
-                               np.array([mid, hi, u_mid, r_hi])[:, right]], axis=1)
-        if kids.shape[1]:
-            stack.append((kids, depth - 1))
+        if not holds(u_mid, r_hi):
+            failing.append((mid, hi, u_mid, r_hi, depth - 1))
+        if not holds(u_lo, r_mid):
+            failing.append((lo, mid, u_lo, r_mid, depth - 1))
     return Certificate(True, points)
 
 
 def _majorant_sum(kernel, jumps, base):
-    """w -> sum_j hbar(base + w - u_j), at a float or an array of w.
+    """w -> sum_j hbar(base + w - u_j) at a float w.
 
     Exponential kernels reduce to one :class:`ExpDecay`.
     """
@@ -318,8 +285,7 @@ def _majorant_sum(kernel, jumps, base):
         a, amp = kernel.rate, abs(kernel.amplitude)
         coef = float(np.sum(np.exp(-a * (base - jumps))))
         return ExpDecay(amp * coef, a)
-    return lambda w: np.sum(
-        kernel.majorant(base + np.asarray(w, dtype=float)[..., None] - jumps), axis=-1)
+    return lambda w: np.sum(kernel.majorant(base + w - jumps))
 
 
 def _shifted(fn, s):
@@ -336,8 +302,7 @@ def _plus(f, g):
 def check_envelope_inequality(env, kernel, jumps, base, signal_abs=None):
     """Certify |sum h(t-u) + R(t)| <= f(t - base) for all t > base.
 
-    Returns a :class:`Certificate`; ``signal_abs`` bounds |R| and takes an
-    array of times."""
+    Returns a :class:`Certificate`; ``signal_abs`` bounds |R|."""
     ub = _majorant_sum(kernel, jumps, base)
     if signal_abs is not None:
         ub = _plus(ub, _shifted(signal_abs, base))

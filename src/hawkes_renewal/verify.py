@@ -7,6 +7,7 @@ ensemble sizes, so the command-line ``verify`` and the acceptance tests
 share one implementation.
 """
 
+import inspect
 import logging
 import math
 import time
@@ -352,8 +353,8 @@ def run_suites(names=None, sizes=None, n_jobs=1):
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         kw = dict(sizes.get(name, {}))
-        if name in ("renewal", "clt", "fclt", "lil", "moments") and "n_jobs" not in kw:
-            kw["n_jobs"] = n_jobs
+        if "n_jobs" in inspect.signature(SUITES[name]).parameters:
+            kw.setdefault("n_jobs", n_jobs)
         t0 = time.perf_counter()
         reports.extend(SUITES[name](**kw))
         log.info("suite %s: %.2f s", name, time.perf_counter() - t0)

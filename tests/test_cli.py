@@ -128,6 +128,10 @@ class TestConfigProblems:
         ("re-chain", "[run]\nn_steps = 0", "run: n_steps must be >= 1, got 0"),
         ("renewal", "[run]\nmax_cycles = 0", "run: max_cycles must be >= 1, got 0"),
         ("renewal", "[run]\nscan_cap = 0", "run: scan_cap must be >= 1, got 0"),
+        ("renewal", "[run]\nn_block = 3", "run: unknown key 'n_block'"),
+        ("renewal", "[kernel]\nrat = 2.0", "kernel: unknown key 'rat'"),
+        ("simulate", "[typo_section]\nx = 1", "unknown section [typo_section]"),
+        ("simulate", "[DEFAULT]\nseed = 2", "unknown section [DEFAULT]"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
@@ -135,7 +139,8 @@ class TestConfigProblems:
             "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",
             "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
             "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
-            "max_cycles-zero", "scan_cap-zero"])
+            "max_cycles-zero", "scan_cap-zero", "unknown-run-key", "unknown-kernel-key",
+            "unknown-section", "default-section"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
         assert main([command, "--config", cfg]) == 2

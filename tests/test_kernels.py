@@ -64,39 +64,23 @@ class TestEnvelopeValues:
         want = env.prefactor * (0.2 * (1.0 + t1) ** -4 + inner)
         assert abs(env.f(t1) - want) <= max(1e-8 * want, 1e-14)
 
-    def test_array_f_is_the_float_f_pointwise(self):
-        # the vector path of an exponential kernel and the per-point path of
-        # the others give the bits of the float path, with and without r
-        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
-        ts = np.array([0.0, 0.05, 0.3, 1.7, 12.0, 40.0])
-        r = lambda t: 0.2 * math.exp(-2.0 * t)
-        for kernel, r_fn in [(ExponentialKernel(1.0, 0.2), None),
-                             (ExponentialKernel(1.3, -0.4), r),
-                             (PowerLawKernel(0.2, 4.0), r)]:
-            env = make_env(kernel, rate, GammaSchedule.linear(1.0), r=r_fn)
-            for t2 in [0.0, 2.0, math.inf]:
-                got = env.f(ts, t2)
-                assert isinstance(got, np.ndarray) and got.shape == ts.shape
-                assert got.tolist() == [env.f(float(t), t2) for t in ts]
-            with pytest.raises(ConfigError):
-                env.f(np.array([0.5, -0.1]))
-
     def test_envelope_is_closed_form_only_for_exponential_kernels_without_r(self):
         rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
         sched = GammaSchedule.linear(1.0)
-        ts = np.array([0.0, 0.3, 1.7, 12.0])
+        ts = [0.0, 0.3, 1.7, 12.0]
         env = make_env(ExponentialKernel(1.3, -0.4), rate, sched)
         for t2 in [0.0, 2.0, math.inf]:
             fn = env.envelope(t2)
             assert fn == ExpDecay(env.f(0.0, t2), 1.3)
-            assert np.allclose(fn(ts), env.f(ts, t2), rtol=1e-14, atol=0.0)
+            assert np.allclose([fn(t) for t in ts], [env.f(t, t2) for t in ts],
+                               rtol=1e-14, atol=0.0)
         r = lambda t: 0.2 * math.exp(-2.0 * t)
         for kernel, r_fn in [(ExponentialKernel(1.0, 0.2), r),
                              (PowerLawKernel(0.2, 4.0), None)]:
             env = make_env(kernel, rate, sched, r=r_fn)
             fn = env.envelope(2.0)
             assert not isinstance(fn, ExpDecay)
-            assert fn(ts).tolist() == env.f(ts, 2.0).tolist()
+            assert [fn(t) for t in ts] == [env.f(t, 2.0) for t in ts]
 
     def test_exp_decay_shift_and_plus(self):
         g = ExpDecay(0.8, 2.0)
@@ -325,24 +309,19 @@ class TestKernels:
     def test_exponential_tail_helpers(self):
         k = ExponentialKernel(2.0, -3.0)
         assert k.pos_l1 == 0.0
-        assert k.majorant_l1 == pytest.approx(1.5)
 
     def test_exponential_float_path_gives_the_array_bits(self):
         # value and majorant at a float skip np.asarray; they must give the
-        # bits of the array path, and so must f, which relies on it
+        # bits of the array path
         rng = np.random.default_rng(31)
         ts = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0, 700.0, 745.0],
                              rng.exponential(3.0, 20000), rng.uniform(0.0, 1e-3, 2000)])
-        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
         for k in [ExponentialKernel(1.0, 0.2), ExponentialKernel(1.3, -0.4),
                   ExponentialKernel(0.37, 2.5)]:
             for fn in (k.value, k.majorant):
                 got = [fn(t) for t in ts.tolist()]
                 assert all(type(v) is np.float64 for v in got[:50])
                 assert np.array(got).tobytes() == fn(ts).tobytes()
-            env = make_env(k, rate, GammaSchedule.linear(1.0))
-            some = ts[:3000]
-            assert np.array([env.f(t) for t in some.tolist()]).tobytes() == env.f(some).tobytes()
 
     def test_powerlaw_needs_integrable_exponent(self):
         with pytest.raises(ConfigError):
