@@ -130,7 +130,9 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
             p_value=float("nan"), n=len(blocks), passed=gap_events == 0))
         w = [b.path.count(b.rho - cfg.D - 1.0, b.rho - cfg.D) for b in blocks]
         h = len(w) // 2
-        stat, p = scipy.stats.ks_2samp(w[:h], w[h:])
+        # the counts tie heavily, and the exact two-sample law then fails
+        # for samples in the thousands: take the asymptotic one outright
+        stat, p = scipy.stats.ks_2samp(w[:h], w[h:], method="asymp")
         reports.append(TestReport(
             name="terminal-window-stationarity", statistic=float(stat),
             p_value=float(p), n=len(w), passed=p >= alpha))

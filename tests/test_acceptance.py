@@ -12,12 +12,19 @@ import time
 
 import pytest
 
-from hawkes_renewal.verify import (suite_borel, suite_clt, suite_coupling,
+from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
+                                   suite_borel, suite_clt, suite_coupling,
                                    suite_fclt, suite_lil, suite_moments,
                                    suite_prm_split, suite_re_chain,
                                    suite_renewal, suite_thinning)
 
 N_JOBS = 2
+
+# the other setups through the exact-law gates of criteria 1, 2 and 4-6,
+# each on its own seed (criterion 1's fixture runs AD D=0 at seed 11)
+SETUPS = [("AD-D1", reference_ad_config, 1.0, 53),
+          ("O-D0", reference_o_config, 0.0, 59),
+          ("O-D1", reference_o_config, 1.0, 61)]
 
 
 def report_criterion(num, label, reports, runtime=None):
@@ -79,6 +86,20 @@ class TestAcceptance:
         reports, _ = renewal_reports
         sel = pick(reports, "block-count-correlation", "block-length-correlation")
         assert report_criterion(6, "consecutive-block correlations below 3/sqrt(n)", sel)
+
+    @pytest.mark.parametrize("make, D, seed", [s[1:] for s in SETUPS],
+                             ids=[s[0] for s in SETUPS])
+    def test_criteria_01_to_06_on_every_setup(self, make, D, seed):
+        t0 = time.perf_counter()
+        reports = suite_renewal(make(D=D), n_cycles=10**4, n_blocks=10**4,
+                                seed=seed, n_jobs=N_JOBS)
+        dt = time.perf_counter() - t0
+        names = {r.name for r in reports}
+        assert all(r.gating for r in reports)
+        if D > 0:
+            assert {"regeneration-gap-empty", "terminal-window-stationarity"} <= names
+        label = f"exact-law gates, {make.__name__}(D={D:g}), seed {seed}"
+        assert report_criterion("1-6", label, reports, runtime=dt)
 
     def test_criterion_07_borel_total_progeny(self):
         reports = suite_borel(n_clusters=10**5, mean_offspring=0.5, seed=13)
