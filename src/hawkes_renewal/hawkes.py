@@ -203,10 +203,11 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
     instead, as conditioned out of the driver.  ``watch(s, lams, width)``
     sees the intensities of every candidate of a band sweep.
 
-    Returns (hit, n): ``hit`` is (s, z - lam) for the band point that ended
-    the sweep, else None; ``n`` counts the candidates inspected.
+    Returns (hit, n, skipped): ``hit`` is (s, z - lam) for the band point
+    that ended the sweep, else None; ``n`` counts the candidates inspected
+    and ``skipped`` the band points skipped.
     """
-    n = 0
+    n = skipped = 0
     frontier = t_from
     while frontier < t_to - 1e-12:
         w_end = min(math.floor(frontier) + 1.0, t_to)
@@ -230,6 +231,7 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
             if top > limit:
                 raise DominationError("intensity exceeded its bound", at_time=s)
             if hit and suppress:
+                skipped += 1
                 continue
             jumped = False
             for tr, lam_tr in zip(tracks, lams):
@@ -237,14 +239,14 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
                     tr.add_jump(s)
                     jumped = True
             if hit:
-                return (s, z - lam), n
+                return (s, z - lam), n, skipped
             if jumped:
                 frontier = s
                 moved = True
                 break
         if not moved:
             frontier = w_end
-    return None, n
+    return None, n, skipped
 
 
 def path_to_csv(path, fh):

@@ -145,13 +145,15 @@ class Diagnostics:
     """The engine's counters, summed over cycles, blocks and workers:
     candidates inspected, band checks and violations with the largest
     excursions below and above the band (negative while every candidate
-    stayed inside), envelope certificates with the points they evaluated
-    and the failures among those made at an alpha, and tau tail draws."""
+    stayed inside), the band points that suppress sweeps skipped, envelope
+    certificates with the points they evaluated and the failures among
+    those made at an alpha, and tau tail draws."""
 
     band_max_low: float = -math.inf
     band_max_high: float = -math.inf
     band_violations: int = 0
     band_checks: int = 0
+    band_skipped: int = 0
     envelope_failures: int = 0
     certificates: int = 0
     certificate_points: int = 0
@@ -431,12 +433,14 @@ class _Engine:
         Returns (s, v) for a tau event, else None.
         """
         if mode == "free":
-            hit, n = thin(self.tracks, self.pi.sample, t_from, t_to)
+            hit, n, skipped = thin(self.tracks, self.pi.sample, t_from, t_to)
         else:
-            hit, n = thin(self.tracks + [self.cycle], self.pi.sample, t_from,
-                          t_to, band=(self.width, self.width_sup),
-                          suppress=mode == "suppress", watch=self._record_band)
+            hit, n, skipped = thin(self.tracks + [self.cycle], self.pi.sample,
+                                   t_from, t_to, band=(self.width, self.width_sup),
+                                   suppress=mode == "suppress",
+                                   watch=self._record_band)
         self.diag.n_candidates += n
+        self.diag.band_skipped += skipped
         self.swept_to = t_to if hit is None else hit[0]
         return hit
 

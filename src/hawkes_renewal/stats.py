@@ -126,7 +126,7 @@ def poisson_dispersion(counts, alpha=0.01, name="poisson-dispersion"):
 
 def se_bound_report(name, value, target, se, k=3.0, n=0, detail=""):
     """|value - target| <= k * se, reported with a two-sided normal p."""
-    z = abs(value - target) / se if se > 0 else math.inf
+    z = abs(value - target) / se if se > 0 else (0.0 if value == target else math.inf)
     p = 2.0 * scipy.stats.norm.sf(z)
     return TestReport(name=name, statistic=float(z), p_value=float(p), n=n,
                       passed=z <= k, alpha=scipy.stats.norm.sf(k) * 2,

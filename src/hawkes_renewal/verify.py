@@ -74,7 +74,8 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
 
     Covers the infinite-gap frequency, the conditional gap law, the
     geometric regeneration index, the pathwise band and envelope
-    certificates, and block independence.
+    certificates, the band points skipped below the drawn gaps, and block
+    independence.
     """
     cfg = cfg if cfg is not None else reference_ad_config(D=0.0)
     diag = {}
@@ -109,6 +110,17 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
         detail=f"checks={diag['band_checks']} "
                f"max_low={diag['band_max_low']:.3g} "
                f"max_high={diag['band_max_high']:.3g}"))
+    # a tail-drawn gap g is reached by a suppress sweep from the cycle
+    # horizon; the band points it skips on the way are Poisson with mean
+    # cum_F(g) - cum_F(horizon), as the band width is deterministic
+    drawn = [c.tau_gap for b in blocks for c in b.cycles if c.tau_from_tail]
+    base = cfg.env.cum_F(cfg.cycle_horizon)
+    skipped_mean = sum(cfg.env.cum_F(g) - base for g in drawn)
+    reports.append(se_bound_report(
+        "band-skipped-count", float(diag["band_skipped"]), skipped_mean,
+        math.sqrt(skipped_mean), n=len(drawn),
+        detail=f"skipped={diag['band_skipped']} expected={skipped_mean:.5g} "
+               f"over {len(drawn)} drawn gaps"))
     reports.append(TestReport(
         name="envelope-certificate", statistic=float(diag["envelope_failures"]),
         p_value=float("nan"), n=len(gaps),

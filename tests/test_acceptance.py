@@ -54,9 +54,10 @@ def pick(reports, *names):
 class TestAcceptance:
     def test_criterion_01_tau_gap_exact_law(self, renewal_reports):
         reports, dt = renewal_reports
-        sel = pick(reports, "tau-infinite-frequency", "tau-gap-conditional-law")
-        ok = report_criterion(1, "tau-gap exact law (3 SE + KS at 0.01)", sel,
-                              runtime=dt)
+        sel = pick(reports, "tau-infinite-frequency", "tau-gap-conditional-law",
+                   "band-skipped-count")
+        ok = report_criterion(1, "tau-gap exact law and skipped band points "
+                              "(3 SE + KS at 0.01)", sel, runtime=dt)
         assert ok
         assert dt < 300.0, "runtime target for the reference ensemble is 5 min"
 

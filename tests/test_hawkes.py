@@ -201,9 +201,10 @@ class TestSimulate:
                 tracks = [ProcessState(sp["kernel"], sp["rate"], signal=sp["signal"],
                                        signal_upper=sp["upper"], age0=sp["age0"],
                                        delay=sp["delay"]) for sp in specs]
-                hit, _ = thin(tracks, pi.sample, 0.0, 15.0, band=band,
-                              suppress=suppress)
+                hit, _, n_skipped = thin(tracks, pi.sample, 0.0, 15.0, band=band,
+                                         suppress=suppress)
                 assert hit == want_hit, (suppress, seed)
+                assert n_skipped == skipped, (suppress, seed)
                 for tr, ev in zip(tracks, want):
                     assert tr.jumps == ev, (suppress, seed)
                 outcomes[suppress].append((hit is not None, skipped))

@@ -636,12 +636,13 @@ class TestDiagnostics:
                                 certificate_points=40, n_candidates=7))
         total.merge(Diagnostics(band_max_low=-0.7, band_max_high=-1.0,
                                 band_violations=1, band_checks=2,
-                                envelope_failures=2, certificates=2,
-                                certificate_points=9, n_candidates=5,
-                                tau_tail_draws=1))
+                                band_skipped=4, envelope_failures=2,
+                                certificates=2, certificate_points=9,
+                                n_candidates=5, tau_tail_draws=1))
+        total.merge(Diagnostics(band_skipped=3))
         assert total == Diagnostics(
             band_max_low=-0.5, band_max_high=-1.0, band_violations=1,
-            band_checks=5, envelope_failures=2, certificates=3,
+            band_checks=5, band_skipped=7, envelope_failures=2, certificates=3,
             certificate_points=49, n_candidates=12, tau_tail_draws=1)
 
 
