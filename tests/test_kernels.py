@@ -310,18 +310,21 @@ class TestKernels:
         k = ExponentialKernel(2.0, -3.0)
         assert k.pos_l1 == 0.0
 
-    def test_exponential_float_path_gives_the_array_bits(self):
-        # value and majorant at a float skip np.asarray; they must give the
-        # bits of the array path
+    def test_float_paths_agree_with_the_array_paths(self):
+        # value and majorant at a float, and ExpDecay at a float, compute
+        # with math: a Python float within a relative 1e-15 of the array path
         rng = np.random.default_rng(31)
         ts = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0, 700.0, 745.0],
                              rng.exponential(3.0, 20000), rng.uniform(0.0, 1e-3, 2000)])
+        fns = [ExpDecay(0.7, 1.3)]
         for k in [ExponentialKernel(1.0, 0.2), ExponentialKernel(1.3, -0.4),
-                  ExponentialKernel(0.37, 2.5)]:
-            for fn in (k.value, k.majorant):
-                got = [fn(t) for t in ts.tolist()]
-                assert all(type(v) is np.float64 for v in got[:50])
-                assert np.array(got).tobytes() == fn(ts).tobytes()
+                  ExponentialKernel(0.37, 2.5), PowerLawKernel(0.2, 4.0),
+                  PowerLawKernel(-0.3, 2.5)]:
+            fns += [k.value, k.majorant]
+        for fn in fns:
+            got = [fn(t) for t in ts.tolist()]
+            assert all(type(v) is float for v in got)
+            assert np.allclose(got, fn(ts), rtol=1e-15, atol=0.0)
 
     def test_powerlaw_needs_integrable_exponent(self):
         with pytest.raises(ConfigError):
