@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConfigError, IntegrabilityError
 from .quadrature import integrate, integrate_to_inf
@@ -655,9 +654,34 @@ class EnvelopeFns:
         """Smallest t with tail mass <= frac * ||F||_1."""
         return self.inv_cum(self.F_l1 * (1.0 - frac))
 
+    def _exp_form(self, lo, hi):
+        """(A, B) with F(t) = A + B exp(-a t) on the table segment (lo, hi],
+        a the kernel's rate, or None.  F has that form for an exponential
+        kernel without r, where f(t) = f(0) exp(-a t), when g is constant on
+        the segment; g decreases, so it is when g takes one value just inside
+        both ends.  On [0, D] A = c_psi and B = L f(0); past D
+        A = c_psi g and B = 2 L f(0)."""
+        if not isinstance(self.kernel, ExponentialKernel) or self.r is not None:
+            return None
+        rate, f0 = self.rate, self.f(0.0)
+        if hi <= self.D:
+            return rate.c_psi, rate.L * f0
+        g = float(rate.g(math.nextafter(lo, INF)))
+        if g != float(rate.g(math.nextafter(hi, -INF))):
+            return None
+        return rate.c_psi * g, 2.0 * rate.L * f0
+
     def inv_cum(self, mass):
         """Smallest t with cum_F(t) >= mass; the end of the complete table
-        when no t reaches it."""
+        when no t reaches it.
+
+        Inside the table segment (lo, hi] that holds ``mass`` it runs Newton
+        from the left on the segment mass M(t) = int_lo^t F.  F decreases
+        there, so M is concave and the iterates rise to the root without
+        passing it; they stop at a step of at most 1e-12 max(t, 1).  Where
+        F = A + B exp(-a t) on the segment (:meth:`_exp_form`) each piece's
+        mass is closed-form, and with A = 0 the root is one logarithm;
+        elsewhere a piece's mass is one quadrature over that piece."""
         if mass <= 0:
             return 0.0
         while self._C[-1] < mass and not self._done:
@@ -665,8 +689,33 @@ class EnvelopeFns:
         k = bisect.bisect_left(self._C, mass)
         if k == len(self._C):
             return self._x[-1]
-        lo, C = self._x[k - 1], self._C[k - 1]
-        return brentq(lambda t: C + self._mass(lo, t) - mass, lo, self._x[k], xtol=1e-12)
+        lo, hi = self._x[k - 1], self._x[k]
+        rest = mass - self._C[k - 1]
+        form = self._exp_form(lo, hi)
+        if form is None:
+            # one ulp inside lo, as the table's quadratures: F may jump there
+            t, F = math.nextafter(lo, INF), self.F
+            piece = lambda t0, t1: integrate(F, t0, t1)
+        else:
+            (A, B), a = form, self.kernel.rate
+            if A == 0:
+                left = math.exp(-a * lo) - rest * a / B
+                return hi if left <= 0 else min(max(-math.log(left) / a, lo), hi)
+            t = lo
+            F = lambda t: A + B * math.exp(-a * t)
+            piece = lambda t0, t1: A * (t1 - t0) + B / a * (math.exp(-a * t0)
+                                                            - math.exp(-a * t1))
+        while True:
+            slope = F(t)
+            if slope <= 0:  # F vanishes from t on, so no later t adds mass
+                return t
+            nxt = min(t + rest / slope, hi)
+            if nxt <= t:
+                return t
+            if nxt - t <= 1e-12 * max(nxt, 1.0):
+                return nxt
+            rest -= piece(t, nxt)
+            t = nxt
 
     def validate(self, assumption="A", p=0.0):
         """Moment checks from the integrability assumptions; returns problems."""

@@ -2,12 +2,15 @@
 
 Each cycle restarts a delayed comparison process at the last certified time
 and surrounds its intensity with the deterministic band of width F.  The
-first driving-PRM point inside the band ends the cycle; a cycle with no
-band point (certified through the exact exp(-||F||_1) tail structure)
-yields the regeneration time rho = alpha_eta + D.  Blocks between
-consecutive regeneration times are independent and identically distributed
-by construction and restart from the certified state (age D, signal
--f(t+D)) on fresh streams.
+first band point ends the cycle; a cycle with no band point (probability
+exp(-||F||_1)) yields the regeneration time rho = alpha_eta + D.  The band
+is swept through the driving PRM up to the delay D only: past D its points
+form a Poisson process of the known mass int_D^inf F, so whether one exists
+and where the first lies are drawn from that exact law, and the PRM's band
+points below the drawn time are skipped.  Blocks between consecutive
+regeneration times are independent and identically distributed by
+construction and restart from the certified state (age D, signal -f(t+D))
+on fresh streams.
 """
 
 import math
@@ -28,7 +31,6 @@ from .reprocess import step
 
 _SLACK = 1e-9
 _ABS_TOL = 1e-12
-_TAIL_FRAC = 1e-3  # share of ||F||_1 left to the exact tail certificate
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +40,9 @@ _TAIL_FRAC = 1e-3  # share of ||F||_1 left to the exact tail certificate
 @dataclass
 class RenewalConfig:
     """Everything the renewal system needs, with its caps; ``env`` is built
-    from the other fields."""
+    from the other fields.  A cycle sweeps the band up to its horizon D and
+    draws tau past it from the band mass beyond, which is computed once
+    with the band mass up to D (``cycle_horizon``, ``cycle_tail_mass``)."""
 
     kernel: object
     rate: object
@@ -61,18 +65,18 @@ class RenewalConfig:
 
     @cached_property
     def _cut(self):
-        horizon = max(self.D, self.env.t_cut(_TAIL_FRAC))
-        return horizon, self.env.tail_mass(horizon)
+        """The cycle horizon D with the band mass up to it and beyond it."""
+        return self.D, self.env.cum_F(self.D), self.env.tail_mass(self.D)
 
     @property
     def cycle_horizon(self):
-        """Cycle length max(D, t_cut) past which the tail certificate takes over."""
+        """Cycle length D, past which tau is drawn from its exact law."""
         return self._cut[0]
 
     @property
     def cycle_tail_mass(self):
         """The band mass beyond the cycle horizon, computed with it."""
-        return self._cut[1]
+        return self._cut[2]
 
     def validate(self):
         problems = list(self.rate.validate())
@@ -447,27 +451,34 @@ class _Engine:
     # -- tau sampling ---------------------------------------------------------
 
     def run_cycle(self):
-        """One cycle from the last alpha; returns tau (absolute) or None."""
+        """One cycle from the last alpha a; returns (tau, v, from_tail), with
+        tau absolute, or (None, None, False) when the cycle has no band point.
+
+        The band is swept in cycle mode on (a, a + D] only, and not at all
+        when D = 0.  Past D, whether a band point exists is one draw with
+        probability 1 - exp(-tail mass), and its gap one draw from the exact
+        conditional law through ``inv_cum``; the sweep up to it skips the
+        PRM's band points, which that law conditions out.
+        """
         a = self.alphas[-1]
         # every read of this cycle and of the later ones starts at or after a
         self.pi.forget_before(a)
         self.pibar.forget_before(a)
         self._new_cycle(a)
-        horizon = a + self.cfg.cycle_horizon
-        hit = self.sweep(a, horizon, "cycle")
-        if hit is not None:
-            s, v = hit
-            return s, v, False
-        m_rem = self.cfg.cycle_tail_mass
+        D, head, m_rem = self.cfg._cut
+        if D > 0:
+            hit = self.sweep(a, a + D, "cycle")
+            if hit is not None:
+                s, v = hit
+                return s, v, False
         if m_rem <= 0 or self.rng.random() >= 1.0 - math.exp(-m_rem):
             return None, None, False
-        # a band point exists beyond the horizon: sample its time from the
-        # exact conditional law and extend the simulation up to it
+        # a band point exists past D: sample its time from the exact
+        # conditional law and extend the simulation up to it
         self.diag.tau_tail_draws += 1
         e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m_rem)))
-        gap = self.env.inv_cum(self.env.cum_F(self.cfg.cycle_horizon) + e)
-        s = a + gap
-        self.sweep(horizon, s, "suppress")
+        s = a + self.env.inv_cum(head + e)
+        self.sweep(a + D, s, "suppress")
         v = self.rng.random() * self.width(s)
         z = self.cycle.lambda_at(s) + v
         for tr in self.tracks:

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
                             ExponentialKernel, GammaSchedule,
@@ -185,6 +186,32 @@ class TestEnvelopeValues:
             for frac in (1e-3, 0.1, 0.5):
                 assert env.tail_mass(env.t_cut(frac)) == pytest.approx(frac * env.F_l1,
                                                                        rel=1e-9)
+
+    def test_inverse_band_mass_meets_its_mass_and_a_root_search(self):
+        # the three references take the closed form, the custom g of
+        # test_f_pre_substitution the quadrature of each Newton piece
+        ad = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        custom_g = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
+                            g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
+        envs = [make_env(ExponentialKernel(1.0, 0.2), ad, GammaSchedule.linear(1.0), D=0.0),
+                make_env(ExponentialKernel(1.0, 0.2), ad, GammaSchedule.linear(1.0), D=1.0),
+                make_env(ExponentialKernel(1.0, 0.3), RateSpec.linear(0.5, 1.0),
+                         GammaSchedule.linear(1.0)),
+                make_env(ExponentialKernel(1.0, 1.0), custom_g, const_sched(1.0))]
+        for env in envs:
+            env.cum_F(1e3)  # the complete table
+            end = env._C[-1]
+            # masses on a grid, and at and next to the table knots and the
+            # jumps of F (D and the g break)
+            masses = list(np.linspace(0.0, 1.0, 101)[1:-1] * env.F_l1)
+            for c in env._C[1:] + [env.cum_F(env.D), env.cum_F(1.0)]:
+                masses += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
+            for m in (float(m) for m in masses if 0.0 < m < end):
+                t = env.inv_cum(m)
+                assert abs(env.cum_F(t) - m) <= 1e-9, (m, t)
+                ref = brentq(lambda s: env.cum_F(s) - m, 0.0, env._x[-1], xtol=1e-14)
+                # the same root, to the mass that F resolves there
+                assert abs(t - ref) * env.F(ref) <= 1e-10, (m, t, ref)
 
     def test_a_query_next_to_a_jump_stays_on_its_side(self):
         # F(1) is the value left of the g break; a quadrature that evaluates

@@ -13,11 +13,11 @@ import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name, seed, digest", [
-    ("ad-blocks", 1, "2f056efe8cc5c537085f96eea6145ee75de5add581177cc095762e209bb26bf1"),
-    ("ad-blocks", 2, "49ccae0ea1685e8e723979cc8731af8a3130bd87598716c7eab7eaa3b4f9c2b4"),
-    ("o-blocks", 1, "5a173357a25ac8c9c0b2e0578771d49fd7cfbaad2e7a8a246de43bfac9b74fdc"),
-    ("o-blocks", 2, "3713adaf17ad205bdfeb5558b806b805c4830c0d8f183597be7d33097681d66b"),
-    ("clt-ensemble", 1, "eaf1a8575b304f5a5375ec7111f4b662e44b27f15cd3bed0f890d67ad3418d8f"),
+    ("ad-blocks", 1, "741be96b0971563171afc43f975597eebb20f6a90804da577bc8d0c57916a09a"),
+    ("ad-blocks", 2, "c9fcc309121cafbe186bcd208f98dea7ee227a3af28c9caccd6ed4737e85dd69"),
+    ("o-blocks", 1, "bbda03b8c26198fea2d80c75fa91d75d27a97b8c2d8f5b9f7e17ee24435cc96d"),
+    ("o-blocks", 2, "eac0c456e46664418fe9bf9a29d4b6951709b40d7d68188340a43a40971a307d"),
+    ("clt-ensemble", 1, "874dcfcc6d44c7f55729f2116053045f2b1e7e20e9a7947aabc9f41df890b3e4"),
 ], ids=["ad-blocks-1", "ad-blocks-2", "o-blocks-1", "o-blocks-2", "clt-ensemble-1"])
 def test_solution_passes_its_checks_with_its_pinned_digest(name, seed, digest):
     sol = workloads.solve(workloads.WORKLOADS[name], seed)

@@ -323,7 +323,7 @@ class TestRunSystem:
     def test_cycle_tail_mass_is_cached_with_the_horizon(self, make, D, monkeypatch):
         cfg = make(D=D)
         env = cfg.env
-        cut = max(D, env.t_cut(renewal._TAIL_FRAC))
+        cut = D
         assert cfg.cycle_horizon == cut
         assert cfg.cycle_tail_mass == env.tail_mass(cut)
         # the cycles read the cached value instead of asking the envelope
@@ -333,9 +333,8 @@ class TestRunSystem:
         iterate_regenerations(cfg, 8, seed=3)
         assert calls == []
 
-    def test_tail_draws_land_past_the_horizon(self, monkeypatch):
-        # with half the band mass left to the tail, tail draws are common
-        monkeypatch.setattr(renewal, "_TAIL_FRAC", 0.5)
+    def test_tail_draws_land_past_the_horizon(self):
+        # every band point past D is drawn from its law, so draws are common
         cfg = reference_ad_config(D=1.0)
         diag = {}
         blocks = iterate_regenerations(cfg, 40, seed=2, collect_diag=diag)
@@ -386,11 +385,13 @@ class TestRunSystem:
         assert out.envelope_failures == 0
 
     def test_band_scale_mutation_shifts_the_law(self, monkeypatch):
-        # halving the band width must visibly inflate P(tau = inf)
+        # halving the band width must visibly inflate P(tau = inf); the
+        # width is what the cycle sweep on (0, D] reads (past D tau is drawn
+        # from cum_F, and the band-skipped gate catches a halved width there)
         width = renewal._Engine.width
         monkeypatch.setattr(renewal._Engine, "width",
                             lambda eng, s: 0.5 * width(eng, s))
-        cfg = reference_ad_config(D=0.0)
+        cfg = reference_ad_config(D=1.0)
         q = math.exp(-cfg.env.F_l1)
         n_inf = n_cyc = 0
         for b in iterate_regenerations(cfg, 300, seed=21):
@@ -616,11 +617,11 @@ class TestPinnedOutputs:
     # moves them must say why and pass the exact-law gates again
     @pytest.mark.parametrize("make, D, seed, n, pin", [
         (reference_ad_config, 1.0, 6, 60,
-         "cee8cdc8faebe422ca7fc1fb8a81766486d267ca4cb9dc6c919b71fb1e44dfe9"),
+         "23be3600e2ee9e29cf03163e0b021c7105ac5fbe68dd87b6e02fd67f50c3d4b4"),
         (reference_ad_config, 0.0, 9, 60,
-         "87581e6714d0b07a936380a6e19913f79ca08011b9a7b25b47cf156404090cee"),
+         "b9dcee1b85e835aa74b6ceed5ed28e4a1835beedd861c9e079f5077a1a38249a"),
         (reference_o_config, 0.0, 3, 12,
-         "324ef307fdf601a66b98fce055e16126956922e050b29c3205bb3567b2c22649"),
+         "e5c8be54e80b25bc3126bd329f0e20a66b2d09e77e30eb544e938518ff59f020"),
     ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3"])
     def test_blocks_match_their_pin(self, make, D, seed, n, pin):
         assert blocks_digest(iterate_regenerations(make(D=D), n, seed=seed)) == pin
@@ -677,6 +678,22 @@ class TestSuiteRenewalCounts:
         assert diag["band_violations"] == 0
         assert -1.0 < diag["band_max_low"] <= 0.0
         assert -1.0 < diag["band_max_high"] < 0.0
+
+    def test_band_skipped_sums_what_the_sweeps_skip(self, monkeypatch):
+        # every tau past D comes from its law, and the suppress sweep up to
+        # it skips the band points it meets
+        seen = []
+
+        def recorded(*args, **kwargs):
+            hit, n, skipped = thin(*args, **kwargs)
+            seen.append(skipped)
+            return hit, n, skipped
+
+        thin = renewal.thin
+        monkeypatch.setattr(renewal, "thin", recorded)
+        diag = {}
+        iterate_regenerations(reference_ad_config(D=0.0), 60, seed=4, collect_diag=diag)
+        assert diag["band_skipped"] == sum(seen) > 0
 
     def test_band_gate_counts_every_block(self, monkeypatch):
         # the suite draws several rounds here; its band-invariant gate must
