@@ -702,7 +702,7 @@ class EnvelopeFns:
                 left = math.exp(-a * lo) - rest * a / B
                 return hi if left <= 0 else min(max(-math.log(left) / a, lo), hi)
             t = lo
-            F = lambda t: A + B * math.exp(-a * t)
+            F = lambda s: A + B * math.exp(-a * s)
             piece = lambda t0, t1: A * (t1 - t0) + B / a * (math.exp(-a * t0)
                                                             - math.exp(-a * t1))
         while True:

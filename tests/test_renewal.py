@@ -323,9 +323,8 @@ class TestRunSystem:
     def test_cycle_tail_mass_is_cached_with_the_horizon(self, make, D, monkeypatch):
         cfg = make(D=D)
         env = cfg.env
-        cut = D
-        assert cfg.cycle_horizon == cut
-        assert cfg.cycle_tail_mass == env.tail_mass(cut)
+        assert cfg.cycle_horizon == D
+        assert cfg.cycle_tail_mass == env.tail_mass(D)
         # the cycles read the cached value instead of asking the envelope
         calls = []
         monkeypatch.setattr(EnvelopeFns, "tail_mass",
