@@ -186,7 +186,7 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
     return Path(np.array(state.jumps), horizon=horizon, origin=origin)
 
 
-def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
+def thin(tracks, read, t_from, t_to, band=None, watch=None):
     """Drive ``tracks`` on (t_from, t_to] by windowed exact thinning of one driver.
 
     ``read(t0, t1, zmax)`` returns the driver's (t, z) points in (t0, t1] x
@@ -197,15 +197,12 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
 
     ``band = (width, width_sup)`` puts the band (lam, lam + width(s)] on
     the last track, lam being its intensity; ``width_sup(t0, t1)`` bounds
-    the width on a window and raises that track's bound.  The first band
-    point ends the sweep: the other tracks take it as a jump where z lies
-    below their intensity.  With ``suppress`` band points are skipped
-    instead, as conditioned out of the driver.  ``watch(s, lams, width)``
+    the width on a window and raises that track's bound.  Band points are
+    skipped, as conditioned out of the driver.  ``watch(s, lams, width)``
     sees the intensities of every candidate of a band sweep.
 
-    Returns (hit, n, skipped): ``hit`` is (s, z - lam) for the band point
-    that ended the sweep, else None; ``n`` counts the candidates inspected
-    and ``skipped`` the band points skipped.
+    Returns (n, skipped): the candidates inspected and the band points
+    skipped.
     """
     n = skipped = 0
     frontier = t_from
@@ -222,15 +219,15 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
         for s, z in read(frontier, w_end, bound):
             n += 1
             lams = [tr.lambda_at(s) for tr in tracks]
-            top, hit = max(lams), False
+            top = max(lams)
             if band is not None:
                 lam, width = lams[-1], band[0](s)
-                top, hit = max(top, lam + width), in_band(lam, z, lam + width)
+                top = max(top, lam + width)
                 if watch is not None:
                     watch(s, lams, width)
             if top > limit:
                 raise DominationError("intensity exceeded its bound", at_time=s)
-            if hit and suppress:
+            if band is not None and in_band(lam, z, lam + width):
                 skipped += 1
                 continue
             jumped = False
@@ -238,15 +235,13 @@ def thin(tracks, read, t_from, t_to, band=None, suppress=False, watch=None):
                 if z <= lam_tr:
                     tr.add_jump(s)
                     jumped = True
-            if hit:
-                return (s, z - lam), n, skipped
             if jumped:
                 frontier = s
                 moved = True
                 break
         if not moved:
             frontier = w_end
-    return None, n, skipped
+    return n, skipped
 
 
 def path_to_csv(path, fh):

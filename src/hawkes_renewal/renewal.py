@@ -4,13 +4,13 @@ Each cycle restarts a delayed comparison process at the last certified time
 and surrounds its intensity with the deterministic band of width F.  The
 first band point ends the cycle; a cycle with no band point (probability
 exp(-||F||_1)) yields the regeneration time rho = alpha_eta + D.  The band
-is swept through the driving PRM up to the delay D only: past D its points
-form a Poisson process of the known mass int_D^inf F, so whether one exists
-and where the first lies are drawn from that exact law, and the PRM's band
-points below the drawn time are skipped.  Blocks between consecutive
-regeneration times are independent and identically distributed by
-construction and restart from the certified state (age D, signal -f(t+D))
-on fresh streams.
+points form a Poisson process of intensity F (on the delay D the band is
+the fixed strip (0, F], as the comparison process is silent there), so
+whether one exists and where the first lies are drawn from that exact law,
+and the sweep up to the drawn time skips the PRM's band points.  Blocks
+between consecutive regeneration times are independent and identically
+distributed by construction and restart from the certified state (age D,
+signal -f(t+D)) on fresh streams.
 """
 
 import math
@@ -18,7 +18,6 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -40,9 +39,8 @@ _ABS_TOL = 1e-12
 @dataclass
 class RenewalConfig:
     """Everything the renewal system needs, with its caps; ``env`` is built
-    from the other fields.  A cycle sweeps the band up to its horizon D and
-    draws tau past it from the band mass beyond, which is computed once
-    with the band mass up to D (``cycle_horizon``, ``cycle_tail_mass``)."""
+    from the other fields.  A cycle draws tau from the band's exact law, of
+    total mass ``env.F_l1``."""
 
     kernel: object
     rate: object
@@ -63,20 +61,12 @@ class RenewalConfig:
     def setup(self):
         return self.rate.setup
 
-    @cached_property
-    def _cut(self):
-        """The cycle horizon D with the band mass up to it and beyond it."""
-        return self.D, self.env.cum_F(self.D), self.env.tail_mass(self.D)
-
     @property
     def cycle_horizon(self):
-        """Cycle length D, past which tau is drawn from its exact law."""
-        return self._cut[0]
-
-    @property
-    def cycle_tail_mass(self):
-        """The band mass beyond the cycle horizon, computed with it."""
-        return self._cut[2]
+        """0.0: every tau is drawn from its exact law, so no cycle sweeps
+        the band to a horizon first.  Kept for the benchmark's set-up
+        timing, which reads it."""
+        return 0.0
 
     def validate(self):
         problems = list(self.rate.validate())
@@ -141,7 +131,11 @@ class CycleRecord:
     tau_gap: float
     alpha_gap: float
     envelope_ok: bool = True
-    tau_from_tail: bool = False
+
+    @property
+    def tau_from_tail(self):
+        """True for a finite tau, as every one is drawn from its law."""
+        return math.isfinite(self.tau_gap)
 
 
 @dataclass
@@ -149,9 +143,9 @@ class Diagnostics:
     """The engine's counters, summed over cycles, blocks and workers:
     candidates inspected, band checks and violations with the largest
     excursions below and above the band (negative while every candidate
-    stayed inside), the band points that suppress sweeps skipped, envelope
+    stayed inside), the band points that band sweeps skipped, envelope
     certificates with the points they evaluated and the failures among
-    those made at an alpha, and tau tail draws."""
+    those made at an alpha, and tau draws (one per finite tau)."""
 
     band_max_low: float = -math.inf
     band_max_high: float = -math.inf
@@ -396,7 +390,6 @@ class _Engine:
         self.cycle = None       # current/last comparison process
         self.cycle_start = None
         self.diag = Diagnostics()
-        self.swept_to = 0.0
 
     # -- band helpers -------------------------------------------------------
 
@@ -427,65 +420,47 @@ class _Engine:
 
     # -- joint candidate sweeps ----------------------------------------------
 
-    def sweep(self, t_from, t_to, mode):
-        """Advance all live processes on (t_from, t_to].
-
-        mode 'free'     : tracks only, no band.
-        mode 'cycle'    : band active, first band point returns as tau.
-        mode 'suppress' : band active but conditioned empty; band points of
-                          the driver are skipped entirely.
-        Returns (s, v) for a tau event, else None.
-        """
-        if mode == "free":
-            hit, n, skipped = thin(self.tracks, self.pi.sample, t_from, t_to)
-        else:
-            hit, n, skipped = thin(self.tracks + [self.cycle], self.pi.sample,
-                                   t_from, t_to, band=(self.width, self.width_sup),
-                                   suppress=mode == "suppress",
-                                   watch=self._record_band)
+    def sweep(self, t_from, t_to, banded):
+        """Advance all live processes on (t_from, t_to]: the tracks alone,
+        or with ``banded`` the tracks and the cycle process under its band,
+        whose points are skipped as the band is conditioned empty there."""
+        tracks, band = self.tracks, None
+        if banded:
+            tracks, band = tracks + [self.cycle], (self.width, self.width_sup)
+        n, skipped = thin(tracks, self.pi.sample, t_from, t_to, band=band,
+                          watch=self._record_band)
         self.diag.n_candidates += n
         self.diag.band_skipped += skipped
-        self.swept_to = t_to if hit is None else hit[0]
-        return hit
 
     # -- tau sampling ---------------------------------------------------------
 
     def run_cycle(self):
-        """One cycle from the last alpha a; returns (tau, v, from_tail), with
-        tau absolute, or (None, None, False) when the cycle has no band point.
+        """One cycle from the last alpha a; returns tau, absolute, or None
+        when the cycle has no band point.
 
-        The band is swept in cycle mode on (a, a + D] only, and not at all
-        when D = 0.  Past D, whether a band point exists is one draw with
-        probability 1 - exp(-tail mass), and its gap one draw from the exact
-        conditional law through ``inv_cum``; the sweep up to it skips the
-        PRM's band points, which that law conditions out.
+        The band's points are Poisson with intensity F(. - a): whether one
+        exists is one draw with probability 1 - exp(-||F||_1), and its gap
+        one draw from the exact conditional law through ``inv_cum``.  The
+        sweep up to it skips the PRM's band points, which that law
+        conditions out, and the point is placed uniformly in the band.
         """
         a = self.alphas[-1]
         # every read of this cycle and of the later ones starts at or after a
         self.pi.forget_before(a)
         self.pibar.forget_before(a)
         self._new_cycle(a)
-        D, head, m_rem = self.cfg._cut
-        if D > 0:
-            hit = self.sweep(a, a + D, "cycle")
-            if hit is not None:
-                s, v = hit
-                return s, v, False
-        if m_rem <= 0 or self.rng.random() >= 1.0 - math.exp(-m_rem):
-            return None, None, False
-        # a band point exists past D: sample its time from the exact
-        # conditional law and extend the simulation up to it
+        m = self.env.F_l1
+        if self.rng.random() >= 1.0 - math.exp(-m):
+            return None
         self.diag.tau_tail_draws += 1
-        e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m_rem)))
-        s = a + self.env.inv_cum(head + e)
-        self.sweep(a + D, s, "suppress")
-        v = self.rng.random() * self.width(s)
-        z = self.cycle.lambda_at(s) + v
+        e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m)))
+        s = a + self.env.inv_cum(e)
+        self.sweep(a, s, True)
+        z = self.cycle.lambda_at(s) + self.rng.random() * self.width(s)
         for tr in self.tracks:
             if z <= tr.lambda_at(s):
                 tr.add_jump(s)
-        self.swept_to = s
-        return s, v, True
+        return s
 
     # -- scan drivers -----------------------------------------------------------
 
@@ -575,11 +550,14 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         state, whose alpha0 = 0 is certified).
     extra_starts : more ZStart values sharing pi and the stopping times;
         used by coupling experiments.
-    tau_rng : Generator for the tail certificates (derived from pi's seed
-        when omitted).
+    tau_rng : Generator for the tau draws (derived from pi's seed when
+        omitted).
     extend_after : continue all target processes this far past rho
-        (band-suppressed, which is their exact conditional law).
+        (band points skipped, which is their exact conditional law).
 
+    The tracks are swept up to alpha_eta, or with ``extend_after`` up to
+    rho + extend_after: on (alpha_eta, rho] they have no event, as the last
+    cycle has no band point and their intensities lie in the band.
     Returns a :class:`RenewalOutcome`.
     """
     starts = [start if start is not None else ZStart.atom(cfg.env)]
@@ -589,12 +567,12 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     eng = _Engine(cfg, pi, pibar, starts, tau_rng)
 
     if eng.alpha0 > 0:
-        eng.sweep(0.0, eng.alpha0, "free")
+        eng.sweep(0.0, eng.alpha0, False)
         eng.certify_tracks(eng.alpha0)
 
     eta = None
     for n in range(1, cfg.max_cycles + 1):
-        s_tau, v, from_tail = eng.run_cycle()
+        s_tau = eng.run_cycle()
         if s_tau is None:
             eng.taus.append(math.inf)
             eta = n - 1
@@ -602,12 +580,12 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         a_prev = eng.alphas[-1]
         eng.taus.append(s_tau)
         alpha = eng.find_alpha(s_tau, s_tau - a_prev)
-        eng.sweep(s_tau, alpha, "free")
+        eng.sweep(s_tau, alpha, False)
         env_ok = eng.certify_tracks(alpha)
         eng.alphas.append(alpha)
         eng.cycles.append(CycleRecord(
             index=n, tau_gap=s_tau - a_prev, alpha_gap=alpha - s_tau,
-            envelope_ok=env_ok, tau_from_tail=from_tail))
+            envelope_ok=env_ok))
     else:
         raise SimulationCapError(
             f"no regeneration within {cfg.max_cycles} cycles "
@@ -619,8 +597,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     end = rho
     if extend_after > 0:
         end = rho + extend_after
-        if end > eng.swept_to:
-            eng.sweep(eng.swept_to, end, "suppress")
+        eng.sweep(eng.alphas[-1], end, True)
     track_paths = [
         Path(np.array([u for u in tr.jumps if u <= end + 1e-12]), horizon=end)
         for tr in eng.tracks

@@ -110,17 +110,15 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
         detail=f"checks={diag['band_checks']} "
                f"max_low={diag['band_max_low']:.3g} "
                f"max_high={diag['band_max_high']:.3g}"))
-    # a tail-drawn gap g is reached by a suppress sweep from the cycle
-    # horizon; the band points it skips on the way are Poisson with mean
-    # cum_F(g) - cum_F(horizon), as the band width is deterministic
-    drawn = [c.tau_gap for b in blocks for c in b.cycles if c.tau_from_tail]
-    base = cfg.env.cum_F(cfg.cycle_horizon)
-    skipped_mean = sum(cfg.env.cum_F(g) - base for g in drawn)
+    # a drawn gap g is reached by a band sweep from the cycle start; the
+    # band points it skips are Poisson with mean cum_F(g), as the band
+    # width is deterministic
+    skipped_mean = sum(cfg.env.cum_F(g) for g in gaps)
     reports.append(se_bound_report(
         "band-skipped-count", float(diag["band_skipped"]), skipped_mean,
-        math.sqrt(skipped_mean), n=len(drawn),
+        math.sqrt(skipped_mean), n=len(gaps),
         detail=f"skipped={diag['band_skipped']} expected={skipped_mean:.5g} "
-               f"over {len(drawn)} drawn gaps"))
+               f"over {len(gaps)} drawn gaps"))
     reports.append(TestReport(
         name="envelope-certificate", statistic=float(diag["envelope_failures"]),
         p_value=float("nan"), n=len(gaps),

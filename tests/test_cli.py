@@ -167,7 +167,7 @@ class TestReferenceDigests:
     @pytest.mark.parametrize("text, events, cycles", [
         ("[envelope]\nD = 1.0\n",
          "b4f7ae70f66b649c83322609dc97d865d60433f00c0974dd5980a16701f501f5",
-         "94d9cfffdfb6bb3c1bbe3222ae3b110609a222cb96219e9cdf2a054aca115500"),
+         "777d388778bdc3974494808a187ed910c0c214ba9be5f69de7dae016f6a4e04f"),
         ("[kernel]\namplitude = 0.3\n[rate]\nform = linear\nc = 0.5\nL = 1.0\n",
          "e2aca9d9a7dd0267acfd0b7096041a3440c8d89d04c74012aaecd29883b39e68",
          "d98c6393bdd2eeba0ba60ba014aa43d4efb0edf41450be3e0dfc5062d4ecb15a"),
@@ -273,8 +273,8 @@ class TestVerify:
     def test_broken_band_fails_the_band_gates(self, tmp_path, capsys, monkeypatch):
         # halve the band width of the mechanism; fork workers inherit it.
         # The renewal suite runs AD D=0, where every tau is drawn from cum_F,
-        # so the tau law holds; the suppress sweep below each drawn gap
-        # skips only half the band, and candidates leave the halved band
+        # so the tau law holds; the band sweep below each drawn gap skips
+        # only half the band, and candidates leave the halved band
         width = renewal._Engine.width
         monkeypatch.setattr(renewal._Engine, "width",
                             lambda eng, s: 0.5 * width(eng, s))
