@@ -17,7 +17,7 @@ from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
-from hawkes_renewal import renewal, spawn_rng
+from hawkes_renewal import hawkes, renewal, spawn_rng
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.renewal import _majorant_sum, certify_dominated
 from hawkes_renewal.stats import functional_clt_paths, lil_envelope
@@ -630,6 +630,48 @@ class TestDiagnostics:
             band_max_low=-0.5, band_max_high=-1.0, band_violations=1,
             band_checks=5, band_skipped=7, envelope_failures=2, certificates=3,
             certificate_points=49, n_candidates=12, tau_tail_draws=1)
+
+
+class _ScaledMass:
+    """An envelope whose band mass ||F||_1 is ``scale`` times the true one."""
+
+    def __init__(self, env, scale):
+        self.env, self.scale = env, scale
+
+    def __getattr__(self, name):
+        return getattr(self.env, name)
+
+    @property
+    def F_l1(self):
+        return self.scale * self.env.F_l1
+
+
+class TestGatesCanFail:
+    # each plants one defect in the engine and runs the exact-law gates on
+    # AD D=1 at the smallest ensemble that rejects it clearly
+    def gates(self, n_cycles, n_blocks):
+        reports = suite_renewal(reference_ad_config(D=1.0), n_cycles=n_cycles,
+                                n_blocks=n_blocks, seed=21)
+        return {r.name: r for r in reports}
+
+    def test_band_sweeps_that_keep_band_points_fail(self, monkeypatch):
+        monkeypatch.setattr(hawkes, "in_band", lambda lo, z, hi: False)
+        by_name = self.gates(300, 100)
+        assert by_name["band-skipped-count"].statistic > 5.0
+
+    def test_a_scaled_band_mass_fails(self, monkeypatch):
+        # the cycles draw tau with 0.9 ||F||_1; the gates read the true mass
+        init = renewal._Engine.__init__
+
+        def scaled(eng, *args, **kwargs):
+            init(eng, *args, **kwargs)
+            eng.env = _ScaledMass(eng.env, 0.9)
+
+        monkeypatch.setattr(renewal._Engine, "__init__", scaled)
+        by_name = self.gates(10**4, 3000)
+        assert by_name["tau-infinite-frequency"].statistic > 5.0
+        assert by_name["eta-geometric"].p_value < 1e-4
+        assert by_name["tau-gap-conditional-law"].p_value < 1e-4
 
 
 class TestSuiteRenewalCounts:
