@@ -332,9 +332,10 @@ def cmd_re_chain(cfg, settings):
 
 
 def cmd_verify(cfg, settings, only=None):
+    """The suites on ``cfg``, or on their reference models when it is None."""
     names = [only] if only else None
     reports = run_suites(names=names, sizes=settings["verify_sizes"],
-                         n_jobs=settings["parallel"])
+                         n_jobs=settings["parallel"], cfg=cfg)
     _write_and_print(reports, settings, "verify_reports.csv")
     failed = [r for r in reports if r.gating and not r.passed]
     for r in failed:
@@ -387,7 +388,8 @@ def main(argv=None):
             return cmd_clt(cfg, settings)
         if args.command == "re-chain":
             return cmd_re_chain(cfg, settings)
-        return cmd_verify(cfg, settings, only=args.only)
+        # without --config the suites keep their reference models
+        return cmd_verify(cfg if args.config else None, settings, only=args.only)
     except ConfigError as exc:
         for prob in exc.problems:
             print(f"config error: {prob}", file=sys.stderr)

@@ -352,11 +352,13 @@ SUITES = {
 }
 
 
-def run_suites(names=None, sizes=None, n_jobs=1):
+def run_suites(names=None, sizes=None, n_jobs=1, cfg=None):
     """Run the named suites (all by default) and return their reports.
 
-    ``sizes`` maps suite name -> dict of keyword overrides.  Each suite's
-    name and time are logged at INFO level.
+    ``sizes`` maps suite name -> dict of keyword overrides.  ``cfg``, a
+    :class:`RenewalConfig`, replaces the reference model of the suites that
+    take one (renewal, coupling, clt, fclt and lil); the others run their
+    own fixed models.  Each suite's name and time are logged at INFO level.
     """
     names = list(SUITES) if names is None else list(names)
     sizes = sizes or {}
@@ -365,8 +367,11 @@ def run_suites(names=None, sizes=None, n_jobs=1):
         if name not in SUITES:
             raise ConfigError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
         kw = dict(sizes.get(name, {}))
-        if "n_jobs" in inspect.signature(SUITES[name]).parameters:
+        params = inspect.signature(SUITES[name]).parameters
+        if "n_jobs" in params:
             kw.setdefault("n_jobs", n_jobs)
+        if cfg is not None and "cfg" in params:
+            kw["cfg"] = cfg
         t0 = time.perf_counter()
         reports.extend(SUITES[name](**kw))
         log.info("suite %s: %.2f s", name, time.perf_counter() - t0)

@@ -270,11 +270,21 @@ class TestVerify:
         fname = os.path.join(str(tmp_path / "out"), "verify_reports.csv")
         assert open(fname).readline().strip() == "test,statistic,p_value,n,pass"
 
+    def test_config_file_sets_the_model_of_the_suites(self, tmp_path, capsys):
+        # regeneration-gap-empty is reported only for a model with D > 0,
+        # and the reference model of the renewal suite has D = 0
+        text = BASE_CONFIG + (
+            "\n[envelope]\nD = 1.0\n"
+            "\n[verify]\nrenewal.n_cycles = 300\nrenewal.n_blocks = 100\n")
+        assert main(["verify", "--config", write(tmp_path, text),
+                     "--only", "renewal"]) == 0
+        assert "regeneration-gap-empty" in capsys.readouterr().out
+
     def test_broken_band_fails_the_band_gates(self, tmp_path, capsys, monkeypatch):
         # halve the band width of the mechanism; fork workers inherit it.
-        # The renewal suite runs AD D=0, where every tau is drawn from cum_F,
-        # so the tau law holds; the band sweep below each drawn gap skips
-        # only half the band, and candidates leave the halved band
+        # The renewal suite runs the file's model, AD D=0; every tau is drawn
+        # from cum_F, so the tau law holds; the band sweep below each drawn
+        # gap skips only half the band, and candidates leave the halved band
         width = renewal._Engine.width
         monkeypatch.setattr(renewal._Engine, "width",
                             lambda eng, s: 0.5 * width(eng, s))
