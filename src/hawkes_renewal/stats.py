@@ -107,6 +107,29 @@ def chi2_gof(observed, probs, alpha=0.01, min_expected=5.0, ddof=0,
                       detail=f"{len(o_pool)} pooled bins")
 
 
+def chi2_two_sample(a, b, alpha=0.01, min_expected=5.0, name="chi-square-2samp"):
+    """Chi-square test that two samples of counts share one law, on their
+    2 x k table of value frequencies; adjacent values are pooled from 0 up
+    until every cell expects ``min_expected``, the rest joining the last."""
+    top = max(max(a), max(b)) + 1
+    table = np.array([np.bincount(a, minlength=top), np.bincount(b, minlength=top)])
+    share = table.sum(axis=1).min() / table.sum()  # of the smaller sample
+    cols, acc = [], 0
+    for col in table.T:
+        acc = acc + col
+        if share * acc.sum() >= min_expected:
+            cols.append(acc)
+            acc = 0
+    if cols:
+        cols[-1] = cols[-1] + acc
+    stat, p = 0.0, 1.0  # one pooled value: nothing to compare
+    if len(cols) > 1:
+        stat, p = scipy.stats.chi2_contingency(np.array(cols).T, correction=False)[:2]
+    return TestReport(name=name, statistic=float(stat), p_value=float(p),
+                      n=len(a) + len(b), passed=p >= alpha, alpha=alpha,
+                      detail=f"{len(cols)} pooled values")
+
+
 def ks_against(samples, cdf, alpha=0.01, name="kolmogorov-smirnov"):
     stat, p = scipy.stats.kstest(samples, cdf)
     return TestReport(name=name, statistic=float(stat), p_value=float(p),

@@ -22,9 +22,10 @@ from .kernels import ExponentialKernel, GammaSchedule, RateSpec
 from .prm import PrmStream, spawn_rng, split
 from .renewal import RenewalConfig, iterate_regenerations
 from .reprocess import REChain, return_time, invariant_cdf
-from .stats import (TestReport, blocks_until, chi2_gof, clt_time_average,
-                    coupling_experiment, functional_clt_paths, ks_against,
-                    lil_envelope, poisson_dispersion, se_bound_report)
+from .stats import (TestReport, blocks_until, chi2_gof, chi2_two_sample,
+                    clt_time_average, coupling_experiment, functional_clt_paths,
+                    ks_against, lil_envelope, poisson_dispersion,
+                    se_bound_report)
 
 log = logging.getLogger("hawkes_renewal")
 
@@ -140,12 +141,8 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
             p_value=float("nan"), n=len(blocks), passed=gap_events == 0))
         w = [b.path.count(b.rho - cfg.D - 1.0, b.rho - cfg.D) for b in blocks]
         h = len(w) // 2
-        # the counts tie heavily, and the exact two-sample law then fails
-        # for samples in the thousands: take the asymptotic one outright
-        stat, p = scipy.stats.ks_2samp(w[:h], w[h:], method="asymp")
-        reports.append(TestReport(
-            name="terminal-window-stationarity", statistic=float(stat),
-            p_value=float(p), n=len(w), passed=p >= alpha))
+        reports.append(chi2_two_sample(w[:h], w[h:], alpha=alpha,
+                                       name="terminal-window-stationarity"))
     return reports
 
 

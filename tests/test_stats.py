@@ -9,7 +9,8 @@ from hawkes_renewal import Path
 from hawkes_renewal.renewal import Block
 from hawkes_renewal.stats import (ad_normality, batch_means_sigma2,
                                   block_stat_from_blocks, blocks_until, chi2_gof,
-                                  functional_clt_paths, unit_counts)
+                                  chi2_two_sample, functional_clt_paths,
+                                  unit_counts)
 from hawkes_renewal.verify import reference_ad_config, run_suites
 from hawkes_renewal.renewal import iterate_regenerations
 
@@ -85,6 +86,22 @@ class TestHelpers:
         probs = np.array([0.4, 0.35, 0.15, 0.06, 0.03, 0.008, 0.0015, 0.0005])
         rep = chi2_gof(obs, probs)
         assert rep.passed
+
+    def test_two_sample_counts_tell_their_laws_apart(self):
+        # small heavily tied counts, as in a unit window before a gap
+        rng = np.random.default_rng(4)
+        same = chi2_two_sample(rng.poisson(0.4, 5000), rng.poisson(0.4, 5000))
+        assert same.passed and same.p_value > 0.01
+        apart = chi2_two_sample(rng.poisson(0.4, 5000), rng.poisson(0.5, 5000))
+        assert not apart.passed and apart.p_value < 1e-4
+
+    def test_two_sample_pooling_keeps_five_expected_per_cell(self):
+        a = np.array([0] * 50 + [1] * 30 + [2] * 8 + [3] * 2 + [7])
+        b = np.array([0] * 45 + [1] * 35 + [2] * 9 + [4])
+        rep = chi2_two_sample(a, b)
+        # values 2 and up pool into one cell: 0, 1 and the tail
+        assert rep.detail == "3 pooled values"
+        assert rep.n == len(a) + len(b)
 
 
 class TestProgressLogging:
