@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DominationError
-from .kernels import ExponentialKernel
+from .kernels import (ExpDecay, ExponentialKernel, PositivePartKernel,
+                      TableKernel)
 from .prm import in_band
 
 _SLACK = 1e-9
@@ -45,16 +46,21 @@ class Path:
 class KernelMemory:
     """Incremental evaluation of sum_j h(t - u_j) over recorded jumps u_j < t.
 
-    Exponential kernels use an anchored prefix recursion (O(1) extension,
-    O(log n) random access, numerically stable); other kernels fall back to
-    direct summation.  ``majorant_sum`` gives the same sum under hbar, which
-    dominates any future value of the true sum.
+    An exponential majorant (an exponential kernel or its positive part)
+    keeps an anchored prefix recursion (O(1) extension, O(log n) random
+    access, numerically stable); a table kernel sums over the jumps within
+    its support, found by bisection; other kernels sum directly.
+    ``majorant_sum`` gives the same sum under hbar, which dominates any
+    future value of the true sum, and ``majorant_from`` the left side of an
+    envelope certificate.
     """
 
     def __init__(self, kernel):
         self.kernel = kernel
         self.jumps = []
-        self._exp = isinstance(kernel, ExponentialKernel)
+        base = kernel.base if isinstance(kernel, PositivePartKernel) else kernel
+        self._exp = base if isinstance(base, ExponentialKernel) else None
+        self._reach = base.support_end if isinstance(base, TableKernel) else None
         if self._exp:
             self._S = []  # S_k = sum_j exp(-rate (u_k - u_j)), anchored at u_k
 
@@ -63,26 +69,33 @@ class KernelMemory:
             raise ValueError("jumps must be added in strictly increasing order")
         if self._exp:
             if self.jumps:
-                decay = math.exp(-self.kernel.rate * (u - self.jumps[-1]))
+                decay = math.exp(-self._exp.rate * (u - self.jumps[-1]))
                 self._S.append(1.0 + decay * self._S[-1])
             else:
                 self._S.append(1.0)
         self.jumps.append(u)
 
     def _weighted(self, t, idx, amp):
-        """amp * sum_{j < idx} exp(-rate (t - u_j)) of an exponential kernel."""
+        """amp * sum_{j < idx} exp(-rate (t - u_j)) of an exponential majorant."""
         if idx == 0:
             return 0.0
         u = self.jumps[idx - 1]
-        return amp * math.exp(-self.kernel.rate * (t - u)) * self._S[idx - 1]
+        return amp * math.exp(-self._exp.rate * (t - u)) * self._S[idx - 1]
+
+    def _within(self, t, idx):
+        """The jumps before index ``idx``, as an array; for a table kernel
+        only those its support reaches from t, with a margin for rounding."""
+        lo = 0 if self._reach is None else bisect.bisect_left(
+            self.jumps, t - self._reach - 1e-9 * (1.0 + abs(t)), 0, idx)
+        return np.array(self.jumps[lo:idx])
 
     def value_at(self, t):
         """sum h(t - u) over jumps u < t."""
         idx = bisect.bisect_left(self.jumps, t)
-        if self._exp:
+        if isinstance(self.kernel, ExponentialKernel):
             return self._weighted(t, idx, self.kernel.amplitude)
-        us = np.array(self.jumps[:idx])
-        return float(np.sum(self.kernel.value(t - us))) if idx else 0.0
+        us = self._within(t, idx)
+        return float(np.sum(self.kernel.value(t - us))) if len(us) else 0.0
 
     def majorant_sum(self, t):
         """sum hbar(t - u) over jumps u <= t.
@@ -93,9 +106,20 @@ class KernelMemory:
         """
         idx = bisect.bisect_right(self.jumps, t)
         if self._exp:
-            return self._weighted(t, idx, abs(self.kernel.amplitude))
-        us = np.array(self.jumps[:idx])
-        return float(np.sum(self.kernel.majorant(t - us))) if idx else 0.0
+            return self._weighted(t, idx, abs(self._exp.amplitude))
+        us = self._within(t, idx)
+        return float(np.sum(self.kernel.majorant(t - us))) if len(us) else 0.0
+
+    def majorant_from(self, base):
+        """w -> sum hbar(base + w - u) over jumps u <= base, at a float w.
+
+        An :class:`ExpDecay` of ``majorant_sum(base)`` for an exponential
+        majorant, else a closure over the jumps up to base.
+        """
+        if self._exp:
+            return ExpDecay(self.majorant_sum(base), self._exp.rate)
+        us = self._within(base, bisect.bisect_right(self.jumps, base))
+        return lambda w: float(np.sum(self.kernel.majorant(base + w - us)))
 
 
 class ProcessState:

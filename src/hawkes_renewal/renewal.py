@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
-from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, RateSpec,
-                      borel_c_h, ceil_int, check_subcritical, pos_part)
+from .kernels import (EnvelopeFns, ExpDecay, RateSpec, borel_c_h, ceil_int,
+                      check_subcritical, pos_part)
 from .prm import PrmStream, derive_key, spawn_rng, split
 from .reprocess import step
 
@@ -141,11 +141,12 @@ class CycleRecord:
 @dataclass
 class Diagnostics:
     """The engine's counters, summed over cycles, blocks and workers:
-    candidates inspected, band checks and violations with the largest
-    excursions below and above the band (negative while every candidate
-    stayed inside), the band points that band sweeps skipped, envelope
-    certificates with the points they evaluated and the failures among
-    those made at an alpha, and tau draws (one per finite tau)."""
+    candidates of the track sweeps (past tau in setup O, joint with Z^n),
+    band checks and violations with the largest excursions below and above
+    the band (negative while every candidate stayed inside), band points
+    skipped by band sweeps, envelope certificates with their points and the
+    failures among those made at an alpha, and tau draws (one per finite
+    tau)."""
 
     band_max_low: float = -math.inf
     band_max_high: float = -math.inf
@@ -275,19 +276,6 @@ def certify_dominated(ub, rhs):
     return Certificate(True, points)
 
 
-def _majorant_sum(kernel, jumps, base):
-    """w -> sum_j hbar(base + w - u_j) at a float w.
-
-    Exponential kernels reduce to one :class:`ExpDecay`.
-    """
-    jumps = np.asarray(jumps, dtype=float)
-    if isinstance(kernel, ExponentialKernel):
-        a, amp = kernel.rate, abs(kernel.amplitude)
-        coef = float(np.sum(np.exp(-a * (base - jumps))))
-        return ExpDecay(amp * coef, a)
-    return lambda w: np.sum(kernel.majorant(base + w - jumps))
-
-
 def _shifted(fn, s):
     """w -> fn(s + w), an :class:`ExpDecay` again when fn is one."""
     return fn.shift(s) if isinstance(fn, ExpDecay) else lambda w: fn(s + w)
@@ -299,11 +287,12 @@ def _plus(f, g):
     return both if both is not None else lambda w: f(w) + g(w)
 
 
-def check_envelope_inequality(env, kernel, jumps, base, signal_abs=None):
-    """Certify |sum h(t-u) + R(t)| <= f(t - base) for all t > base.
+def check_envelope_inequality(env, memory, base, signal_abs=None):
+    """Certify |sum h(t-u) + R(t)| <= f(t - base) for all t > base, the sum
+    running over the jumps u <= base of the :class:`KernelMemory` ``memory``.
 
     Returns a :class:`Certificate`; ``signal_abs`` bounds |R|."""
-    ub = _majorant_sum(kernel, jumps, base)
+    ub = memory.majorant_from(base)
     if signal_abs is not None:
         ub = _plus(ub, _shifted(signal_abs, base))
     return certify_dominated(ub, env.envelope())
@@ -339,25 +328,25 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
                              diagnostics={"last_state": m})
 
 
-def scan_alpha_O(env, sched, kernel, zn_upto, tau_gap, cap=4000, certs=None):
+def scan_alpha_O(env, sched, zn, tau_gap, cap=4000, certs=None):
     """Ordinary-setup alpha scan on the dominating linear process.
 
-    ``zn_upto(T)`` returns the (local-time) jumps of the comparison process
-    on (0, T], including the initial point at ``tau_gap``.  An integer
-    offset i qualifies when the jump count respects the integrated
-    schedule and the shifted kernel mass of all jumps is certified below
-    f(. , i-1) beyond i.  Each :class:`Certificate` made is appended to
-    ``certs`` when given.
+    ``zn(i)``, called at i = ceil(tau_gap) + 1, + 2, ... in turn, returns
+    the comparison process's jump count on (0, i] in local time, the
+    initial point at ``tau_gap`` included, and the shifted kernel mass of
+    those jumps, w -> sum_j hbar(i + w - u_j).  An integer offset i
+    qualifies when the count respects the integrated schedule and the mass
+    is certified below f(. , i-1).  Each :class:`Certificate` made is
+    appended to ``certs`` when given.
     """
     ceil_gap = ceil_int(tau_gap)
     i = ceil_gap
     while i < cap:
         i += 1
-        jumps = zn_upto(float(i))
-        if len(jumps) > sched.int_shifted(float(i)) + 1e-9:
+        count, mass = zn(i)
+        if count > sched.int_shifted(float(i)) + 1e-9:
             continue
-        cert = certify_dominated(_majorant_sum(kernel, jumps, float(i)),
-                                 env.envelope(i - 1.0))
+        cert = certify_dominated(mass, env.envelope(i - 1.0))
         if certs is not None:
             certs.append(cert)
         if cert:
@@ -420,11 +409,11 @@ class _Engine:
 
     # -- joint candidate sweeps ----------------------------------------------
 
-    def sweep(self, t_from, t_to, banded):
-        """Advance all live processes on (t_from, t_to]: the tracks alone,
-        or with ``banded`` the tracks and the cycle process under its band,
+    def sweep(self, t_from, t_to, banded, lead=()):
+        """Advance the tracks on (t_from, t_to] after the processes in
+        ``lead``, or with ``banded`` before the cycle process under its band,
         whose points are skipped as the band is conditioned empty there."""
-        tracks, band = self.tracks, None
+        tracks, band = [*lead, *self.tracks], None
         if banded:
             tracks, band = tracks + [self.cycle], (self.width, self.width_sup)
         n, skipped = thin(tracks, self.pi.sample, t_from, t_to, band=band,
@@ -465,6 +454,7 @@ class _Engine:
     # -- scan drivers -----------------------------------------------------------
 
     def find_alpha(self, tau_abs, tau_gap):
+        """The next alpha, absolute, with the tracks swept up to it."""
         a = self.alphas[-1]
         cfg = self.cfg
 
@@ -485,36 +475,31 @@ class _Engine:
             K = cfg.rate.K
             def counts(i):
                 return len(read(a + i - 1.0, a + i, K))
-            off = scan_alpha_AD(cfg.sched, counts, tau_gap, cap=cfg.scan_cap)
-            return a + off
-        # ordinary setup: grow the dominating linear process on demand
+            alpha = a + scan_alpha_AD(cfg.sched, counts, tau_gap, cap=cfg.scan_cap)
+            self.sweep(tau_abs, alpha, False)
+            return alpha
+        # ordinary setup: grow the dominating linear process Z^n on demand,
+        # alone on the split reader up to tau, where its first point is,
+        # then in one sweep with the tracks, whose intensities it dominates
         env = self.env
-        hplus = pos_part(cfg.kernel)
-        pre_rate = RateSpec.linear(cfg.rate.c_psi, cfg.rate.L)
-        def sig(t):
-            w = max(t - a, 0.0)
-            extra = hplus.value(t - tau_abs) if t > tau_abs else 0.0
-            return env.f(w) + float(extra)
-        def sig_up(t):
-            w = max(t - a, 0.0)
-            extra = hplus.majorant(t - tau_abs) if t > tau_abs else \
-                hplus.majorant(0.0)
-            return env.f(w) + float(extra)
-        zpre = ProcessState(hplus, pre_rate, signal=sig, signal_upper=sig_up,
-                            age0=0.0, delay=0.0, origin=a)
-        state = {"frontier": a}
+        f_from_a = lambda t: env.f(max(t - a, 0.0))
+        zpre = ProcessState(pos_part(cfg.kernel),
+                            RateSpec.linear(cfg.rate.c_psi, cfg.rate.L),
+                            signal=f_from_a, signal_upper=f_from_a, origin=a)
+        thin([zpre], read, a, tau_abs)
+        zpre.add_jump(tau_abs)
+        swept = tau_abs
 
-        def zn_upto(T_local):
-            target = a + T_local
-            if target > state["frontier"]:
-                thin([zpre], read, state["frontier"], target)
-                state["frontier"] = target
-            local = np.array([u - a for u in zpre.jumps if u <= target + 1e-12])
-            return np.sort(np.append(local, tau_gap))
+        def zn(i):
+            nonlocal swept
+            t = a + i
+            self.sweep(swept, t, False, lead=(zpre,))
+            swept = t
+            return len(zpre.jumps), zpre.memory.majorant_from(t)  # all at or before t
 
         certs = []
-        off = scan_alpha_O(env, cfg.sched, cfg.kernel, zn_upto, tau_gap,
-                           cap=cfg.scan_cap, certs=certs)
+        off = scan_alpha_O(env, cfg.sched, zn, tau_gap, cap=cfg.scan_cap,
+                           certs=certs)
         for cert in certs:
             self._count(cert)
         return a + off
@@ -527,15 +512,12 @@ class _Engine:
         return cert.ok
 
     def certify_tracks(self, alpha):
-        ok_all = True
-        for tr, st in zip(self.tracks, self.starts):
-            jumps = np.array([u for u in tr.jumps if u <= alpha + 1e-12])
-            ok = self._count(check_envelope_inequality(
-                self.env, self.cfg.kernel, jumps, alpha, signal_abs=st.signal_abs))
-            if not ok:
-                ok_all = False
-                self.diag.envelope_failures += 1
-        return ok_all
+        """Certify every track's envelope at alpha, reading its memory."""
+        fails = sum(not self._count(check_envelope_inequality(
+            self.env, tr.memory, alpha, signal_abs=st.signal_abs))
+            for tr, st in zip(self.tracks, self.starts))
+        self.diag.envelope_failures += fails
+        return fails == 0
 
 
 def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
@@ -580,7 +562,6 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         a_prev = eng.alphas[-1]
         eng.taus.append(s_tau)
         alpha = eng.find_alpha(s_tau, s_tau - a_prev)
-        eng.sweep(s_tau, alpha, False)
         env_ok = eng.certify_tracks(alpha)
         eng.alphas.append(alpha)
         eng.cycles.append(CycleRecord(

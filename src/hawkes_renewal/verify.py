@@ -355,7 +355,8 @@ def run_suites(names=None, sizes=None, n_jobs=1, cfg=None):
     ``sizes`` maps suite name -> dict of keyword overrides.  ``cfg``, a
     :class:`RenewalConfig`, replaces the reference model of the suites that
     take one (renewal, coupling, clt, fclt and lil); the others run their
-    own fixed models.  Each suite's name and time are logged at INFO level.
+    own fixed models, and with a ``cfg`` their detail lines say so.  Each
+    suite's name and time are logged at INFO level.
     """
     names = list(SUITES) if names is None else list(names)
     sizes = sizes or {}
@@ -370,6 +371,10 @@ def run_suites(names=None, sizes=None, n_jobs=1, cfg=None):
         if cfg is not None and "cfg" in params:
             kw["cfg"] = cfg
         t0 = time.perf_counter()
-        reports.extend(SUITES[name](**kw))
+        out = SUITES[name](**kw)
+        if cfg is not None and "cfg" not in params:
+            for r in out:
+                r.detail = f"{r.detail} [ran its own fixed model, not the config file's]".lstrip()
+        reports.extend(out)
         log.info("suite %s: %.2f s", name, time.perf_counter() - t0)
     return reports

@@ -7,6 +7,7 @@ import pytest
 
 from hawkes_renewal import RenewalConfig, renewal
 from hawkes_renewal.cli import load_config, main
+from hawkes_renewal.verify import reference_ad_config, run_suites
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -279,6 +280,23 @@ class TestVerify:
         assert main(["verify", "--config", write(tmp_path, text),
                      "--only", "renewal"]) == 0
         assert "regeneration-gap-empty" in capsys.readouterr().out
+
+    def test_fixed_model_suites_say_they_ignore_the_file(self, tmp_path, capsys):
+        note = "[ran its own fixed model, not the config file's]"
+        fixed = {"moments": {"n_small": 20}, "thinning": {"n_runs": 3},
+                 "prm-split": {"horizon": 200}, "borel": {"n_clusters": 200},
+                 "re-chain": {"n_steps": 2000, "n_kac": 200}}
+        sizes = fixed | {"renewal": {"n_cycles": 30, "n_blocks": 10}}
+        plain = run_suites(list(fixed), sizes=sizes)
+        filed = run_suites(list(sizes), sizes=sizes, cfg=reference_ad_config(D=1.0))
+        # every report of a fixed-model suite carries the note, no other does
+        assert [r.name for r in filed if r.detail.endswith(note)] == \
+            [r.name for r in plain]
+        assert not any(note in r.detail for r in plain)
+        text = BASE_CONFIG + "\n[verify]\nthinning.n_runs = 3\n"
+        assert main(["verify", "--config", write(tmp_path, text),
+                     "--only", "thinning"]) == 0
+        assert note in capsys.readouterr().out
 
     def test_broken_band_fails_the_band_gates(self, tmp_path, capsys, monkeypatch):
         # halve the band width of the mechanism; fork workers inherit it.

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (ConfigError, ExponentialKernel, Path, PowerLawKernel,
-                            PrmStream, RateSpec, ZeroKernel, path_to_csv,
-                            simulate_adhp)
+from hawkes_renewal import (ConfigError, ExpDecay, ExponentialKernel, Path,
+                            PowerLawKernel, PrmStream, RateSpec, TableKernel,
+                            ZeroKernel, path_to_csv, pos_part, simulate_adhp)
 from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
 
 
@@ -82,6 +82,58 @@ class TestQueries:
             us = times[times < t]
             direct = float(np.sum(0.7 * np.exp(-1.3 * (t - us))))
             assert mem.value_at(t) == pytest.approx(direct, abs=1e-10)
+
+    @pytest.mark.parametrize("kernel, closed_form", [
+        (ExponentialKernel(1.3, 0.7), True),
+        (PowerLawKernel(0.2, 4.0), False),
+        (TableKernel([(0, .3), (1, -.1), (3, .05), (5, .02)]), False),
+        (pos_part(ExponentialKernel(0.8, -0.5)), True),
+        (pos_part(TableKernel([(0, -.2), (0.5, .4), (2, .1), (4, 0)])), False),
+    ], ids=["exponential", "power-law", "table", "exp-positive-part",
+            "table-positive-part"])
+    def test_majorant_from_is_the_direct_sum(self, kernel, closed_form):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            times = np.sort(rng.uniform(0, 30, rng.integers(0, 40)))
+            mem = KernelMemory(kernel)
+            for u in times:
+                mem.add(float(u))
+            for base in rng.uniform(0, 35, 3).tolist():
+                ub = mem.majorant_from(base)
+                assert isinstance(ub, ExpDecay) == closed_form
+                us = times[times <= base]
+                for w in [0.0, 0.3, 1.7, 6.0]:
+                    direct = float(np.sum(kernel.majorant(base + w - us)))
+                    assert ub(w) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_table_memory_sums_the_jumps_within_its_support(self):
+        sizes = []
+
+        class Recorded(TableKernel):
+            def value(self, t):
+                sizes.append(np.size(t))
+                return super().value(t)
+
+            def majorant(self, t):
+                sizes.append(np.size(t))
+                return super().majorant(t)
+
+        kernel = Recorded([(0, .3), (1, -.1), (3, .05), (5, .02)])
+        rng = np.random.default_rng(6)
+        times = np.sort(rng.uniform(0, 200, 400))
+        mem = KernelMemory(kernel)
+        for u in times:
+            mem.add(float(u))
+        # random times, and times one support length after a jump
+        for t in np.concatenate([rng.uniform(0, 210, 40), times[::25] + 5.0]).tolist():
+            past, upto = times[times < t], times[times <= t]
+            value = float(np.sum(TableKernel.value(kernel, t - past)))
+            maj = float(np.sum(TableKernel.majorant(kernel, t - upto)))
+            assert mem.value_at(t) == pytest.approx(value, rel=1e-12, abs=1e-15)
+            assert mem.majorant_sum(t) == pytest.approx(maj, rel=1e-12, abs=0.0)
+            assert mem.majorant_from(t)(0.0) == pytest.approx(maj, rel=1e-12, abs=0.0)
+        # about 10 jumps fall within the support, never the whole past
+        assert 0 < max(sizes) < 25
 
     def test_age_conventions(self):
         rate = RateSpec.linear(1.0, 0.5)

@@ -6,6 +6,7 @@ import math
 import os
 import signal
 import time
+import types
 
 import numpy as np
 import pytest
@@ -17,12 +18,30 @@ from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O)
-from hawkes_renewal import hawkes, renewal, spawn_rng
+from hawkes_renewal import hawkes, prm, renewal, spawn_rng
 from hawkes_renewal.kernels import EnvelopeFns
-from hawkes_renewal.renewal import _majorant_sum, certify_dominated
+from hawkes_renewal.hawkes import KernelMemory
+from hawkes_renewal.renewal import certify_dominated
 from hawkes_renewal.stats import functional_clt_paths, lil_envelope
 from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
                                    suite_renewal)
+
+
+def memory_of(kernel, jumps):
+    """A :class:`KernelMemory` of ``kernel`` holding ``jumps``."""
+    mem = KernelMemory(kernel)
+    for u in sorted(jumps):
+        mem.add(float(u))
+    return mem
+
+
+def scan_input(kernel, jumps_at):
+    """``zn`` of scan_alpha_O for the local jumps ``jumps_at(T)`` on (0, T]:
+    their count and their memory's shifted majorant mass at T."""
+    def zn(i):
+        jumps = jumps_at(float(i))
+        return len(jumps), memory_of(kernel, jumps).majorant_from(float(i))
+    return zn
 
 
 def counts_fn(arr):
@@ -81,8 +100,8 @@ class TestScanAlphaO:
     def test_dirac_only_matches_grid_oracle(self):
         kernel, rate, sched, env = self.make_env()
         for tau_gap in [0.4, 1.3, 2.6]:
-            zn = lambda T: np.array([tau_gap])
-            got = scan_alpha_O(env, sched, kernel, zn, tau_gap)
+            zn = scan_input(kernel, lambda T: [tau_gap])
+            got = scan_alpha_O(env, sched, zn, tau_gap)
             # dense-grid oracle of the corrected shifted condition
             want = None
             for i in range(math.ceil(tau_gap) + 1, 60):
@@ -99,9 +118,9 @@ class TestScanAlphaO:
     def test_count_condition_blocks_small_offsets(self):
         kernel, rate, sched, env = self.make_env()
         # too many points for the integrated schedule at small i
-        zn = lambda T: np.sort(np.append(np.linspace(0.05, min(T, 3.0), 12), 0.4))
-        got = scan_alpha_O(env, sched, kernel, zn, 0.4)
-        assert len(zn(float(got))) <= sched.int_shifted(float(got)) + 1e-9
+        jumps_at = lambda T: np.sort(np.append(np.linspace(0.05, min(T, 3.0), 12), 0.4))
+        got = scan_alpha_O(env, sched, scan_input(kernel, jumps_at), 0.4)
+        assert len(jumps_at(float(got))) <= sched.int_shifted(float(got)) + 1e-9
 
     def test_certificate_rejects_violation(self):
         env = self.make_env()[3]
@@ -143,8 +162,8 @@ def certify_recursive(ub, rhs, abs_tol=1e-12, rel_slack=1e-9, first_step=0.05,
 
 def certificate_cases():
     """(name, ub, rhs) pairs of decreasing functions that take floats and
-    arrays: majorant sums of each kernel family against envelopes and
-    closed forms, knife edges and violations."""
+    arrays: majorant sums of each kernel family (over the jumps up to the
+    base) against envelopes and closed forms, knife edges and violations."""
     sched = GammaSchedule.linear(1.0)
     exp_k = ExponentialKernel(1.0, 0.3)
     env = EnvelopeFns(exp_k, RateSpec.linear(0.5, 1.0), sched)
@@ -154,12 +173,13 @@ def certificate_cases():
     jumps = np.array([0.2, 1.1, 1.7, 2.9])
     cases = []
     for c in [0.2, 1.0, 2.0, 4.0]:
-        cases.append((f"exp sum x{c} vs f", _majorant_sum(exp_k, jumps * c, 3.0), env.f))
-        cases.append((f"exp sum vs f(., {c})", _majorant_sum(exp_k, jumps, 3.0),
+        cases.append((f"exp sum x{c} vs f",
+                      memory_of(exp_k, jumps * c).majorant_from(3.0), env.f))
+        cases.append((f"exp sum vs f(., {c})", memory_of(exp_k, jumps).majorant_from(3.0),
                       lambda w, c=c: env.f(w, c)))
-        cases.append((f"power-law sum x{c}", _majorant_sum(PowerLawKernel(0.2, 4.0),
-                                                        jumps, c), power))
-        cases.append((f"table sum x{c}", _majorant_sum(table, jumps, c),
+        cases.append((f"power-law sum x{c}",
+                      memory_of(PowerLawKernel(0.2, 4.0), jumps).majorant_from(c), power))
+        cases.append((f"table sum x{c}", memory_of(table, jumps).majorant_from(c),
                       lambda w, c=c: 0.4 * c * np.exp(-0.5 * w)))
     for ratio in [0.5, 0.99, 0.999, 0.9999, 1 - 1e-6, 1 + 1e-6, 1.01, 3.0]:
         for name, shape in [("exp", expo), ("power-law", power)]:
@@ -190,12 +210,12 @@ class TestCertificate:
     def test_scalar_signal_abs_and_the_atom(self):
         cfg = reference_ad_config(D=1.0)
         env, kernel = cfg.env, cfg.kernel
-        jumps = np.array([0.4, 2.5, 3.1])
+        mem = memory_of(kernel, [0.4, 2.5, 3.1])
         for start in [ZStart.empty(), ZStart.atom(env)]:
             for base in [3.5, 6.0]:
-                ub_sum = _majorant_sum(kernel, jumps, base)
+                ub_sum = mem.majorant_from(base)
                 ub = lambda w: ub_sum(w) + start.signal_abs(base + w)
-                cert = check_envelope_inequality(env, kernel, jumps, base,
+                cert = check_envelope_inequality(env, mem, base,
                                                  signal_abs=start.signal_abs)
                 assert cert.ok == certify_recursive(ub, env.f)[0]
 
@@ -212,18 +232,18 @@ class TestCertificate:
         # a zero kernel: both sides vanish
         zero_env = EnvelopeFns(ZeroKernel(), RateSpec.linear(1.0, 0.5),
                                GammaSchedule.linear(1.0))
-        cert = check_envelope_inequality(zero_env, ZeroKernel(), np.array([0.5]), 2.0)
+        cert = check_envelope_inequality(zero_env, memory_of(ZeroKernel(), [0.5]), 2.0)
         assert cert.ok and cert.points == 1
         # the empty start and the atom keep the sum in closed form
         cfg = reference_ad_config(D=1.0)
-        jumps = np.array([0.4, 2.5, 3.1])
+        mem = memory_of(cfg.kernel, [0.4, 2.5, 3.1])
         for start in [ZStart.empty(), ZStart.atom(cfg.env)]:
             assert isinstance(start.signal_abs, ExpDecay)
             for base in [3.5, 6.0]:
-                c_ub = (float(_majorant_sum(cfg.kernel, jumps, base)(0.0))
+                c_ub = (float(mem.majorant_from(base)(0.0))
                         + float(start.signal_abs(base)))
                 c_rhs = cfg.env.f(0.0)
-                cert = check_envelope_inequality(cfg.env, cfg.kernel, jumps, base,
+                cert = check_envelope_inequality(cfg.env, mem, base,
                                                  signal_abs=start.signal_abs)
                 assert cert.ok == (c_ub <= c_rhs * (1 + 1e-9) + 1e-12)
                 assert cert.points == 1
@@ -247,8 +267,8 @@ class TestCertificate:
         sched = GammaSchedule.linear(1.0)
         rate = RateSpec.linear(0.5, 1.0)
         kernel = ExponentialKernel(1.0, 0.3)
-        jumps = np.array([0.2, 1.1, 1.7])
-        ub = _majorant_sum(kernel, jumps, 3.0)
+        jumps = [0.2, 1.1, 1.7]
+        ub = memory_of(kernel, jumps).majorant_from(3.0)
         r = lambda t: 0.1 * math.exp(-2.0 * t)
         env_r = EnvelopeFns(kernel, rate, sched, r=r)
         for rhs in [lambda w: (1.0 + w) ** -3.0,         # power-law rhs
@@ -259,7 +279,7 @@ class TestCertificate:
             assert cert.ok == certify_recursive(ub, rhs)[0]
         power = PowerLawKernel(0.2, 4.0)
         env_p = EnvelopeFns(power, rate, sched)
-        cert = check_envelope_inequality(env_p, power, jumps, 3.0)
+        cert = check_envelope_inequality(env_p, memory_of(power, jumps), 3.0)
         assert cert.points > 1
 
     def test_engine_certificates_are_closed_form_on_exponential_kernels(self):
@@ -647,11 +667,11 @@ class _ScaledMass:
 
 
 class TestGatesCanFail:
-    # each plants one defect in the engine and runs the exact-law gates on
-    # AD D=1 at the smallest ensemble that rejects it clearly
-    def gates(self, n_cycles, n_blocks):
-        reports = suite_renewal(reference_ad_config(D=1.0), n_cycles=n_cycles,
-                                n_blocks=n_blocks, seed=21)
+    # each plants one defect in the engine and runs the exact-law gates (on
+    # AD D=1 unless named) at the smallest ensemble that rejects it clearly
+    def gates(self, n_cycles, n_blocks, cfg=None):
+        cfg = cfg if cfg is not None else reference_ad_config(D=1.0)
+        reports = suite_renewal(cfg, n_cycles=n_cycles, n_blocks=n_blocks, seed=21)
         return {r.name: r for r in reports}
 
     def test_band_sweeps_that_keep_band_points_fail(self, monkeypatch):
@@ -672,6 +692,53 @@ class TestGatesCanFail:
         assert by_name["tau-infinite-frequency"].statistic > 5.0
         assert by_name["eta-geometric"].p_value < 1e-4
         assert by_name["tau-gap-conditional-law"].p_value < 1e-4
+
+    @pytest.mark.parametrize("make, D, scale", [
+        (reference_o_config, 0.0, 0.5),
+        # AD D=1 certificates hold with ub <= 0.25 f at this seed (6,578 of
+        # them over 3,000 blocks), so a halved f cannot fail there
+        (reference_ad_config, 1.0, 0.1),
+    ], ids=["O-D0-half", "AD-D1-tenth"])
+    def test_a_scaled_track_certificate_fails(self, monkeypatch, make, D, scale):
+        check = renewal.check_envelope_inequality
+
+        def scaled(env, memory, base, signal_abs=None):
+            rhs = env.envelope()
+            env = types.SimpleNamespace(
+                envelope=lambda: ExpDecay(scale * rhs.c, rhs.rate))
+            return check(env, memory, base, signal_abs)
+
+        monkeypatch.setattr(renewal, "check_envelope_inequality", scaled)
+        cert = self.gates(100, 30, make(D=D))["envelope-certificate"]
+        assert not cert.passed and cert.statistic >= 5
+
+    def test_rho_at_alpha_eta_fails(self, monkeypatch):
+        run = renewal.run_system
+
+        def misplaced(cfg, *args, **kwargs):
+            out = run(cfg, *args, **kwargs)
+            out.rho = out.alphas[-1]
+            return out
+
+        monkeypatch.setattr(renewal, "run_system", misplaced)
+        assert not self.gates(1000, 300)["regeneration-gap-empty"].passed
+
+
+class TestWorkCounts:
+    def test_ordinary_blocks_read_the_prm_once_past_tau(self, monkeypatch):
+        # Z^n and the tracks share one sweep past tau: a second read of pi
+        # there would add about a quarter to this count
+        reads = 0
+        sample = prm.PrmStream.sample
+
+        def counted(stream, *args):
+            nonlocal reads
+            reads += 1
+            return sample(stream, *args)
+
+        monkeypatch.setattr(prm.PrmStream, "sample", counted)
+        iterate_regenerations(reference_o_config(D=0.0), 100, seed=1)
+        assert 0.95 * 5215 <= reads <= 1.05 * 5215
 
 
 class TestSuiteRenewalCounts:
