@@ -69,7 +69,8 @@ class Cluster:
 
 def simulate_cluster(kernel, L, rng, cap=10**7):
     """Grow one cluster: each event spawns Poisson(L*||h_+||) children with
-    displacements drawn from h_+/||h_+||.  Y is the exact right extent."""
+    displacements drawn from h_+/||h_+||, which only an exponential kernel
+    samples.  Y is the exact right extent."""
     m = L * kernel.pos_l1
     if m >= 1.0:
         raise SupercriticalError(f"mean offspring {m:g} >= 1")

@@ -47,10 +47,6 @@ class Kernel:
         """Integral of the positive part h_+ over [0, inf)."""
         raise NotImplementedError
 
-    def sample_displacement(self, rng, size=None):
-        """Draw from the normalized positive part h_+ / ||h_+||."""
-        raise NotImplementedError
-
 
 class ExponentialKernel(Kernel):
     """h(t) = amplitude * exp(-rate * t)."""
@@ -77,6 +73,7 @@ class ExponentialKernel(Kernel):
         return max(self.amplitude, 0.0) / self.rate
 
     def sample_displacement(self, rng, size=None):
+        """Draw from the normalized positive part h_+ / ||h_+||."""
         return rng.exponential(1.0 / self.rate, size=size)
 
     def __repr__(self):
@@ -106,10 +103,6 @@ class PowerLawKernel(Kernel):
     @property
     def pos_l1(self):
         return max(self.amplitude, 0.0) / (self.exponent - 1.0)
-
-    def sample_displacement(self, rng, size=None):
-        u = rng.random(size)
-        return (1.0 - u) ** (-1.0 / (self.exponent - 1.0)) - 1.0
 
     def __repr__(self):
         return f"PowerLawKernel(amplitude={self.amplitude}, exponent={self.exponent})"
@@ -145,57 +138,23 @@ class TableKernel(Kernel):
         idx = np.searchsorted(self.ts, t, side="right") - 1
         idx = np.clip(idx, 0, len(self.ts) - 1)
         out = self._maj_steps[idx]
-        return np.where(t >= self.ts[-1], 0.0, out)
+        return np.where(t > self.ts[-1], 0.0, out)
 
     @property
     def support_end(self):
         return float(self.ts[-1])
 
-    def _pos_segments(self):
-        """Exact integral of h_+ per segment, splitting at zero crossings."""
-        segs = []
-        for (t0, v0), (t1, v1) in zip(zip(self.ts[:-1], self.vs[:-1]),
-                                      zip(self.ts[1:], self.vs[1:])):
-            if v0 >= 0 and v1 >= 0:
-                segs.append((t0, t1, 0.5 * (v0 + v1) * (t1 - t0)))
-            elif v0 <= 0 and v1 <= 0:
-                segs.append((t0, t1, 0.0))
-            else:
-                tc = t0 + (t1 - t0) * v0 / (v0 - v1)
-                if v0 > 0:
-                    segs.append((t0, t1, 0.5 * v0 * (tc - t0)))
-                else:
-                    segs.append((t0, t1, 0.5 * v1 * (t1 - tc)))
-        return segs
-
     @property
     def pos_l1(self):
-        return sum(a for _, _, a in self._pos_segments())
-
-    def sample_displacement(self, rng, size=None):
-        segs = self._pos_segments()
-        areas = np.array([a for _, _, a in segs])
-        total = areas.sum()
-        if total <= 0:
-            raise ConfigError("table kernel has no positive mass to sample from")
-        scalar = size is None
-        n = 1 if scalar else int(size)
-        picks = rng.choice(len(segs), size=n, p=areas / total)
-        out = np.empty(n)
-        for i, s in enumerate(picks):
-            t0, t1, _ = segs[s]
-            v0 = max(float(self.value(t0)), 0.0)
-            v1 = max(float(self.value(t1)), 0.0)
-            u = rng.random()
-            if abs(v1 - v0) < 1e-14 * (abs(v0) + abs(v1) + 1e-300):
-                out[i] = t0 + u * (t1 - t0)
-            else:
-                # inverse CDF of a linear density on [t0, t1]
-                a = 0.5 * (v1 - v0) / (t1 - t0)
-                c = -u * (0.5 * (v0 + v1) * (t1 - t0))
-                disc = v0 * v0 - 4.0 * a * c
-                out[i] = t0 + (-v0 + math.sqrt(max(disc, 0.0))) / (2.0 * a)
-        return out[0] if scalar else out
+        """Exact integral of h_+, segment by segment, split at zero crossings."""
+        total = 0.0
+        for t0, t1, v0, v1 in zip(self.ts[:-1], self.ts[1:], self.vs[:-1], self.vs[1:]):
+            if v0 >= 0 and v1 >= 0:
+                total += 0.5 * (v0 + v1) * (t1 - t0)
+            elif v0 > 0 or v1 > 0:
+                tc = t0 + (t1 - t0) * v0 / (v0 - v1)
+                total += 0.5 * v0 * (tc - t0) if v0 > 0 else 0.5 * v1 * (t1 - tc)
+        return total
 
     def __repr__(self):
         return f"TableKernel({len(self.ts)} knots, support=[0,{self.ts[-1]}])"
@@ -223,9 +182,6 @@ class PositivePartKernel(Kernel):
     @property
     def pos_l1(self):
         return self.base.pos_l1
-
-    def sample_displacement(self, rng, size=None):
-        return self.base.sample_displacement(rng, size)
 
 
 def pos_part(kernel):
@@ -504,7 +460,7 @@ class ExpDecay:
 
 
 class EnvelopeFns:
-    """The envelope pair f and F, and the band-mass table of F.
+    """The envelope pair f and F, and the band mass of F piece by piece.
 
     f(t1, t2) = (gamma(0) + 1 + 1/delta) * (hbar(t1) + int_0^t2 gamma(s+1) hbar(t1+s) ds)
                 + r(t1),
@@ -522,11 +478,9 @@ class EnvelopeFns:
         self.delta_inv = 0.0 if not math.isfinite(rate.delta) else 1.0 / rate.delta
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
         self._J_cache = {}
-        self._F_l1 = None
-        # where F may jump, and the band-mass table: knots x_k and
-        # C_k = int_0^{x_k} F, grown on demand
+        # where F may jump; the pieces between and their masses, once needed
         self._jumps = sorted({0.0, self.D, *(b for b in rate.g_breaks if b > 0)})
-        self._x, self._C, self._done = [0.0], [0.0], False
+        self._pieces = self._C = None
 
     # -- inner integral ----------------------------------------------------
 
@@ -609,58 +563,13 @@ class EnvelopeFns:
 
     # -- integrals -----------------------------------------------------------
 
-    @property
-    def F_l1(self):
-        """||F||_1: the mass between each two jumps of F, then the mass past
-        the last one, each quadrature one ulp inside the jumps."""
-        if self._F_l1 is None:
-            j = self._jumps
-            head = sum(self._mass(lo, hi) for lo, hi in zip(j, j[1:]))
-            tail = integrate_to_inf(self.F_pre, math.nextafter(j[-1], INF), factor="F tail")
-            self._F_l1 = head + tail
-        return self._F_l1
-
-    def _mass(self, lo, hi):
-        """int_lo^hi F with no jump of F inside (lo, hi).  F may jump at
-        either end, so the quadrature stays one ulp inside both."""
-        return integrate(self.F, math.nextafter(lo, INF), math.nextafter(hi, -INF))
-
-    def _grow(self):
-        """Append the next knot (0, D, the g breaks and steps of max(1/4,
-        x/32) between and past them) to the band-mass table.  It is complete
-        after the first segment past the last jump that adds at most 1e-13
-        of the mass so far: it depends on the config alone."""
-        x, C = self._x[-1], self._C[-1]
-        hi = min([x + max(0.25, x / 32.0)] + [b for b in self._jumps if b > x])
-        seg = self._mass(x, hi)
-        self._done = x >= self._jumps[-1] and seg <= 1e-13 * C
-        self._x.append(hi)
-        self._C.append(C + seg)
-
-    def cum_F(self, t):
-        """int_0^t F(s) ds: the table up to its last knot x_k <= t, plus one
-        quadrature on [x_k, t]."""
-        if t <= 0:
-            return 0.0
-        while self._x[-1] <= t and not self._done:
-            self._grow()
-        k = bisect.bisect_right(self._x, t) - 1
-        return self._C[k] + self._mass(self._x[k], t)
-
-    def tail_mass(self, t):
-        return max(self.F_l1 - self.cum_F(t), 0.0)
-
-    def t_cut(self, frac):
-        """Smallest t with tail mass <= frac * ||F||_1."""
-        return self.inv_cum(self.F_l1 * (1.0 - frac))
-
     def _exp_form(self, lo, hi):
-        """(A, B) with F(t) = A + B exp(-a t) on the table segment (lo, hi],
-        a the kernel's rate, or None.  F has that form for an exponential
-        kernel without r, where f(t) = f(0) exp(-a t), when g is constant on
-        the segment; g decreases, so it is when g takes one value just inside
-        both ends.  On [0, D] A = c_psi and B = L f(0); past D
-        A = c_psi g and B = 2 L f(0)."""
+        """(A, B) with F(t) = A + B exp(-a t) on the piece (lo, hi) between
+        two jumps of F, a the kernel's rate, or None.  F has that form for
+        an exponential kernel without r, where f(t) = f(0) exp(-a t), when
+        g is constant on the piece; g decreases, so it is when g takes one
+        value just inside both ends.  On [0, D] A = c_psi and B = L f(0);
+        past D A = c_psi g and B = 2 L f(0)."""
         if not isinstance(self.kernel, ExponentialKernel) or self.r is not None:
             return None
         rate, f0 = self.rate, self.f(0.0)
@@ -671,40 +580,88 @@ class EnvelopeFns:
             return None
         return rate.c_psi * g, 2.0 * rate.L * f0
 
-    def inv_cum(self, mass):
-        """Smallest t with cum_F(t) >= mass; the end of the complete table
-        when no t reaches it.
+    def _prefix(self):
+        """C_k = int_0^{lo_k} F at the start of each piece, then ||F||_1.
+        The pieces (lo, hi, form) cut [0, inf) at the jumps of F (0, D and
+        the g breaks), with the :meth:`_exp_form` of each.  Computed once,
+        from the config alone."""
+        if self._C is None:
+            ends = self._jumps[1:] + [INF]
+            self._pieces = [(lo, hi, self._exp_form(lo, hi))
+                            for lo, hi in zip(self._jumps, ends)]
+            C = [0.0]
+            for piece in self._pieces:
+                C.append(C[-1] + self._between(piece, piece[0], piece[1]))
+            self._C = C
+        return self._C
 
-        Inside the table segment (lo, hi] that holds ``mass`` it runs Newton
-        from the left on the segment mass M(t) = int_lo^t F.  F decreases
-        there, so M is concave and the iterates rise to the root without
-        passing it; they stop at a step of at most 1e-12 max(t, 1).  Where
-        F = A + B exp(-a t) on the segment (:meth:`_exp_form`) each piece's
-        mass is closed-form, and with A = 0 the root is one logarithm;
-        elsewhere a piece's mass is one quadrature over that piece."""
+    def _between(self, piece, t0, t1):
+        """int_t0^t1 F for lo <= t0 <= t1 <= hi on ``piece``: closed-form
+        where F = A + B exp(-a t) there, to infinity only when A = 0;
+        otherwise one quadrature, one ulp inside both ends, as F may jump
+        at either."""
+        form = piece[2]
+        if form is not None:
+            (A, B), a = form, self.kernel.rate
+            if t1 < INF:
+                return A * (t1 - t0) + B / a * (math.exp(-a * t0) - math.exp(-a * t1))
+            if A != 0:
+                raise IntegrabilityError(f"F tends to {A:g}, not 0", factor="F tail")
+            return B / a * math.exp(-a * t0)
+        t0 = math.nextafter(t0, INF)
+        if t1 < INF:
+            return integrate(self.F, t0, math.nextafter(t1, -INF))
+        return integrate_to_inf(self.F_pre, t0, factor="F tail")
+
+    @property
+    def F_l1(self):
+        """||F||_1, the sum of the masses of the pieces between the jumps."""
+        return self._prefix()[-1]
+
+    def cum_F(self, t):
+        """int_0^t F(s) ds: the mass up to the last jump lo <= t, plus the
+        mass of its piece on [lo, t]."""
+        if t <= 0:
+            return 0.0
+        C = self._prefix()
+        k = bisect.bisect_right(self._jumps, t) - 1
+        piece = self._pieces[k]
+        return C[k] + self._between(piece, piece[0], t)
+
+    def tail_mass(self, t):
+        return max(self.F_l1 - self.cum_F(t), 0.0)
+
+    def t_cut(self, frac):
+        """Smallest t with tail mass <= frac * ||F||_1."""
+        return self.inv_cum(self.F_l1 * (1.0 - frac))
+
+    def inv_cum(self, mass):
+        """Smallest t with cum_F(t) >= mass; inf when mass >= ||F||_1.
+
+        Inside the piece (lo, hi) that holds ``mass`` it runs Newton from
+        the left on the piece's mass M(t) = int_lo^t F.  F decreases there,
+        so M is concave and the iterates rise to the root without passing
+        it; they stop at a step of at most 1e-12 max(t, 1).  Where
+        F = A + B exp(-a t) on the piece each step's mass is closed-form,
+        and with A = 0 the root is one logarithm; elsewhere a step's mass
+        is one quadrature over that step."""
         if mass <= 0:
             return 0.0
-        while self._C[-1] < mass and not self._done:
-            self._grow()
-        k = bisect.bisect_left(self._C, mass)
-        if k == len(self._C):
-            return self._x[-1]
-        lo, hi = self._x[k - 1], self._x[k]
-        rest = mass - self._C[k - 1]
-        form = self._exp_form(lo, hi)
+        C = self._prefix()
+        if mass >= C[-1]:
+            return INF
+        k = bisect.bisect_left(C, mass) - 1
+        piece, rest = self._pieces[k], mass - C[k]
+        lo, hi, form = piece
         if form is None:
-            # one ulp inside lo, as the table's quadratures: F may jump there
+            # one ulp inside lo, as the piece's quadrature: F may jump there
             t, F = math.nextafter(lo, INF), self.F
-            piece = lambda t0, t1: integrate(F, t0, t1)
         else:
             (A, B), a = form, self.kernel.rate
             if A == 0:
                 left = math.exp(-a * lo) - rest * a / B
                 return hi if left <= 0 else min(max(-math.log(left) / a, lo), hi)
-            t = lo
-            F = lambda s: A + B * math.exp(-a * s)
-            piece = lambda t0, t1: A * (t1 - t0) + B / a * (math.exp(-a * t0)
-                                                            - math.exp(-a * t1))
+            t, F = lo, lambda s: A + B * math.exp(-a * s)
         while True:
             slope = F(t)
             if slope <= 0:  # F vanishes from t on, so no later t adds mass
@@ -714,7 +671,7 @@ class EnvelopeFns:
                 return t
             if nxt - t <= 1e-12 * max(nxt, 1.0):
                 return nxt
-            rest -= piece(t, nxt)
+            rest -= self._between(piece, t, nxt)
             t = nxt
 
     def validate(self, assumption="A", p=0.0):

@@ -168,10 +168,10 @@ class TestReferenceDigests:
     @pytest.mark.parametrize("text, events, cycles", [
         ("[envelope]\nD = 1.0\n",
          "b4f7ae70f66b649c83322609dc97d865d60433f00c0974dd5980a16701f501f5",
-         "777d388778bdc3974494808a187ed910c0c214ba9be5f69de7dae016f6a4e04f"),
+         "82aee3d5ef7d86f117d049a547200095e0947f8fe077040fc6c105d3ce89c4ff"),
         ("[kernel]\namplitude = 0.3\n[rate]\nform = linear\nc = 0.5\nL = 1.0\n",
          "e2aca9d9a7dd0267acfd0b7096041a3440c8d89d04c74012aaecd29883b39e68",
-         "d98c6393bdd2eeba0ba60ba014aa43d4efb0edf41450be3e0dfc5062d4ecb15a"),
+         "d7d77be599db0a20a061f2e328fe50bf5022d423aeb93fc2f4b95cd704d659e5"),
     ], ids=["AD-D1", "O-D0"])
     def test_outputs_are_unchanged(self, tmp_path, capsys, text, events, cycles):
         for command, name, want, parallel in (

@@ -9,7 +9,9 @@ from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
                             ExponentialKernel, GammaSchedule,
                             IntegrabilityError, PowerLawKernel, RateSpec,
                             TableKernel, ZeroKernel, pos_part)
+from hawkes_renewal import kernels
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
+from hawkes_renewal.verify import reference_ad_config, reference_o_config
 
 
 def const_sched(c):
@@ -18,6 +20,13 @@ def const_sched(c):
 
 def make_env(kernel, rate, sched, r=None, D=0.0):
     return EnvelopeFns(kernel, rate, sched, r=r, D=D)
+
+
+def env_with_r(D=0.0):
+    """The AD reference envelope with a given r: F jumps at the g break 1,
+    and with r its band mass is a quadrature."""
+    return make_env(ExponentialKernel(1.0, 0.2), RateSpec.refractory_linear(0.5, 0.4, 1.0),
+                    GammaSchedule.linear(1.0), r=lambda t: 0.2 * math.exp(-2.0 * t), D=D)
 
 
 # the inner integral I(t1) = int_0^inf gamma(s+1) hbar(t1+s) ds of
@@ -189,7 +198,7 @@ class TestEnvelopeValues:
 
     def test_inverse_band_mass_meets_its_mass_and_a_root_search(self):
         # the three references take the closed form, the custom g of
-        # test_f_pre_substitution the quadrature of each Newton piece
+        # test_f_pre_substitution the quadrature of each Newton step
         ad = RateSpec.refractory_linear(0.5, 0.4, 1.0)
         custom_g = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
                             g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
@@ -199,41 +208,68 @@ class TestEnvelopeValues:
                          GammaSchedule.linear(1.0)),
                 make_env(ExponentialKernel(1.0, 1.0), custom_g, const_sched(1.0))]
         for env in envs:
-            env.cum_F(1e3)  # the complete table
-            end = env._C[-1]
-            # masses on a grid, and at and next to the table knots and the
-            # jumps of F (D and the g break)
+            # masses on a grid, and at and next to the mass at each jump of F
+            # (D and the g break)
             masses = list(np.linspace(0.0, 1.0, 101)[1:-1] * env.F_l1)
-            for c in env._C[1:] + [env.cum_F(env.D), env.cum_F(1.0)]:
+            for c in [env.cum_F(env.D), env.cum_F(1.0)]:
                 masses += [math.nextafter(c, -math.inf), c, math.nextafter(c, math.inf)]
-            for m in (float(m) for m in masses if 0.0 < m < end):
+            for m in (float(m) for m in masses if 0.0 < m < env.F_l1):
                 t = env.inv_cum(m)
                 assert abs(env.cum_F(t) - m) <= 1e-9, (m, t)
-                ref = brentq(lambda s: env.cum_F(s) - m, 0.0, env._x[-1], xtol=1e-14)
+                hi = 1.0
+                while env.cum_F(hi) < m:
+                    hi *= 2.0
+                ref = brentq(lambda s: env.cum_F(s) - m, 0.0, hi, xtol=1e-14)
                 # the same root, to the mass that F resolves there
                 assert abs(t - ref) * env.F(ref) <= 1e-10, (m, t, ref)
 
+    def test_reference_band_mass_needs_no_quadrature(self, monkeypatch):
+        # on the four exponential references F = A + B exp(-a t) between its
+        # jumps, so once f(0) is known the band mass is closed-form
+        envs = [reference_ad_config(D=0.0).env, reference_ad_config(D=1.0).env,
+                reference_o_config(D=0.0).env, reference_o_config(D=1.0).env]
+        for env in envs:
+            env.f(0.0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a quadrature was called")
+        monkeypatch.setattr(kernels, "integrate", fail)
+        monkeypatch.setattr(kernels, "integrate_to_inf", fail)
+        for env in envs:
+            assert env.F_l1 > 0
+            for m in np.linspace(0.0, 1.0, 201)[1:-1] * env.F_l1:
+                assert env.cum_F(env.inv_cum(float(m))) == pytest.approx(m, rel=1e-12)
+
     def test_a_query_next_to_a_jump_stays_on_its_side(self):
-        # F(1) is the value left of the g break; a quadrature that evaluates
-        # it for the segment right of 1 bisects toward it some 40 levels deep
-        env = make_env(ExponentialKernel(1.0, 0.2), RateSpec.refractory_linear(0.5, 0.4, 1.0),
-                       GammaSchedule.linear(1.0), D=0.0)
-        env.cum_F(3.0)
+        # F(1) is the value left of the g break; a quadrature that evaluated
+        # it for the piece right of 1 would subdivide toward it, so the query
+        # takes no more evaluations than one over an equally long stretch
+        # from 0, where F has no jump
+        env = env_with_r()
+        assert env.F_l1 > 0
         F, seen = env.F, []
         env.F = lambda t: seen.append(t) or F(t)
         env.cum_F(1.0 + 1 / 64)
-        assert min(seen) > 1.0 and len(seen) < 20
+        next_to_jump = list(seen)
+        seen.clear()
+        env.cum_F(1 / 64)
+        assert min(next_to_jump) > 1.0 and len(next_to_jump) <= len(seen)
 
     def test_total_mass_stays_inside_the_jumps_of_f(self):
         # the same for ||F||_1: no piece of its quadrature evaluates F at D
-        # or at the g break, so none bisects toward a jump
-        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        # or at the g break, so none takes more evaluations than the same
+        # quadrature over an equally long stretch past the jumps
         for D in (0.0, 0.5, 1.0, 2.0):
-            env = make_env(ExponentialKernel(1.0, 0.2), rate, GammaSchedule.linear(1.0), D=D)
+            env = env_with_r(D)
             f, seen = env.f, []
             env.f = lambda t, t2=math.inf: seen.append(t) or f(t, t2)
             assert env.F_l1 > 0
-            assert not {D, 1.0} & set(seen) and len(seen) < 600, (D, len(seen))
+            assert not {D, 1.0} & set(seen), D
+            during, jumps = list(seen), sorted({0.0, D, 1.0})
+            for lo, hi in zip(jumps, jumps[1:]):
+                seen.clear()
+                integrate(env.F, 3.0, 3.0 + hi - lo)
+                assert sum(lo < t < hi for t in during) <= len(seen), (D, lo, hi)
 
     def test_band_mass_does_not_depend_on_the_query_order(self):
         def env():
@@ -242,10 +278,9 @@ class TestEnvelopeValues:
         far, near = env(), env()
         far.cum_F(200.0)
         tc = near.t_cut(1e-3)
-        beyond = 2.0 * near.F_l1  # more mass than F has: the table's end
-        assert near.inv_cum(beyond) == near.inv_cum(beyond)
+        beyond = 2.0 * near.F_l1  # more mass than F has: no t reaches it
+        assert near.inv_cum(beyond) == far.inv_cum(beyond) == math.inf
         assert far.t_cut(1e-3) == tc
-        assert far.inv_cum(beyond) == near.inv_cum(beyond)
         for m in np.linspace(0.0, 1.0, 41) * near.F_l1:
             assert far.inv_cum(float(m)) == near.inv_cum(float(m))
         for t in [0.0, 0.5, 1.0, 1.0 + 1e-12, 3.7, tc, 30.0, 200.0, 1e3]:
@@ -328,6 +363,12 @@ class TestKernels:
         assert np.all(k.majorant(ts) >= np.abs(k.value(ts)) - 1e-12)
         assert np.all(np.diff(k.majorant(ts)) <= 1e-12)
 
+    def test_table_majorant_holds_at_every_knot(self):
+        # the last knot included: the majorant vanishes only past it
+        k = TableKernel([(0.0, 0.3), (1.0, -0.1), (3.0, 0.05), (5.0, 0.02)])
+        assert np.all(k.majorant(k.ts) >= np.abs(k.value(k.ts)))
+        assert float(k.majorant(5.0)) == 0.02 and float(k.majorant(5.0 + 1e-9)) == 0.0
+
     def test_table_pos_l1_with_sign_change(self):
         k = TableKernel([(0.0, 1.0), (1.0, -1.0), (2.0, 0.0)])
         # positive triangle on [0, 0.5] has area 1/4
@@ -363,14 +404,6 @@ class TestKernels:
         assert float(k.majorant(0.0)) == 2.0
         same = pos_part(ExponentialKernel(1.0, 2.0))
         assert isinstance(same, ExponentialKernel)
-
-    def test_displacement_sampling_matches_density(self):
-        rng = np.random.default_rng(7)
-        k = PowerLawKernel(1.0, 3.0)
-        x = k.sample_displacement(rng, 20000)
-        # CDF is 1 - (1+t)^{-2}
-        emp = np.mean(x <= 1.0)
-        assert emp == pytest.approx(0.75, abs=0.02)
 
 
 class TestRateSpec:
@@ -411,3 +444,25 @@ class TestQuadrature:
     def test_breakpoint_handling(self):
         fn = lambda t: 1.0 if t < 1.0 else 0.0
         assert integrate(fn, 0.0, 2.0, points=[1.0]) == pytest.approx(1.0, rel=1e-9)
+        # more breakpoints than QUADPACK's default limit of 50 subintervals
+        many = [1.0, *np.linspace(0.0, 2.0, 82)[1:-1].tolist()]
+        assert integrate(fn, 0.0, 2.0, points=many) == pytest.approx(1.0, rel=1e-9)
+
+    def test_an_interval_a_few_ulps_wide(self):
+        a = b = 1.0
+        for _ in range(4):
+            b = math.nextafter(b, 2.0)
+        assert integrate(math.exp, a, b) == pytest.approx(math.e * (b - a), rel=1e-9)
+
+    def test_a_kink_with_and_without_its_breakpoint(self):
+        fn = lambda t: abs(t - 1.0 / 3.0)
+        for points in ((), (1.0 / 3.0,)):
+            assert integrate(fn, 0.0, 1.0, points=points) == pytest.approx(5.0 / 18.0,
+                                                                           rel=1e-9)
+
+    def test_a_finite_failure_raises_and_emits_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (lambda t: 1.0 / t, lambda t: math.nan):
+                with pytest.raises(IntegrabilityError):
+                    integrate(fn, 0.0, 1.0)

@@ -13,10 +13,10 @@ import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name, seed, digest", [
-    ("ad-blocks", 1, "6b4ceb386a2f84c3c0bc9969c6460ff230b087067a06dde380b3f717d6df5684"),
-    ("ad-blocks", 2, "3ceda26c7ab0f6dcb0a42e5e276d7aff7e30439a73a56f79f65f797b90047b99"),
-    ("o-blocks", 1, "bbda03b8c26198fea2d80c75fa91d75d27a97b8c2d8f5b9f7e17ee24435cc96d"),
-    ("o-blocks", 2, "eac0c456e46664418fe9bf9a29d4b6951709b40d7d68188340a43a40971a307d"),
+    ("ad-blocks", 1, "1ae1052f4f187019e3317239ce8e77c1c6fd55ceda61209815c2e99acfd63459"),
+    ("ad-blocks", 2, "a17addc379f50d8146b85bf4e504a537049b7b896851abb651cdf5e93c3021c7"),
+    ("o-blocks", 1, "46f835f11b143e149f9457f77e54186d7b0d4879a5ba79be6debd3a18909cb7d"),
+    ("o-blocks", 2, "5d40f8f27f757ef715a11c8f70c3b79013b7f1b85478cb68b20d6009233d4c7d"),
     ("clt-ensemble", 1, "e3bd2400b219cdf3828ffcefba17f49ee3a2a39d1c681d62f785bcc9421c5adb"),
 ], ids=["ad-blocks-1", "ad-blocks-2", "o-blocks-1", "o-blocks-2", "clt-ensemble-1"])
 def test_solution_passes_its_checks_with_its_pinned_digest(name, seed, digest):

@@ -622,11 +622,11 @@ class TestPinnedOutputs:
     # moves them must say why and pass the exact-law gates again
     @pytest.mark.parametrize("make, D, seed, n, pin", [
         (reference_ad_config, 1.0, 6, 60,
-         "b4bc03e24ed06ac8c4dc32d5f066d5233bff1c2847c62fc57763af06b099b97a"),
+         "34a21b5d801ccc2f76380d9cd459fd473ffc483b45cc33f24cc0ff40396ca945"),
         (reference_ad_config, 0.0, 9, 60,
-         "b9dcee1b85e835aa74b6ceed5ed28e4a1835beedd861c9e079f5077a1a38249a"),
+         "c08ba77c9c5866763ad232d46b984bb77083f8bb63172a5e05c7de090968baca"),
         (reference_o_config, 0.0, 3, 12,
-         "e5c8be54e80b25bc3126bd329f0e20a66b2d09e77e30eb544e938518ff59f020"),
+         "271a23213fe5d0e644176efe0612a1beae73d1a2f4b3ebdf6fbacaf662fcd276"),
     ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3"])
     def test_blocks_match_their_pin(self, make, D, seed, n, pin):
         assert blocks_digest(iterate_regenerations(make(D=D), n, seed=seed)) == pin
