@@ -307,23 +307,24 @@ class RateSpec:
 # Increasing schedules and their generalized inverse
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
 class GammaSchedule:
-    """Increasing right-continuous schedule with generalized inverse.
+    """The schedule gamma(t) = C t (``form`` "linear") or C ln_+(t) ("log").
 
-    The inverse is inf{s >= 0 : gamma(s) >= y}; the pair satisfies
-    y <= gamma(t)  <=>  inverse(y) <= t.
+    Its generalized inverse inf{s >= 0 : gamma(s) >= y} and the integral of
+    gamma(s+1) are closed forms; y <= gamma(t)  <=>  inverse(y) <= t.
     """
 
-    def __init__(self, fn, form="custom", C=None, inverse_fn=None):
-        self.fn = fn
-        self.form = form
-        self.C = C
-        self._inverse_fn = inverse_fn
+    form: str
+    C: float
+
+    def __post_init__(self):
+        if self.form not in ("linear", "log"):
+            raise ConfigError(f"unknown schedule form {self.form!r}: linear or log")
 
     @staticmethod
     def linear(C=1.0):
-        return GammaSchedule(lambda t: C * t, form="linear", C=C,
-                             inverse_fn=lambda y: y / C)
+        return GammaSchedule("linear", C)
 
     @staticmethod
     def log(C=None, p=None, c_h=None):
@@ -332,46 +333,24 @@ class GammaSchedule:
             if p is None or c_h is None or c_h <= 0:
                 raise ConfigError("log schedule needs C, or p and c_h > 0 to auto-choose it")
             C = 1.1 * (p + 1.0) / c_h
-        def fn(t):
-            return C * math.log(t) if t > 1.0 else 0.0
-        def inv(y):
-            return 0.0 if y <= 0 else math.exp(y / C)
-        return GammaSchedule(fn, form="log", C=C, inverse_fn=inv)
+        return GammaSchedule("log", C)
 
     def value(self, t):
-        return float(self.fn(float(t)))
+        t = float(t)
+        if self.form == "linear":
+            return self.C * t
+        return self.C * math.log(t) if t > 1.0 else 0.0
 
     def inverse(self, y):
-        """Generalized inverse; +inf when y is above sup gamma."""
+        """Generalized inverse."""
         y = float(y)
-        if y <= self.value(0.0):
+        if y <= 0.0:
             return 0.0
-        if self._inverse_fn is not None:
-            return float(self._inverse_fn(y))
-        hi = 1.0
-        for _ in range(210):
-            if self.value(hi) >= y:
-                break
-            hi *= 2.0
-        else:
-            return INF
-        lo = 0.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if self.value(mid) >= y:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= 1e-12 * max(1.0, hi):
-                break
-        return hi
+        return y / self.C if self.form == "linear" else math.exp(y / self.C)
 
     def ceil_inverse(self, y):
-        """Smallest integer m >= 0 with gamma(m) >= y (None if unbounded)."""
-        inv = self.inverse(y)
-        if math.isinf(inv):
-            return None
-        m = max(0, ceil_int(inv))
+        """Smallest integer m >= 0 with gamma(m) >= y."""
+        m = max(0, ceil_int(self.inverse(y)))
         while m > 0 and self.value(m - 1) >= y:
             m -= 1
         guard = 0
@@ -388,17 +367,15 @@ class GammaSchedule:
             return 0.0
         if self.form == "linear":
             return self.C * (0.5 * T * T + T)
-        if self.form == "log":
-            return self.C * ((1.0 + T) * math.log(1.0 + T) - T)
-        return integrate(lambda s: self.value(s + 1.0), 0.0, T)
+        return self.C * ((1.0 + T) * math.log(1.0 + T) - T)
 
     def check_assumption(self, setup, assumption, p=None, c_h=None):
         """Far-grid validation of the growth conditions; returns problems."""
         problems = []
         grid = np.geomspace(1e3, 1e9, 13)
         if assumption == "B":
-            ratios = [self.value(t) / t for t in grid]
-            if min(ratios) <= 1e-12:
+            # gamma(t)/t is C for a linear schedule and tends to 0 for a log one
+            if self.form != "linear" or self.C <= 1e-12:
                 problems.append("gamma(t)/t not bounded below on far grid (assumption B)")
         elif assumption == "A":
             if p is None:
@@ -501,17 +478,15 @@ class EnvelopeFns:
 
     def _inner(self, t1, t2):
         """int_0^t2 gamma(s+1) hbar(t1+s) ds for a kernel that is not
-        exponential (those use hbar(t1) J(t2))."""
+        exponential (those use hbar(t1) J(t2)).  A table kernel's hbar is
+        the step v_k on [t_k, t_k+1), so its integral is the exact sum of
+        v_k (G(t_k+1 - t1) - G(t_k - t1)), G(x) = int_0^x gamma(s+1) ds
+        with x clipped to [0, t2]."""
         k = self.kernel
-        fn = lambda s: self.sched.value(s + 1.0) * float(k.majorant(t1 + s))
         if isinstance(k, TableKernel):
-            hi = max(0.0, k.support_end - t1)
-            if not math.isinf(t2):
-                hi = min(hi, t2)
-            if hi <= 0:
-                return 0.0
-            breaks = [t - t1 for t in k.ts if 0.0 < t - t1 < hi]
-            return integrate(fn, 0.0, hi, points=breaks)
+            G = [self.sched.int_shifted(x) for x in np.clip(k.ts - t1, 0.0, t2).tolist()]
+            return sum(v * (b - a) for v, a, b in zip(k._maj_steps.tolist(), G, G[1:]))
+        fn = lambda s: self.sched.value(s + 1.0) * float(k.majorant(t1 + s))
         if math.isinf(t2):
             # in units of 1 + t1, the scale on which hbar(t1 + s) decays
             w = 1.0 + t1

@@ -145,8 +145,7 @@ class Diagnostics:
     band checks and violations with the largest excursions below and above
     the band (negative while every candidate stayed inside), band points
     skipped by band sweeps, envelope certificates with their points and the
-    failures among those made at an alpha, and tau draws (one per finite
-    tau)."""
+    failures among those made at an alpha."""
 
     band_max_low: float = -math.inf
     band_max_high: float = -math.inf
@@ -157,7 +156,6 @@ class Diagnostics:
     certificates: int = 0
     certificate_points: int = 0
     n_candidates: int = 0
-    tau_tail_draws: int = 0
 
     def merge(self, other):
         """Fold the counters of ``other`` into this record and return it: the
@@ -317,11 +315,7 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
     ceil_gap = ceil_int(tau_gap)
     m = 0
     for i in range(1, cap + 1):
-        u = sched.ceil_inverse(int(counts(i)))
-        if u is None:
-            raise ConfigError("unit count exceeded sup gamma: is the schedule "
-                              "bounded?")
-        m = step(m, u)
+        m = step(m, sched.ceil_inverse(int(counts(i))))
         if m == 0 and i > ceil_gap:
             return i
     raise SimulationCapError("age-dependent alpha scan exceeded its cap",
@@ -441,7 +435,6 @@ class _Engine:
         m = self.env.F_l1
         if self.rng.random() >= 1.0 - math.exp(-m):
             return None
-        self.diag.tau_tail_draws += 1
         e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m)))
         s = a + self.env.inv_cum(e)
         self.sweep(a, s, True)

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from hawkes_renewal import TableKernel
 from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
                                    suite_borel, suite_clt, suite_coupling,
                                    suite_fclt, suite_lil, suite_moments,
@@ -21,10 +22,14 @@ from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
 N_JOBS = 2
 
 # the other setups through the exact-law gates of criteria 1, 2 and 4-6,
-# each on its own seed (criterion 1's fixture runs AD D=0 at seed 11)
-SETUPS = [("AD-D1", reference_ad_config, 1.0, 53),
-          ("O-D0", reference_o_config, 0.0, 59),
-          ("O-D1", reference_o_config, 1.0, 61)]
+# each on its own seed (criterion 1's fixture runs AD D=0 at seed 11), at
+# 10^4 cycles and blocks; a table kernel (||F||_1 = 0.98), whose blocks are
+# slower, at 3000 cycles and 2000 blocks
+TABLE = TableKernel([(0.0, 0.2), (1.0, -0.05), (2.0, 0.0)])
+SETUPS = [("AD-D1", reference_ad_config, 1.0, {}, 53, 10**4, 10**4),
+          ("O-D0", reference_o_config, 0.0, {}, 59, 10**4, 10**4),
+          ("O-D1", reference_o_config, 1.0, {}, 61, 10**4, 10**4),
+          ("AD-D1-table", reference_ad_config, 1.0, {"kernel": TABLE}, 67, 3000, 2000)]
 
 
 def report_criterion(num, label, reports, runtime=None):
@@ -88,18 +93,20 @@ class TestAcceptance:
         sel = pick(reports, "block-count-correlation", "block-length-correlation")
         assert report_criterion(6, "consecutive-block correlations below 3/sqrt(n)", sel)
 
-    @pytest.mark.parametrize("make, D, seed", [s[1:] for s in SETUPS],
-                             ids=[s[0] for s in SETUPS])
-    def test_criteria_01_to_06_on_every_setup(self, make, D, seed):
+    @pytest.mark.parametrize("make, D, overrides, seed, n_cycles, n_blocks",
+                             [s[1:] for s in SETUPS], ids=[s[0] for s in SETUPS])
+    def test_criteria_01_to_06_on_every_setup(self, make, D, overrides, seed,
+                                              n_cycles, n_blocks):
+        cfg = make(D=D, **overrides)
         t0 = time.perf_counter()
-        reports = suite_renewal(make(D=D), n_cycles=10**4, n_blocks=10**4,
+        reports = suite_renewal(cfg, n_cycles=n_cycles, n_blocks=n_blocks,
                                 seed=seed, n_jobs=N_JOBS)
         dt = time.perf_counter() - t0
         names = {r.name for r in reports}
         assert all(r.gating for r in reports)
         if D > 0:
             assert {"regeneration-gap-empty", "terminal-window-stationarity"} <= names
-        label = f"exact-law gates, {make.__name__}(D={D:g}), seed {seed}"
+        label = f"exact-law gates, {make.__name__}(D={D:g}), {cfg.kernel}, seed {seed}"
         assert report_criterion("1-6", label, reports, runtime=dt)
 
     def test_criterion_07_borel_total_progeny(self):

@@ -1,8 +1,10 @@
 import math
+import types
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
@@ -15,7 +17,8 @@ from hawkes_renewal.verify import reference_ad_config, reference_o_config
 
 
 def const_sched(c):
-    return GammaSchedule(lambda t: c, form="custom", inverse_fn=lambda y: 0.0)
+    """gamma = c, which no GammaSchedule is; EnvelopeFns reads only ``value``."""
+    return types.SimpleNamespace(value=lambda t: c)
 
 
 def make_env(kernel, rate, sched, r=None, D=0.0):
@@ -73,6 +76,23 @@ class TestEnvelopeValues:
                        sched)
         want = env.prefactor * (0.2 * (1.0 + t1) ** -4 + inner)
         assert abs(env.f(t1) - want) <= max(1e-8 * want, 1e-14)
+
+    @pytest.mark.parametrize("sched", [GammaSchedule.linear(0.7), GammaSchedule.log(C=3.0)],
+                             ids=["linear", "log"])
+    def test_table_f_matches_a_direct_quadrature(self, sched):
+        # the inner integral of the step majorant is a sum over its steps;
+        # the reference integrates gamma(s+1) hbar(t1+s) with the knots as breakpoints
+        k = TableKernel([(0.0, 0.3), (1.0, -0.1), (3.0, 0.05), (5.0, 0.0)])
+        env = make_env(k, RateSpec.refractory_linear(0.5, 0.4, 1.0), sched)
+        fn = lambda s, t1: sched.value(s + 1.0) * float(k.majorant(t1 + s))
+        for t1 in [0.0, 0.5, 1.0, 2.7, 4.99, 5.0, 7.0]:
+            for t2 in [0.0, 0.3, 1.5, 4.0, math.inf]:
+                hi = max(min(t2, k.support_end - t1), 0.0)
+                points = [t - t1 for t in k.ts if 0.0 < t - t1 < hi]
+                inner = quad(fn, 0.0, hi, args=(t1,), points=points or None,
+                             epsabs=0.0, epsrel=1e-13, limit=200)[0] if hi > 0 else 0.0
+                want = env.prefactor * (float(k.majorant(t1)) + inner)
+                assert abs(env.f(t1, t2) - want) <= 1e-12 * want, (t1, t2)
 
     def test_envelope_is_closed_form_only_for_exponential_kernels_without_r(self):
         rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
@@ -306,18 +326,14 @@ class TestGammaSchedule:
         sched = GammaSchedule.log(C=2.0)
         assert sched.inverse(0.0) == 0.0
 
-    def test_step_function_inverse(self):
-        sched = GammaSchedule(lambda t: 2.0 if t >= 1.0 else 0.0, form="custom")
-        assert sched.inverse(1.0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_bounded_schedule_gives_inf(self):
-        sched = GammaSchedule(lambda t: 1.0, form="custom")
-        assert sched.inverse(2.0) == math.inf
+    def test_only_linear_and_log_forms_exist(self):
+        assert GammaSchedule("log", 2.0) == GammaSchedule.log(C=2.0)
+        with pytest.raises(ConfigError, match="unknown schedule form 'custom'"):
+            GammaSchedule("custom", 1.0)
 
     @pytest.mark.parametrize("sched", [
         GammaSchedule.linear(0.7),
         GammaSchedule.log(C=1.3),
-        GammaSchedule(lambda t: math.floor(t) * 0.5, form="custom"),
     ])
     def test_inverse_equivalence(self, sched):
         # y <= gamma(t)  <=>  inverse(y) <= t
@@ -349,6 +365,15 @@ class TestGammaSchedule:
         assert logsched.check_assumption("O", "A", p=2.0, c_h=0.2) == []
         slow = GammaSchedule.log(C=0.01)
         assert slow.check_assumption("O", "A", p=2.0, c_h=0.2)
+
+    @pytest.mark.parametrize("make", [reference_ad_config, reference_o_config])
+    def test_assumption_B_needs_a_linear_schedule(self, make):
+        # C ln(t)/t tends to 0, however large C is
+        problem = "gamma(t)/t not bounded below on far grid (assumption B)"
+        for C in (3.0, 1e-3):
+            assert problem in make(sched=GammaSchedule.log(C=C), assumption="B").validate()
+        assert make(assumption="B").validate() == []
+        assert GammaSchedule.linear(1e-12).check_assumption("AD", "B") == [problem]
 
 
 class TestKernels:

@@ -84,11 +84,6 @@ class TestScanAlphaAD:
             scan_alpha_AD(sched, lambda i: 5, 0.5, cap=20)
         assert exc.value.diagnostics == {"last_state": 5}
 
-    def test_bounded_schedule_is_a_config_error(self):
-        sched = GammaSchedule(lambda t: 1.0, form="custom")
-        with pytest.raises(ConfigError, match="sup gamma"):
-            scan_alpha_AD(sched, lambda i: 2, 0.5)
-
 
 class TestScanAlphaO:
     def make_env(self):
@@ -339,12 +334,12 @@ class TestRunSystem:
         assert out.taus == [math.inf]
 
     def test_tail_draws_land_past_the_horizon(self):
-        # every finite tau is drawn from its law, within the delay D too
+        # every finite tau is drawn from its law, within the delay D too;
+        # a block's last cycle alone has tau = inf, so they number sum(eta)
         cfg = reference_ad_config(D=1.0)
-        diag = {}
-        blocks = iterate_regenerations(cfg, 40, seed=2, collect_diag=diag)
+        blocks = iterate_regenerations(cfg, 40, seed=2)
         drawn = [c.tau_gap for b in blocks for c in b.cycles if c.tau_from_tail]
-        assert diag["tau_tail_draws"] == len(drawn) > 0
+        assert len(drawn) == sum(b.eta for b in blocks) > 0
         assert all(cfg.cycle_horizon < g < math.inf for g in drawn)
 
     def test_reproducible(self):
@@ -644,12 +639,12 @@ class TestDiagnostics:
                                 band_violations=1, band_checks=2,
                                 band_skipped=4, envelope_failures=2,
                                 certificates=2, certificate_points=9,
-                                n_candidates=5, tau_tail_draws=1))
+                                n_candidates=5))
         total.merge(Diagnostics(band_skipped=3))
         assert total == Diagnostics(
             band_max_low=-0.5, band_max_high=-1.0, band_violations=1,
             band_checks=5, band_skipped=7, envelope_failures=2, certificates=3,
-            certificate_points=49, n_candidates=12, tau_tail_draws=1)
+            certificate_points=49, n_candidates=12)
 
 
 class _ScaledMass:
@@ -711,6 +706,18 @@ class TestGatesCanFail:
         monkeypatch.setattr(renewal, "check_envelope_inequality", scaled)
         cert = self.gates(100, 30, make(D=D))["envelope-certificate"]
         assert not cert.passed and cert.statistic >= 5
+
+    def test_paired_blocks_fail_the_block_correlations(self, monkeypatch):
+        # block 2k+1 reuses the PRM streams (3i, 3i+1) and the tau key of
+        # block 2k, so the pairs are equal and r is near 1/2
+        key = renewal.derive_key
+        monkeypatch.setattr(renewal, "PrmStream", lambda seed, stream: PrmStream(
+            seed, stream=stream - 3 * (stream // 3 % 2)))
+        monkeypatch.setattr(renewal, "derive_key", lambda seed, i, tag: key(
+            seed, i - i % 2 if tag == 0x7A1 else i, tag))
+        by_name = self.gates(1, 100)
+        assert not by_name["block-count-correlation"].passed
+        assert not by_name["block-length-correlation"].passed
 
     def test_rho_at_alpha_eta_fails(self, monkeypatch):
         run = renewal.run_system

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from hawkes_renewal import Path
 from hawkes_renewal.renewal import Block
@@ -94,6 +95,13 @@ class TestHelpers:
         assert same.passed and same.p_value > 0.01
         apart = chi2_two_sample(rng.poisson(0.4, 5000), rng.poisson(0.5, 5000))
         assert not apart.passed and apart.p_value < 1e-4
+
+    def test_two_sample_p_values_are_uniform_under_one_law(self):
+        # the test has its nominal size: p ~ U(0, 1) over many small runs
+        rng = np.random.default_rng(8)
+        ps = [chi2_two_sample(rng.poisson(2.0, 100), rng.poisson(2.0, 100)).p_value
+              for _ in range(400)]
+        assert scipy.stats.kstest(ps, "uniform").pvalue >= 0.01
 
     def test_two_sample_pooling_keeps_five_expected_per_cell(self):
         a = np.array([0] * 50 + [1] * 30 + [2] * 8 + [3] * 2 + [7])
