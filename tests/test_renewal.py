@@ -622,9 +622,37 @@ class TestPinnedOutputs:
          "c08ba77c9c5866763ad232d46b984bb77083f8bb63172a5e05c7de090968baca"),
         (reference_o_config, 0.0, 3, 12,
          "271a23213fe5d0e644176efe0612a1beae73d1a2f4b3ebdf6fbacaf662fcd276"),
-    ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3"])
+        (reference_o_config, 1.0, 4, 12,
+         "5c23ada71016c01dd0b1edf6634a088a38db00c8aa6e275f477d4e3b67ac39ed"),
+    ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3", "O-D1-seed4"])
     def test_blocks_match_their_pin(self, make, D, seed, n, pin):
         assert blocks_digest(iterate_regenerations(make(D=D), n, seed=seed)) == pin
+
+    @pytest.mark.parametrize("D, kernel, seed, pin", [
+        (0.0, None, 7,
+         "12b22e03e28b53a2ffb76439f739919523be308942f59e537356188e6b0ce8d9"),
+        (1.0, None, 8,
+         "680522c0507b97ecd603b48f29646d15d3579b9e1cc436c8fce5617ed0969cfc"),
+        (0.0, TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)]), 9,
+         "89de5ecb6e2ae5cd2f5d7f98716d9b2cabdfaa427ed924c7bdec1a9ff76201b7"),
+    ], ids=["O-D0-seed7", "O-D1-seed8", "O-table-seed9"])
+    def test_zn_scan_inputs_match_their_pin(self, monkeypatch, D, kernel, seed, pin):
+        # every (offset, count, mass(0)) that Z^n hands the ordinary scan over
+        # 40 blocks: its jumps before tau, at tau and past it, byte for byte
+        h = hashlib.sha256()
+        scan = renewal.scan_alpha_O
+
+        def recorded(env, sched, zn, tau_gap, **kwargs):
+            def seen(i):
+                count, mass = zn(i)
+                h.update(np.array([i, count, mass(0.0)], dtype=np.float64).tobytes())
+                return count, mass
+            return scan(env, sched, seen, tau_gap, **kwargs)
+
+        monkeypatch.setattr(renewal, "scan_alpha_O", recorded)
+        overrides = {"kernel": kernel} if kernel is not None else {}
+        iterate_regenerations(reference_o_config(D=D, **overrides), 40, seed=seed)
+        assert h.hexdigest() == pin
 
 
 class TestDiagnostics:
