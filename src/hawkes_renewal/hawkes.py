@@ -89,9 +89,10 @@ class KernelMemory:
             self.jumps, t - self._reach - 1e-9 * (1.0 + abs(t)), 0, idx)
         return np.array(self.jumps[lo:idx])
 
-    def value_at(self, t):
-        """sum h(t - u) over jumps u < t."""
-        idx = bisect.bisect_left(self.jumps, t)
+    def value_at(self, t, idx=None):
+        """sum h(t - u) over jumps u < t, which number ``idx`` when given."""
+        if idx is None:
+            idx = bisect.bisect_left(self.jumps, t)
         if isinstance(self.kernel, ExponentialKernel):
             return self._weighted(t, idx, self.kernel.amplitude)
         us = self._within(t, idx)
@@ -156,7 +157,11 @@ class ProcessState:
     def lambda_at(self, t):
         if t <= self.origin + self.delay:
             return 0.0
-        return float(self.rate.psi(self.memory_at(t), self.age_at(t)))
+        jumps = self.memory.jumps
+        i = bisect.bisect_left(jumps, t)  # one search for the memory and the age
+        age = t - jumps[i - 1] if i else self.age0 + (t - self.origin)
+        x = self.memory.value_at(t, i) + float(self.signal(t))
+        return float(self.rate.psi(x, age))
 
     def bound_from(self, t):
         """Dominating intensity bound valid on [t, next jump)."""
@@ -210,8 +215,12 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
     return Path(np.array(state.jumps), horizon=horizon, origin=origin)
 
 
-def thin(tracks, read, t_from, t_to, band=None, watch=None):
-    """Drive ``tracks`` on (t_from, t_to] by windowed exact thinning of one driver.
+class _SwappedIn(tuple):
+    """A (t, z) point of the second driver of :func:`thin`."""
+
+
+def thin(tracks, read, t_from, t_to, band=None, watch=None, swap=None):
+    """Drive ``tracks`` on (t_from, t_to] by windowed exact thinning.
 
     ``read(t0, t1, zmax)`` returns the driver's (t, z) points in (t0, t1] x
     [0, zmax], sorted by time.  Each unit window is read up to the largest
@@ -225,8 +234,12 @@ def thin(tracks, read, t_from, t_to, band=None, watch=None):
     skipped, as conditioned out of the driver.  ``watch(s, lams, width)``
     sees the intensities of every candidate of a band sweep.
 
-    Returns (n, skipped): the candidates inspected and the band points
-    skipped.
+    ``swap(t0, t1, zmax)`` returns a second driver's points, sorted by
+    time, which drive the first track alone: each window reads them up to
+    that track's own bound and merges them in by time.
+
+    Returns (n, skipped): the candidates of ``read`` inspected and the band
+    points skipped.
     """
     n = skipped = 0
     frontier = t_from
@@ -239,21 +252,33 @@ def thin(tracks, read, t_from, t_to, band=None, watch=None):
             bounds[-1] += band[1](frontier, w_end)
         bound = max(bounds) * (1.0 + _SLACK) + 1e-12
         limit = bound * (1.0 + _SLACK) + 1e-9
-        moved = False
-        for s, z in read(frontier, w_end, bound):
-            n += 1
-            lams = [tr.lambda_at(s) for tr in tracks]
-            top = max(lams)
-            if band is not None:
-                lam, width = lams[-1], band[0](s)
-                top = max(top, lam + width)
-                if watch is not None:
-                    watch(s, lams, width)
-            if top > limit:
-                raise DominationError("intensity exceeded its bound", at_time=s)
-            if band is not None and in_band(lam, z, lam + width):
-                skipped += 1
-                continue
+        points = read(frontier, w_end, bound)
+        if swap is not None:
+            own = bounds[0] * (1.0 + _SLACK) + 1e-12
+            second = swap(frontier, w_end, own)
+            if second:
+                points = sorted(points + [_SwappedIn(p) for p in second],
+                                key=lambda p: p[0])
+        for p in points:
+            s, z = p
+            if type(p) is _SwappedIn:
+                lams = [tracks[0].lambda_at(s)]  # so the jumps below stop there
+                if lams[0] > own * (1.0 + _SLACK) + 1e-9:
+                    raise DominationError("intensity exceeded its bound", at_time=s)
+            else:
+                n += 1
+                lams = [tr.lambda_at(s) for tr in tracks]
+                top = max(lams)
+                if band is not None:
+                    lam, width = lams[-1], band[0](s)
+                    top = max(top, lam + width)
+                    if watch is not None:
+                        watch(s, lams, width)
+                if top > limit:
+                    raise DominationError("intensity exceeded its bound", at_time=s)
+                if band is not None and in_band(lam, z, lam + width):
+                    skipped += 1
+                    continue
             jumped = False
             for tr, lam_tr in zip(tracks, lams):
                 if z <= lam_tr:
@@ -261,9 +286,8 @@ def thin(tracks, read, t_from, t_to, band=None, watch=None):
                     jumped = True
             if jumped:
                 frontier = s
-                moved = True
                 break
-        if not moved:
+        else:
             frontier = w_end
     return n, skipped
 

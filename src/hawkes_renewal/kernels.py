@@ -342,15 +342,21 @@ class GammaSchedule:
         return self.C * math.log(t) if t > 1.0 else 0.0
 
     def inverse(self, y):
-        """Generalized inverse."""
+        """Generalized inverse; inf past the float range."""
         y = float(y)
         if y <= 0.0:
             return 0.0
-        return y / self.C if self.form == "linear" else math.exp(y / self.C)
+        try:
+            return y / self.C if self.form == "linear" else math.exp(y / self.C)
+        except OverflowError:
+            return math.inf
 
     def ceil_inverse(self, y):
-        """Smallest integer m >= 0 with gamma(m) >= y."""
-        m = max(0, ceil_int(self.inverse(y)))
+        """Smallest integer m >= 0 with gamma(m) >= y; inf with the inverse."""
+        x = self.inverse(y)
+        if math.isinf(x):
+            return math.inf
+        m = max(0, ceil_int(x))
         while m > 0 and self.value(m - 1) >= y:
             m -= 1
         guard = 0
@@ -455,6 +461,7 @@ class EnvelopeFns:
         self.delta_inv = 0.0 if not math.isfinite(rate.delta) else 1.0 / rate.delta
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
         self._J_cache = {}
+        self._J_inf = None  # J(inf), read by every f(t1) of an exponential kernel
         # where F may jump; the pieces between and their masses, once needed
         self._jumps = sorted({0.0, self.D, *(b for b in rate.g_breaks if b > 0)})
         self._pieces = self._C = None
@@ -504,7 +511,11 @@ class EnvelopeFns:
         k = self.kernel
         if isinstance(k, ExponentialKernel):
             hb = float(k.majorant(t1))
-            val = self.prefactor * (hb + hb * self._J(t2))
+            if t2 != INF:
+                J = self._J(t2)
+            elif (J := self._J_inf) is None:
+                J = self._J_inf = self._J(INF)
+            val = self.prefactor * (hb + hb * J)
         else:
             val = self.prefactor * (float(k.majorant(t1)) + self._inner(t1, t2))
         if self.r is not None:

@@ -173,24 +173,32 @@ def split(pi, pibar, band, window, zmax):
     in-band content is materialized: every count identity
     |pi| + |pibar in band| = |down| + |up| then holds pathwise.
     """
-    t0, t1 = window
     down, up = [], []
-
-    def edges(s):
-        lo, hi = band(s)
-        if lo > hi:
-            raise BandViolationError(f"band lo > hi at sampled time {s:g}")
-        return lo, hi
-
-    for s, z in pi.sample(t0, t1, zmax):
-        lo, hi = edges(s)
+    for s, z in pi.sample(*window, zmax):
+        lo, hi = _edges(band, s)
         if in_band(lo, z, hi):
             up.append((s, z - lo))
         else:
             down.append((s, z))
-    for s, z in pibar.sample(t0, t1, zmax):
-        lo, hi = edges(s)
-        if in_band(lo, z, hi):
-            down.append((s, z))
+    down += swapped_in(pibar, band, window, zmax)
     down.sort(key=_time)
     return SplitStreams(down=down, up=up)
+
+
+def swapped_in(pibar, band, window, zmax):
+    """The second measure's half of :func:`split`: the (t, z) points of
+    ``pibar`` in ``window`` x [0, zmax] inside the band, sorted by time."""
+    out = []
+    for s, z in pibar.sample(*window, zmax):
+        lo, hi = _edges(band, s)
+        if in_band(lo, z, hi):
+            out.append((s, z))
+    return out
+
+
+def _edges(band, s):
+    """The band (lo, hi) at a sampled time s, refused when lo > hi."""
+    lo, hi = band(s)
+    if lo > hi:
+        raise BandViolationError(f"band lo > hi at sampled time {s:g}")
+    return lo, hi

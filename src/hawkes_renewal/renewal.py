@@ -7,10 +7,12 @@ exp(-||F||_1)) yields the regeneration time rho = alpha_eta + D.  The band
 points form a Poisson process of intensity F (on the delay D the band is
 the fixed strip (0, F], as the comparison process is silent there), so
 whether one exists and where the first lies are drawn from that exact law,
-and the sweep up to the drawn time skips the PRM's band points.  Blocks
-between consecutive regeneration times are independent and identically
-distributed by construction and restart from the certified state (age D,
-signal -f(t+D)) on fresh streams.
+and the sweep up to the drawn time skips the PRM's band points.  In setup O
+that sweep also thins Z^n, the dominating linear process of the alpha scan,
+on pi outside the band and pibar inside it; past tau Z^n and the tracks
+share one sweep.  Blocks between consecutive regeneration times are
+independent and identically distributed by construction and restart from
+the certified state (age D, signal -f(t+D)) on fresh streams.
 """
 
 import math
@@ -25,7 +27,7 @@ from .errors import ConfigError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
 from .kernels import (EnvelopeFns, ExpDecay, RateSpec, borel_c_h, ceil_int,
                       check_subcritical, pos_part)
-from .prm import PrmStream, derive_key, spawn_rng, split
+from .prm import PrmStream, derive_key, spawn_rng, split, swapped_in
 from .reprocess import step
 
 _SLACK = 1e-9
@@ -141,11 +143,12 @@ class CycleRecord:
 @dataclass
 class Diagnostics:
     """The engine's counters, summed over cycles, blocks and workers:
-    candidates of the track sweeps (past tau in setup O, joint with Z^n),
-    band checks and violations with the largest excursions below and above
-    the band (negative while every candidate stayed inside), band points
-    skipped by band sweeps, envelope certificates with their points and the
-    failures among those made at an alpha."""
+    pi's candidates in the track sweeps (in setup O joint with Z^n, before
+    tau and past it), band checks and violations with the largest
+    excursions below and above the band (negative while every candidate
+    stayed inside), band points skipped by band sweeps, envelope
+    certificates with their points and the failures among those made at an
+    alpha."""
 
     band_max_low: float = -math.inf
     band_max_high: float = -math.inf
@@ -308,14 +311,18 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
     ceil(tau_gap) at which the chain reaches zero, which is exactly the
     first offset whose whole backward count profile fits under the
     schedule.  The chain is M_i = max(M_{i-1} - 1, u_i) from M_0 = 0, with
-    u_i the least integer at which gamma reaches ``counts(i)``; past
-    ``cap`` offsets the scan raises :class:`SimulationCapError` with the
-    chain's last state.
+    u_i the least integer at which gamma reaches ``counts(i)``.  The chain
+    falls by at most one per offset, so a draw u_i > cap - i keeps it above
+    zero up to ``cap``: the scan then raises :class:`SimulationCapError`
+    with the chain's last state, as it does past ``cap`` offsets.
     """
     ceil_gap = ceil_int(tau_gap)
     m = 0
     for i in range(1, cap + 1):
-        m = step(m, sched.ceil_inverse(int(counts(i))))
+        u = sched.ceil_inverse(int(counts(i)))
+        if u > cap - i:
+            break
+        m = step(m, u)
         if m == 0 and i > ceil_gap:
             return i
     raise SimulationCapError("age-dependent alpha scan exceeded its cap",
@@ -372,6 +379,10 @@ class _Engine:
         self.cycles = []
         self.cycle = None       # current/last comparison process
         self.cycle_start = None
+        self.zn = None          # the cycle's dominating linear process Z^n
+        self.zn_model = ((pos_part(cfg.kernel),
+                          RateSpec.linear(cfg.rate.c_psi, cfg.rate.L))
+                         if cfg.setup == "O" else None)
         self.diag = Diagnostics()
 
     # -- band helpers -------------------------------------------------------
@@ -384,6 +395,10 @@ class _Engine:
             signal_upper=lambda t: 0.0,
             age0=0.0, delay=self.cfg.D, origin=a)
         self.cycle_start = a
+        if self.zn_model is not None:
+            f_from_a = lambda t: env.f(max(t - a, 0.0))
+            self.zn = ProcessState(*self.zn_model, signal=f_from_a,
+                                   signal_upper=f_from_a, origin=a)
 
     def width(self, s):
         """The band width at absolute time s."""
@@ -393,8 +408,14 @@ class _Engine:
         a = self.cycle_start
         return self.env.F_sup(max(t0 - a, 0.0), t1 - a)
 
+    def band(self, s):
+        """The cycle's band (lo, hi] at absolute time s."""
+        lam = self.cycle.lambda_at(s)
+        return lam, lam + self.width(s)
+
     def _record_band(self, s, lams, width):
-        d, diag = lams[0] - lams[-1], self.diag
+        # the target is the first of self.tracks, after Z^n when it leads
+        d, diag = lams[-1 - len(self.tracks)] - lams[-1], self.diag
         diag.band_checks += 1
         diag.band_max_low = max(diag.band_max_low, -d)
         diag.band_max_high = max(diag.band_max_high, d - width)
@@ -403,15 +424,20 @@ class _Engine:
 
     # -- joint candidate sweeps ----------------------------------------------
 
-    def sweep(self, t_from, t_to, banded, lead=()):
-        """Advance the tracks on (t_from, t_to] after the processes in
-        ``lead``, or with ``banded`` before the cycle process under its band,
-        whose points are skipped as the band is conditioned empty there."""
-        tracks, band = [*lead, *self.tracks], None
+    def sweep(self, t_from, t_to, banded, zn=None):
+        """Advance the tracks on (t_from, t_to] after Z^n when given, and
+        with ``banded`` before the cycle process under its band: pi's band
+        points are skipped, as the band is conditioned empty there, and
+        pibar's drive Z^n alone."""
+        tracks = [*self.tracks] if zn is None else [zn, *self.tracks]
+        band = swap = None
         if banded:
             tracks, band = tracks + [self.cycle], (self.width, self.width_sup)
+            if zn is not None:
+                swap = lambda t0, t1, zmax: swapped_in(self.pibar, self.band,
+                                                       (t0, t1), zmax)
         n, skipped = thin(tracks, self.pi.sample, t_from, t_to, band=band,
-                          watch=self._record_band)
+                          watch=self._record_band, swap=swap)
         self.diag.n_candidates += n
         self.diag.band_skipped += skipped
 
@@ -425,7 +451,8 @@ class _Engine:
         exists is one draw with probability 1 - exp(-||F||_1), and its gap
         one draw from the exact conditional law through ``inv_cum``.  The
         sweep up to it skips the PRM's band points, which that law
-        conditions out, and the point is placed uniformly in the band.
+        conditions out, and the point is placed uniformly in the band.  In
+        setup O the sweep thins Z^n too, and Z^n gets its point at tau.
         """
         a = self.alphas[-1]
         # every read of this cycle and of the later ones starts at or after a
@@ -437,62 +464,49 @@ class _Engine:
             return None
         e = -math.log1p(-self.rng.random() * (1.0 - math.exp(-m)))
         s = a + self.env.inv_cum(e)
-        self.sweep(a, s, True)
+        self.sweep(a, s, True, self.zn)
         z = self.cycle.lambda_at(s) + self.rng.random() * self.width(s)
         for tr in self.tracks:
             if z <= tr.lambda_at(s):
                 tr.add_jump(s)
+        if self.zn is not None:
+            self.zn.add_jump(s)
         return s
 
     # -- scan drivers -----------------------------------------------------------
 
     def find_alpha(self, tau_abs, tau_gap):
-        """The next alpha, absolute, with the tracks swept up to it."""
+        """The next alpha, absolute, with the tracks swept up to it.  In
+        setup O the scan starts at tau, where ``run_cycle`` left Z^n."""
         a = self.alphas[-1]
         cfg = self.cfg
-
-        def band(s):
-            """The cycle's band up to tau; empty after it."""
-            if s > tau_abs:
-                return 0.0, 0.0
-            lam = self.cycle.lambda_at(s)
-            return lam, lam + self.width(s)
-
-        def read(t0, t1, zmax):
-            """The post-split driver: swapped inside the band, pi past tau."""
-            if t0 >= tau_abs:
-                return self.pi.sample(t0, t1, zmax)
-            return split(self.pi, self.pibar, band, (t0, t1), zmax).down
-
         if cfg.setup == "AD":
-            K = cfg.rate.K
+            band = lambda s: self.band(s) if s <= tau_abs else (0.0, 0.0)
+
             def counts(i):
-                return len(read(a + i - 1.0, a + i, K))
+                """Unit i's points of the split driver (pi past tau)."""
+                t0, t1, K = a + i - 1.0, a + i, cfg.rate.K
+                if t0 >= tau_abs:
+                    return len(self.pi.sample(t0, t1, K))
+                return len(split(self.pi, self.pibar, band, (t0, t1), K).down)
+
             alpha = a + scan_alpha_AD(cfg.sched, counts, tau_gap, cap=cfg.scan_cap)
             self.sweep(tau_abs, alpha, False)
             return alpha
-        # ordinary setup: grow the dominating linear process Z^n on demand,
-        # alone on the split reader up to tau, where its first point is,
-        # then in one sweep with the tracks, whose intensities it dominates
-        env = self.env
-        f_from_a = lambda t: env.f(max(t - a, 0.0))
-        zpre = ProcessState(pos_part(cfg.kernel),
-                            RateSpec.linear(cfg.rate.c_psi, cfg.rate.L),
-                            signal=f_from_a, signal_upper=f_from_a, origin=a)
-        thin([zpre], read, a, tau_abs)
-        zpre.add_jump(tau_abs)
-        swept = tau_abs
+        # ordinary setup: Z^n grows on demand in one sweep with the tracks,
+        # whose intensities it dominates
+        zn, swept = self.zn, tau_abs
 
-        def zn(i):
+        def zn_at(i):
             nonlocal swept
             t = a + i
-            self.sweep(swept, t, False, lead=(zpre,))
+            self.sweep(swept, t, False, zn)
             swept = t
-            return len(zpre.jumps), zpre.memory.majorant_from(t)  # all at or before t
+            return len(zn.jumps), zn.memory.majorant_from(t)  # all at or before t
 
         certs = []
-        off = scan_alpha_O(env, cfg.sched, zn, tau_gap, cap=cfg.scan_cap,
-                           certs=certs)
+        off = scan_alpha_O(self.env, cfg.sched, zn_at, tau_gap,
+                           cap=cfg.scan_cap, certs=certs)
         for cert in certs:
             self._count(cert)
         return a + off

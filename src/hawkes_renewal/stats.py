@@ -189,16 +189,19 @@ def block_stat_from_blocks(blocks):
 
 
 def unit_counts(blocks):
-    """Concatenated per-unit event counts across blocks (integer lengths)."""
-    out = []
-    for b in blocks:
-        k = int(round(b.rho))
-        if abs(b.rho - k) > 1e-9:
-            raise ConfigError("unit-window statistics need integer block lengths "
-                              "(integer D and unit-integer alphas)")
-        hist, _ = np.histogram(b.path.times, bins=np.arange(0.0, k + 1.0))
-        out.append(hist)
-    return np.concatenate(out) if out else np.empty(0)
+    """Concatenated per-unit event counts across blocks (integer lengths);
+    the last unit of a block holds an event at its end rho as well."""
+    lens = [int(round(b.rho)) for b in blocks]
+    if any(abs(b.rho - k) > 1e-9 for b, k in zip(blocks, lens)):
+        raise ConfigError("unit-window statistics need integer block lengths "
+                          "(integer D and unit-integer alphas)")
+    if not blocks:
+        return np.empty(0)
+    sizes = [b.path.n for b in blocks]
+    times = np.concatenate([b.path.times for b in blocks])
+    units = np.minimum(np.floor(times), np.repeat(lens, sizes) - 1).astype(np.int64)
+    return np.bincount(units + np.repeat(np.cumsum(lens) - lens, sizes),
+                       minlength=sum(lens))
 
 
 def batch_means_sigma2(counts, batch=64):

@@ -233,6 +233,15 @@ class TestRenewal:
         assert main(["renewal", "--config", cfg]) == 2
         assert "t^p f not integrable (assumption A)" in capsys.readouterr().err
 
+    def test_a_schedule_past_float_range_hits_the_scan_cap(self, tmp_path, capsys):
+        # C = 1e-3 passes assumption A in setup AD, but gamma reaches 1 only
+        # at exp(1000): the first unit with a point ends the run at the cap
+        text = BASE_CONFIG.replace("[run]\n", "[gamma]\nform = log\nC = 1e-3\n\n"
+                                             "[run]\nassumption = A\np = 2.0\n")
+        assert main(["renewal", "--config", write(tmp_path, text)]) == 3
+        err = capsys.readouterr().err
+        assert "SimulationCapError" in err and "OverflowError" not in err
+
     def test_zero_band_rows_have_inf_sentinels(self, tmp_path, capsys):
         cfg = write(tmp_path, ZERO_BAND_CONFIG)
         assert main(["renewal", "--config", cfg]) == 0

@@ -8,6 +8,7 @@ from hawkes_renewal import (ConfigError, ExpDecay, ExponentialKernel, Path,
                             PowerLawKernel, PrmStream, RateSpec, TableKernel,
                             ZeroKernel, path_to_csv, pos_part, simulate_adhp)
 from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
+from hawkes_renewal.prm import swapped_in
 
 
 def thinning_oracle(pi, kernel, rate, bound, horizon, signal=None, age0=0.0,
@@ -34,14 +35,19 @@ def thinning_oracle(pi, kernel, rate, bound, horizon, signal=None, age0=0.0,
     return np.array(events)
 
 
-def band_replay(pi, specs, width, bound, horizon):
+def band_replay(pi, specs, width, bound, horizon, pibar=None):
     """Brute-force replay of a band sweep of several tracks below one global
     bound: the band (lam, lam + width] rides on the last track and its
-    points are skipped.  Returns (jumps of each track, band points
-    skipped)."""
+    points are skipped; the band points of a second driver ``pibar``, when
+    given, drive the first track alone.  Returns (jumps of each track, band
+    points skipped)."""
     events = [[] for _ in specs]
     skipped = 0
-    for s, z in pi.sample(0.0, horizon, bound):
+    points = [(s, z, False) for s, z in pi.sample(0.0, horizon, bound)]
+    if pibar is not None:
+        points = sorted(points + [(s, z, True) for s, z in
+                                  pibar.sample(0.0, horizon, bound)])
+    for s, z, second in points:
         lams = []
         for sp, ev in zip(specs, events):
             us = np.array(ev)
@@ -51,7 +57,12 @@ def band_replay(pi, specs, width, bound, horizon):
             lams.append(0.0 if s <= sp["delay"] else sp["rate"].psi(mem, age))
         lam = lams[-1]
         assert max(lams + [lam + width(s)]) <= bound, "replay bound violated; enlarge it"
-        if lam < z <= lam + width(s):
+        inside = lam < z <= lam + width(s)
+        if second:
+            if inside and z <= lams[0]:
+                events[0].append(s)
+            continue
+        if inside:
             skipped += 1
             continue
         for ev, lam_i in zip(events, lams):
@@ -225,35 +236,66 @@ class TestSimulate:
                                  horizon=15.0)
             assert np.array_equal(oracle, path.times)
 
+    # two tracks and a delayed, banded last track (the cycle process)
+    AD = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+    SPECS = [
+        dict(kernel=ExponentialKernel(1.0, 0.2), rate=AD, signal=None,
+             upper=None, age0=2.0, delay=0.0),
+        dict(kernel=PowerLawKernel(0.3, 3.0), rate=RateSpec.linear(0.5, 0.6),
+             signal=lambda t: 0.4 * math.exp(-t),
+             upper=lambda t: 0.4 * math.exp(-t), age0=0.0, delay=0.0),
+        dict(kernel=ExponentialKernel(1.0, 0.2), rate=AD,
+             signal=lambda t: -0.5 * math.exp(-t), upper=lambda t: 0.0,
+             age0=0.0, delay=1.0),
+    ]
+
+    @staticmethod
+    def width(s):
+        return 0.3 * math.exp(-0.5 * s)
+
+    def banded_tracks(self):
+        return [ProcessState(sp["kernel"], sp["rate"], signal=sp["signal"],
+                             signal_upper=sp["upper"], age0=sp["age0"],
+                             delay=sp["delay"]) for sp in self.SPECS]
+
     def test_band_sweep_of_several_tracks_matches_replay(self):
-        # two tracks and a delayed, banded last track (the cycle process) on
-        # one driver, whose band points are skipped
-        ad = RateSpec.refractory_linear(0.5, 0.4, 1.0)
-        specs = [
-            dict(kernel=ExponentialKernel(1.0, 0.2), rate=ad, signal=None,
-                 upper=None, age0=2.0, delay=0.0),
-            dict(kernel=PowerLawKernel(0.3, 3.0), rate=RateSpec.linear(0.5, 0.6),
-                 signal=lambda t: 0.4 * math.exp(-t),
-                 upper=lambda t: 0.4 * math.exp(-t), age0=0.0, delay=0.0),
-            dict(kernel=ExponentialKernel(1.0, 0.2), rate=ad,
-                 signal=lambda t: -0.5 * math.exp(-t), upper=lambda t: 0.0,
-                 age0=0.0, delay=1.0),
-        ]
-        width = lambda s: 0.3 * math.exp(-0.5 * s)
-        band = (width, lambda t0, t1: width(t0))
+        # on one driver, whose band points are skipped
+        band = (self.width, lambda t0, t1: self.width(t0))
         total = 0
         for seed in range(40):
             pi = PrmStream(seed, 43)
-            want, skipped = band_replay(pi, specs, width, 12.0, 15.0)
-            tracks = [ProcessState(sp["kernel"], sp["rate"], signal=sp["signal"],
-                                   signal_upper=sp["upper"], age0=sp["age0"],
-                                   delay=sp["delay"]) for sp in specs]
+            want, skipped = band_replay(pi, self.SPECS, self.width, 12.0, 15.0)
+            tracks = self.banded_tracks()
             _, n_skipped = thin(tracks, pi.sample, 0.0, 15.0, band=band)
             assert n_skipped == skipped, seed
             for tr, ev in zip(tracks, want):
                 assert tr.jumps == ev, seed
             total += skipped
         assert total > 0
+
+    def test_band_sweep_with_a_second_driver_matches_replay(self):
+        # the band points of a second driver, read through the band split,
+        # drive the first track alone, as pibar's drive Z^n in setup O
+        band = (self.width, lambda t0, t1: self.width(t0))
+        alone = 0
+        for seed in range(40):
+            pi, pibar = PrmStream(seed, 43), PrmStream(seed, 47)
+            want, skipped = band_replay(pi, self.SPECS, self.width, 12.0, 15.0,
+                                        pibar=pibar)
+            tracks = self.banded_tracks()
+
+            def edges(s):
+                lam = tracks[-1].lambda_at(s)
+                return lam, lam + self.width(s)
+
+            swap = lambda t0, t1, zmax: swapped_in(pibar, edges, (t0, t1), zmax)
+            _, n_skipped = thin(tracks, pi.sample, 0.0, 15.0, band=band, swap=swap)
+            assert n_skipped == skipped, seed
+            for tr, ev in zip(tracks, want):
+                assert tr.jumps == ev, seed
+            second = {s for s, _ in pibar.sample(0.0, 15.0, 12.0)}
+            alone += sum(u in second for u in tracks[0].jumps)
+        assert alone > 0
 
     def test_delay_suppresses_events(self):
         path = simulate_adhp(PrmStream(5, 0), ZeroKernel(), RateSpec.linear(3.0, 1.0),

@@ -352,6 +352,16 @@ class TestGammaSchedule:
                 assert sched.value(m) >= y
                 assert m == 0 or sched.value(m - 1) < y
 
+    def test_a_small_log_schedule_inverts_to_inf_past_float_range(self):
+        # accepted in setup AD under assumption A, yet exp(1 / 1e-3)
+        # overflows a float
+        sched = GammaSchedule.log(C=1e-3)
+        assert sched.check_assumption("AD", "A", p=2.0) == []
+        assert sched.inverse(0.7) == math.exp(0.7 / 1e-3) < math.inf
+        assert sched.inverse(1.0) == math.inf
+        assert sched.ceil_inverse(1.0) == math.inf
+        assert sched.ceil_inverse(0.0) == 0
+
     def test_int_shifted_log_closed_form(self):
         sched = GammaSchedule.log(C=1.0)
         for i in [1, 3, 10]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hawkes_renewal import Path
+from hawkes_renewal import ConfigError, Path
 from hawkes_renewal.renewal import Block
 from hawkes_renewal.stats import (ad_normality, batch_means_sigma2,
                                   block_stat_from_blocks, blocks_until, chi2_gof,
@@ -39,6 +39,21 @@ class TestBlockStat:
         blocks = [fake_block([0.5, 1.5], 3.0), fake_block([0.7], 2.0)]
         got = unit_counts(blocks)
         assert got.tolist() == [1, 1, 0, 1, 0]
+        # a unit holds its left end; the last unit holds rho as well
+        blocks = [fake_block([1.0, 2.0], 2.0), fake_block([], 1.0),
+                  fake_block([0.25, 3.0], 3.0)]
+        assert unit_counts(blocks).tolist() == [0, 2, 0, 1, 0, 1]
+        assert unit_counts([]).size == 0
+        with pytest.raises(ConfigError, match="integer block lengths"):
+            unit_counts([fake_block([0.5], 1.5)])
+
+    def test_unit_counts_match_a_histogram_per_block(self):
+        blocks = iterate_regenerations(reference_ad_config(D=1.0), 300, seed=4)
+        want = np.concatenate([
+            np.histogram(b.path.times, bins=np.arange(0.0, round(b.rho) + 1.0))[0]
+            for b in blocks])
+        got = unit_counts(blocks)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_centering_insensitive_to_first_block(self):
         cfg = reference_ad_config(D=1.0)
