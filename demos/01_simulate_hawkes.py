@@ -27,12 +27,12 @@ hawkes = simulate_adhp(PrmStream(seed=2), kernel, rate, horizon=5000.0)
 print(f"linear Hawkes: empirical rate {hawkes.n / 5000:.3f}, "
       f"theory c/(1 - L||h||) = {1.0 / 0.5:.3f}")
 
-# replaying the jumps into a process state queries memory and age at any time
+# replaying the jumps into a process state gives the intensity at any time
 state = ProcessState(kernel, rate)
 for u in hawkes.times:
     state.add_jump(float(u))
 t = float(hawkes.times[100]) + 0.25
-print(f"memory at t={t:.2f}: {state.memory_at(t):.3f}, age: {state.age_at(t):.3f}")
+print(f"intensity at t={t:.2f}: {state.lambda_at(t):.3f}")
 
 # --- age-dependent variant: excitation gated by a refractory period --------
 

@@ -145,15 +145,6 @@ class ProcessState:
     def jumps(self):
         return self.memory.jumps
 
-    def age_at(self, t):
-        i = bisect.bisect_left(self.memory.jumps, t)
-        if i:
-            return t - self.memory.jumps[i - 1]
-        return self.age0 + (t - self.origin)
-
-    def memory_at(self, t):
-        return self.memory.value_at(t) + float(self.signal(t))
-
     def lambda_at(self, t):
         if t <= self.origin + self.delay:
             return 0.0

@@ -460,7 +460,6 @@ class EnvelopeFns:
         self.D = float(D)
         self.delta_inv = 0.0 if not math.isfinite(rate.delta) else 1.0 / rate.delta
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
-        self._J_cache = {}
         self._J_inf = None  # J(inf), read by every f(t1) of an exponential kernel
         # where F may jump; the pieces between and their masses, once needed
         self._jumps = sorted({0.0, self.D, *(b for b in rate.g_breaks if b > 0)})
@@ -469,19 +468,24 @@ class EnvelopeFns:
     # -- inner integral ----------------------------------------------------
 
     def _J(self, t2):
-        """int_0^t2 gamma(s+1) exp(-rate*s) ds for an exponential kernel, cached:
-        there hbar(t1+s) = hbar(t1) exp(-rate*s), so the schedule factor is
-        shared by every t1."""
-        J = self._J_cache.get(t2)
-        if J is None:
-            a = self.kernel.rate
-            fn = lambda s: self.sched.value(s + 1.0) * math.exp(-a * s)
-            if math.isinf(t2):
-                J = integrate_to_inf(fn, 0.0, factor="gamma * majorant tail")
-            else:
-                J = integrate(fn, 0.0, t2)
-            self._J_cache[t2] = J
-        return J
+        """int_0^t2 gamma(s+1) exp(-a s) ds for an exponential kernel of rate a
+        in closed form (E1 for a log schedule; inf where e^a overflows, which f
+        names): there hbar(t1+s) = hbar(t1) exp(-a s), shared by every t1."""
+        a, C = self.kernel.rate, self.sched.C
+        if self.sched.form == "linear":
+            if t2 == INF:
+                return C * (1.0 / a + 1.0 / (a * a))
+            e = math.exp(-a * t2)
+            return C * ((1.0 - (t2 + 1.0) * e) / a + (1.0 - e) / (a * a))
+        from scipy.special import exp1
+        try:
+            ea = math.exp(a)
+        except OverflowError:
+            return INF
+        if t2 == INF:
+            return C * ea * float(exp1(a)) / a
+        return C / a * (ea * float(exp1(a) - exp1(a * (1.0 + t2)))
+                        - math.log1p(t2) * math.exp(-a * t2))
 
     def _inner(self, t1, t2):
         """int_0^t2 gamma(s+1) hbar(t1+s) ds for a kernel that is not

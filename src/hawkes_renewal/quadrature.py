@@ -8,8 +8,6 @@ QUADPACK reports success and its own error estimate meets that target.
 
 import math
 
-from scipy.integrate import quad
-
 from .errors import IntegrabilityError
 
 REL_TOL = 1e-8
@@ -20,7 +18,8 @@ def _quad(fn, a, b, factor, points=()):
     """One QUADPACK call on [a, b]; raises :class:`IntegrabilityError` naming
     ``factor`` when QUADPACK reports a failure (a divergent or too slowly
     decaying integrand among them) or its error estimate misses the target.
-    It emits no warning."""
+    It emits no warning.  SciPy is imported here, on the first quadrature."""
+    from scipy.integrate import quad
     # QAGP needs more subintervals than breakpoints
     kw = {"points": points, "limit": 50 + len(points)} if points else {}
     # with full_output, a failure comes back as a trailing message, not a warning

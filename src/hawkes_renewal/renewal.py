@@ -90,6 +90,13 @@ class RenewalConfig:
         problems += self.env.validate(self.assumption, self.p)
         if self.D < 0:
             problems.append("delay D must be >= 0")
+        if not problems:
+            # eta is geometric: P(a block passes max_cycles) <= exp(-max_cycles / cycles)
+            m = self.env.F_l1
+            cycles = math.exp(m) if m < 709.0 else math.inf
+            if self.max_cycles < 20.0 * cycles:
+                problems.append(f"||F||_1 = {m:.4g}: a block needs e^||F||_1 = {cycles:.3g} "
+                                f"cycles on average, more than max_cycles / 20")
         return problems
 
 

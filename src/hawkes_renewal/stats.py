@@ -12,7 +12,6 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import ConfigError
 from .prm import PrmStream, derive_key, spawn_rng
@@ -60,6 +59,7 @@ def summarize(reports):
 
 def ad_normality(x, alpha=0.01, name="anderson-darling"):
     """Anderson-Darling normality check with the D'Agostino p approximation."""
+    import scipy.stats
     x = np.asarray(x, dtype=float)
     n = len(x)
     # as scipy.stats.anderson(x, "norm"), whose critical_values is deprecated
@@ -85,6 +85,7 @@ def ad_normality(x, alpha=0.01, name="anderson-darling"):
 def chi2_gof(observed, probs, alpha=0.01, min_expected=5.0, ddof=0,
              name="chi-square"):
     """Chi-square goodness of fit with right-tail pooling of sparse bins."""
+    import scipy.stats
     obs = np.asarray(observed, dtype=float)
     exp = np.asarray(probs, dtype=float) * obs.sum()
     o_pool, e_pool = [], []
@@ -111,6 +112,7 @@ def chi2_two_sample(a, b, alpha=0.01, min_expected=5.0, name="chi-square-2samp")
     """Chi-square test that two samples of counts share one law, on their
     2 x k table of value frequencies; adjacent values are pooled from 0 up
     until every cell expects ``min_expected``, the rest joining the last."""
+    import scipy.stats
     top = max(max(a), max(b)) + 1
     table = np.array([np.bincount(a, minlength=top), np.bincount(b, minlength=top)])
     share = table.sum(axis=1).min() / table.sum()  # of the smaller sample
@@ -131,6 +133,7 @@ def chi2_two_sample(a, b, alpha=0.01, min_expected=5.0, name="chi-square-2samp")
 
 
 def ks_against(samples, cdf, alpha=0.01, name="kolmogorov-smirnov"):
+    import scipy.stats
     stat, p = scipy.stats.kstest(samples, cdf)
     return TestReport(name=name, statistic=float(stat), p_value=float(p),
                       n=len(samples), passed=p >= alpha, alpha=alpha)
@@ -138,6 +141,7 @@ def ks_against(samples, cdf, alpha=0.01, name="kolmogorov-smirnov"):
 
 def poisson_dispersion(counts, alpha=0.01, name="poisson-dispersion"):
     """Two-sided index-of-dispersion test: (n-1) s^2 / mean ~ chi2(n-1)."""
+    import scipy.stats
     c = np.asarray(counts, dtype=float)
     n = len(c)
     stat = (n - 1) * c.var(ddof=1) / max(c.mean(), 1e-300)
@@ -149,6 +153,7 @@ def poisson_dispersion(counts, alpha=0.01, name="poisson-dispersion"):
 
 def se_bound_report(name, value, target, se, k=3.0, n=0, detail=""):
     """|value - target| <= k * se, reported with a two-sided normal p."""
+    import scipy.stats
     z = abs(value - target) / se if se > 0 else (0.0 if value == target else math.inf)
     p = 2.0 * scipy.stats.norm.sf(z)
     return TestReport(name=name, statistic=float(z), p_value=float(p), n=n,
@@ -288,6 +293,7 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01):
     interpolation at t = 0.25, 0.5, 1; tests Brownian marginal variances and
     increment independence, each two-sided at level ``alpha``.  Returns
     (t_grid, paths, reports)."""
+    import scipy.stats
     t_grid = _T_GRID
     def cut(blocks):
         """Consecutive paths of length >= n, and the length still missing."""

@@ -13,7 +13,6 @@ import math
 import time
 
 import numpy as np
-import scipy.stats
 
 from .cluster import BorelLaw, simulate_cluster
 from .errors import ConfigError
@@ -78,6 +77,7 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
     certificates, the band points skipped below the drawn gaps, and block
     independence.
     """
+    import scipy.stats
     cfg = cfg if cfg is not None else reference_ad_config(D=0.0)
     diag = {}
     cycles_missing = lambda bs: max(n_cycles - sum(b.eta + 1 for b in bs),
@@ -187,6 +187,7 @@ def suite_thinning(n_runs=10**3, horizon=20.0, bound=12.0, seed=3):
 def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
     """Independence and marginal-law checks for the split measures,
     including a history-dependent predictable band."""
+    import scipy.stats
     pi = PrmStream(seed, stream=1)
     pibar = PrmStream(seed, stream=2)
     res = split(pi, pibar, lambda t: (1.0, 2.0), (0.0, float(horizon)), 3.0)
@@ -259,6 +260,7 @@ def suite_re_chain(n_steps=10**6, n_kac=10**5, seed=17, alpha=0.01, thin=25):
     Occupation counts are thinned beyond the chain's mixing time so the
     chi-square null is calibrated (consecutive states are dependent).
     """
+    import scipy.stats
     lam = 0.7
     chain = REChain(cdf=lambda k: float(scipy.stats.poisson.cdf(k, lam)),
                     sampler=lambda rng, size=None: rng.poisson(lam, size=size))

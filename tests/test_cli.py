@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import pathlib
+import time
 
 import pytest
 
@@ -241,6 +242,18 @@ class TestRenewal:
         assert main(["renewal", "--config", write(tmp_path, text)]) == 3
         err = capsys.readouterr().err
         assert "SimulationCapError" in err and "OverflowError" not in err
+
+    def test_a_config_that_cannot_regenerate_is_rejected(self, tmp_path, capsys):
+        # L ||h_+|| = 0.95 is subcritical, but ||F||_1 = 58.9: a block needs
+        # about e^58.9 cycles, so it would run for hours before the cycle cap
+        text = ("[kernel]\nform = exponential\nrate = 0.2\namplitude = 0.19\n\n"
+                "[rate]\nform = linear\nc = 0.5\nL = 1.0\n\n"
+                "[run]\nn_blocks = 3\nout = {out}\n")
+        t0 = time.perf_counter()
+        assert main(["renewal", "--config", write(tmp_path, text)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert "||F||_1 = 58.9" in err and "e^||F||_1 = 3.8e+25 cycles" in err
 
     def test_zero_band_rows_have_inf_sentinels(self, tmp_path, capsys):
         cfg = write(tmp_path, ZERO_BAND_CONFIG)

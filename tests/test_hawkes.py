@@ -147,14 +147,20 @@ class TestQueries:
         assert 0 < max(sizes) < 25
 
     def test_age_conventions(self):
-        rate = RateSpec.linear(1.0, 0.5)
-        fresh = ProcessState(ZeroKernel(), rate, age0=2.0)
-        assert fresh.age_at(3.0) == 5.0
-        st = ProcessState(ZeroKernel(), rate)
-        st.add_jump(1.5)
-        assert st.age_at(2.0) == pytest.approx(0.5)
-        # at the jump time itself the left limit applies
-        assert st.age_at(1.5) == pytest.approx(1.5)
+        # psi = c 1{age > delta}: lambda_at reads c for delta just below the
+        # age it uses and 0 just above it
+        def lam(age0, jumps, t, delta):
+            st = ProcessState(ZeroKernel(), RateSpec.hard_refractory(2.0, delta), age0=age0)
+            for u in jumps:
+                st.add_jump(u)
+            return st.lambda_at(t)
+        for age0, jumps, t, age in [
+            (2.0, [], 3.0, 5.0),     # no jump yet: the start age plus the time since
+            (0.0, [1.5], 2.0, 0.5),  # the time since the last jump
+            (0.0, [1.5], 1.5, 1.5),  # at the jump time itself the left limit applies
+        ]:
+            assert lam(age0, jumps, t, age - 1e-9) == 2.0, (age0, jumps, t)
+            assert lam(age0, jumps, t, age + 1e-9) == 0.0, (age0, jumps, t)
 
 
 class TestSimulate:

@@ -1,5 +1,4 @@
 import math
-import types
 import warnings
 
 import numpy as np
@@ -14,11 +13,6 @@ from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
 from hawkes_renewal import kernels
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
 from hawkes_renewal.verify import reference_ad_config, reference_o_config
-
-
-def const_sched(c):
-    """gamma = c, which no GammaSchedule is; EnvelopeFns reads only ``value``."""
-    return types.SimpleNamespace(value=lambda t: c)
 
 
 def make_env(kernel, rate, sched, r=None, D=0.0):
@@ -48,25 +42,47 @@ POWERLAW_INNER = [
 
 class TestEnvelopeValues:
     def test_zero_kernel_gives_zero_f(self):
-        env = make_env(ZeroKernel(), RateSpec.linear(1.0, 1.0), const_sched(0.0))
+        env = make_env(ZeroKernel(), RateSpec.linear(1.0, 1.0), GammaSchedule.linear(0.0))
         for t in [0.0, 0.5, 3.0]:
             for t2 in [0.0, 1.0, math.inf]:
                 assert env.f(t, t2) == 0.0
 
     def test_pure_majorant_case(self):
-        # gamma = 0, delta = inf: prefactor 1, inner integral vanishes
+        # gamma = 0 (linear, C = 0), delta = inf: prefactor 1, inner integral vanishes
         env = make_env(ExponentialKernel(1.0, 1.0), RateSpec.linear(1.0, 1.0),
-                       const_sched(0.0))
+                       GammaSchedule.linear(0.0))
         for t in [0.0, 0.3, 2.0, 7.5]:
             assert env.f(t) == pytest.approx(math.exp(-t), rel=1e-8)
 
     def test_constant_schedule_with_refractory(self):
-        # gamma = 1, delta = 1: prefactor 3, analytic integral e^{-t}
+        # gamma = t, delta = 1: prefactor gamma(0) + 1 + 1 = 2, and the inner
+        # integral int_0^inf (s+1) e^{-t-s} ds = 2 e^{-t}, so f = 2 (1 + 2) e^{-t}
         rate = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
                         g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
-        env = make_env(ExponentialKernel(1.0, 1.0), rate, const_sched(1.0))
+        env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0))
         for t in [0.0, 1.0, 2.5]:
             assert env.f(t) == pytest.approx(6.0 * math.exp(-t), rel=1e-7)
+
+    @pytest.mark.parametrize("form", ["linear", "log"])
+    def test_exponential_inner_integral_is_closed_form(self, form):
+        # J(T) = int_0^T gamma(s+1) e^{-a s} ds against QUADPACK
+        for a in (0.2, 1.0, 3.0, 30.0):
+            for C in (0.5, 1.0, 3.0):
+                sched = GammaSchedule(form, C)
+                env = make_env(ExponentialKernel(a, 1.0), RateSpec.linear(0.5, 1.0), sched)
+                fn = lambda s: sched.value(s + 1.0) * math.exp(-a * s)
+                assert env._J(0.0) == 0.0
+                for T in (0.5, 1.0, 2.0, 5.0, 30.0, math.inf):
+                    want = quad(fn, 0.0, T, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    assert abs(env._J(T) - want) <= 1e-12 * want, (a, C, T)
+
+    def test_a_rate_past_the_float_range_of_e_to_the_a_is_named(self):
+        # the log form's J reads e^a E1(a); past e^709 f names the problem
+        env = make_env(ExponentialKernel(800.0, 1.0), RateSpec.linear(0.5, 1.0),
+                       GammaSchedule.log(C=3.0))
+        for t2 in (2.0, math.inf):
+            with pytest.raises(IntegrabilityError, match="f evaluated non-finite"):
+                env.f(0.0, t2)
 
     @pytest.mark.parametrize("form, t1, inner", POWERLAW_INNER,
                              ids=[f"{form}-{t1:g}" for form, t1, _ in POWERLAW_INNER])
@@ -141,7 +157,7 @@ class TestEnvelopeValues:
 
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]
-        env = make_env(ZeroKernel(), RateSpec.linear(1.5, 1.0), const_sched(0.0),
+        env = make_env(ZeroKernel(), RateSpec.linear(1.5, 1.0), GammaSchedule.linear(0.0),
                        D=2.0)
         assert env.F(1.0) == pytest.approx(1.5)
         assert env.F(2.0) == pytest.approx(1.5)
@@ -152,7 +168,7 @@ class TestEnvelopeValues:
         # D = 0, f = 6e^-t, g = e^-t, L = 0.5, c_psi = 1 -> F = 7 e^-t
         rate = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
                         g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
-        env = make_env(ExponentialKernel(1.0, 1.0), rate, const_sched(1.0))
+        env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0))
         for t in [0.0, 0.7, 3.0]:
             assert env.F(t) == pytest.approx(7.0 * math.exp(-t), rel=1e-7)
         assert env.F_l1 == pytest.approx(7.0, rel=1e-7)
@@ -160,7 +176,7 @@ class TestEnvelopeValues:
     def test_quadrature_riemann_consistency(self):
         rate = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
                         g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
-        env = make_env(ExponentialKernel(1.0, 1.0), rate, const_sched(1.0))
+        env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0))
         h = 1e-4
         ts = np.arange(0.0, 40.0, h) + 0.5 * h  # midpoint rule at the stated step
         riemann = float(np.sum(7.0 * np.exp(-ts) * h)) + 7.0 * math.exp(-40.0)
@@ -226,7 +242,7 @@ class TestEnvelopeValues:
                 make_env(ExponentialKernel(1.0, 0.2), ad, GammaSchedule.linear(1.0), D=1.0),
                 make_env(ExponentialKernel(1.0, 0.3), RateSpec.linear(0.5, 1.0),
                          GammaSchedule.linear(1.0)),
-                make_env(ExponentialKernel(1.0, 1.0), custom_g, const_sched(1.0))]
+                make_env(ExponentialKernel(1.0, 1.0), custom_g, GammaSchedule.linear(1.0))]
         for env in envs:
             # masses on a grid, and at and next to the mass at each jump of F
             # (D and the g break)
@@ -244,12 +260,11 @@ class TestEnvelopeValues:
                 assert abs(t - ref) * env.F(ref) <= 1e-10, (m, t, ref)
 
     def test_reference_band_mass_needs_no_quadrature(self, monkeypatch):
-        # on the four exponential references F = A + B exp(-a t) between its
-        # jumps, so once f(0) is known the band mass is closed-form
+        # on the four exponential references f(t1, t2) = f(0, t2) exp(-a t1)
+        # with J(t2) closed-form, and F = A + B exp(-a t) between its jumps,
+        # so f and the band mass need no quadrature
         envs = [reference_ad_config(D=0.0).env, reference_ad_config(D=1.0).env,
                 reference_o_config(D=0.0).env, reference_o_config(D=1.0).env]
-        for env in envs:
-            env.f(0.0)
 
         def fail(*args, **kwargs):
             raise AssertionError("a quadrature was called")
@@ -257,6 +272,7 @@ class TestEnvelopeValues:
         monkeypatch.setattr(kernels, "integrate_to_inf", fail)
         for env in envs:
             assert env.F_l1 > 0
+            assert all(env.f(0.0, float(t2)) > 0 for t2 in range(1, 6))
             for m in np.linspace(0.0, 1.0, 201)[1:-1] * env.F_l1:
                 assert env.cum_F(env.inv_cum(float(m))) == pytest.approx(m, rel=1e-12)
 

@@ -13,8 +13,8 @@ import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("name, seed, digest", [
-    ("ad-blocks", 1, "1ae1052f4f187019e3317239ce8e77c1c6fd55ceda61209815c2e99acfd63459"),
-    ("ad-blocks", 2, "a17addc379f50d8146b85bf4e504a537049b7b896851abb651cdf5e93c3021c7"),
+    ("ad-blocks", 1, "9ed2d798310b8e37ad1b71b41d501f56382dc8ce90c35338df41bae204242b0b"),
+    ("ad-blocks", 2, "92d7005699e47152925ed75d081ed261e996a843a4793a74f5db2a8698dfa6d5"),
     ("o-blocks", 1, "46f835f11b143e149f9457f77e54186d7b0d4879a5ba79be6debd3a18909cb7d"),
     ("o-blocks", 2, "5d40f8f27f757ef715a11c8f70c3b79013b7f1b85478cb68b20d6009233d4c7d"),
     ("clt-ensemble", 1, "e3bd2400b219cdf3828ffcefba17f49ee3a2a39d1c681d62f785bcc9421c5adb"),
