@@ -17,7 +17,7 @@ import sys
 
 from .errors import ConfigError
 from .hawkes import path_to_csv, simulate_adhp
-from .kernels import (ExponentialKernel, GammaSchedule, PowerLawKernel,
+from .kernels import (ExpDecay, ExponentialKernel, GammaSchedule, PowerLawKernel,
                       RateSpec, TableKernel, borel_c_h)
 from .prm import PrmStream
 from .renewal import RenewalConfig, iterate_regenerations
@@ -77,39 +77,26 @@ def _build_kernel(sec, problems):
 def _build_rate(sec, problems):
     form = sec["form"].lower()
     try:
-        c, L = float(sec["c"]), float(sec["L"])
-        if form == "linear":
-            return RateSpec.linear(c, L)
-        if form == "refractory_linear":
-            return RateSpec.refractory_linear(c, L, float(sec["delta"]))
-        if form == "hard_refractory":
-            return RateSpec.hard_refractory(c, float(sec["delta"]), L=L)
+        delta = math.inf if form == "linear" else float(sec["delta"])
+        return RateSpec(form, float(sec["c"]), float(sec["L"]), delta)
     except (ConfigError, ValueError) as exc:
         problems.append(f"rate: {exc}")
         return None
-    problems.append(f"rate: unknown form {form!r}")
-    return None
 
 
 def _build_gamma(sec, problems, p, kernel, rate):
     form = sec["form"].lower()
     try:
-        if form == "linear":
-            return GammaSchedule.linear(float(sec["C"]))
-        if form == "log":
-            raw = sec["C"]
-            if raw == "auto":
-                m = rate.L * kernel.pos_l1
-                if not 0 < m < 1:
-                    problems.append("gamma: auto log schedule needs 0 < L*||h+|| < 1")
-                    return None
-                return GammaSchedule.log(p=p, c_h=borel_c_h(m))
-            return GammaSchedule.log(C=float(raw))
+        if form == "log" and sec["C"] == "auto":
+            m = rate.L * kernel.pos_l1
+            if not 0 < m < 1:
+                problems.append("gamma: auto log schedule needs 0 < L*||h+|| < 1")
+                return None
+            return GammaSchedule.log(p=p, c_h=borel_c_h(m))
+        return GammaSchedule(form, float(sec["C"]))
     except (ConfigError, ValueError) as exc:
         problems.append(f"gamma: {exc}")
         return None
-    problems.append(f"gamma: unknown form {form!r}")
-    return None
 
 
 def _number(sec, key, kind, problems, default=None):
@@ -223,7 +210,7 @@ def load_config(path=None, seed_override=None, out_override=None):
             problems.append(f"envelope: r_coef must be >= 0, got {coef!r}")
         if rted is not None and not rted > 0:
             problems.append(f"envelope: r_rate must be > 0, got {rted!r}")
-        r_fn = lambda t: coef * math.exp(-rted * t)
+        r_fn = ExpDecay(coef, rted)
     elif r_form != "zero":
         problems.append(f"envelope: unknown r form {r_form!r}")
     D = _number(env_sec, "D", float, problems, default=0.0)

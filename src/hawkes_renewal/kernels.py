@@ -211,96 +211,62 @@ def borel_c_h(m):
 # Rate specifications
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class RateSpec:
-    """Rate function psi(x, age) with its structural constants.
+    """psi(x, age) as a value: ``name`` "linear" is c + L x_+ (setup O),
+    "refractory_linear" c + L x_+ 1{age > delta} and "hard_refractory"
+    c 1{age > delta} (setup AD), c = ``c_psi``.  Construction builds ``psi``
+    and the weight ``g`` = 1{t <= delta} of F (0 for "linear"), and raises
+    :class:`ConfigError` for another name, a negative c or L, or a
+    refractory form without a finite delta > 0; ``K``, ``setup`` and
+    ``g_breaks`` follow from the fields."""
 
-    ``psi`` must be increasing in both arguments and satisfy
-    psi(y, b) <= c_psi + L*max(y, 0); these are spot-checked on a grid by
-    :meth:`validate` rather than proved.
-    """
-
-    psi: object
-    L: float
+    name: str
     c_psi: float
-    g: object
+    L: float
     delta: float = INF
-    K: float | None = None
-    setup: str = "O"
-    g_breaks: tuple = ()
-    name: str = "custom"
+
+    def __post_init__(self):
+        name, c, L, delta = self.name, self.c_psi, self.L, self.delta
+        problems = [] if c >= 0 and L >= 0 else [
+            f"{key} must be >= 0, got {v!r}" for key, v in (("c", c), ("L", L)) if not v >= 0]
+        if name == "linear":
+            if delta != INF:
+                problems.append("a linear rate has no refractory length delta")
+            psi, g = (lambda x, a: c + L * max(x, 0.0)), (lambda t: 0.0)
+        elif name in ("refractory_linear", "hard_refractory"):
+            if not 0 < delta < INF:
+                problems.append(f"{name} needs a finite delta > 0, got {delta!r}")
+            psi = ((lambda x, a: c + (L * max(x, 0.0) if a > delta else 0.0))
+                   if name == "refractory_linear" else (lambda x, a: c if a > delta else 0.0))
+            g = lambda t: 1.0 if t <= delta else 0.0
+        else:
+            problems.append(f"unknown form {name!r}: linear, refractory_linear, hard_refractory")
+        if problems:
+            raise ConfigError(problems)
+        # past the frozen __setattr__; vars(self).update would slow every read of psi
+        object.__setattr__(self, "psi", psi)
+        object.__setattr__(self, "g", g)
+
+    setup = property(lambda r: "O" if r.name == "linear" else "AD")
+    # the bound of psi on ages <= delta, and where g jumps
+    K = property(lambda r: {"linear": None, "refractory_linear": r.c_psi}.get(r.name, 0.0))
+    g_breaks = property(lambda r: () if r.name == "linear" else (r.delta,))
 
     @staticmethod
     def linear(c, L):
         """psi(x) = c + L*x_+, age-independent (ordinary Hawkes)."""
-        return RateSpec(
-            psi=lambda x, a: c + L * max(x, 0.0),
-            L=L, c_psi=c, g=lambda t: 0.0, delta=INF, K=None,
-            setup="O", name="linear",
-        )
+        return RateSpec("linear", c, L)
 
     @staticmethod
     def refractory_linear(c, L, delta):
         """psi(x, a) = c + L*x_+ * 1{a > delta}: excitation gated by age."""
-        return RateSpec(
-            psi=lambda x, a: c + (L * max(x, 0.0) if a > delta else 0.0),
-            L=L, c_psi=c, g=lambda t: 1.0 if t <= delta else 0.0,
-            delta=delta, K=c, setup="AD", g_breaks=(delta,),
-            name="refractory_linear",
-        )
+        return RateSpec("refractory_linear", c, L, delta)
 
     @staticmethod
     def hard_refractory(c, delta, L=1.0):
         """psi(x, a) = c * 1{a > delta}: total silence for ages <= delta."""
-        return RateSpec(
-            psi=lambda x, a: c if a > delta else 0.0,
-            L=L, c_psi=c, g=lambda t: 1.0 if t <= delta else 0.0,
-            delta=delta, K=0.0, setup="AD", g_breaks=(delta,),
-            name="hard_refractory",
-        )
-
-    def validate(self):
-        """Grid spot-checks of the structural assumptions; returns problems."""
-        problems = []
-        xs = np.linspace(-5.0, 10.0, 13)
-        delta_cap = 4.0 if not math.isfinite(self.delta) else max(4.0, 3.0 * self.delta)
-        ages = np.linspace(0.0, delta_cap, 17)
-        for x in xs:
-            for a in ages:
-                v = self.psi(float(x), float(a))
-                if v < 0:
-                    problems.append(f"psi({x:g},{a:g}) < 0")
-                if v > self.c_psi + self.L * max(x, 0.0) + 1e-9:
-                    problems.append(f"sublinearity fails at ({x:g},{a:g})")
-        for lo, hi in [(xs[i], xs[i + 1]) for i in range(len(xs) - 1)]:
-            if self.psi(float(hi), 1.0) < self.psi(float(lo), 1.0) - 1e-9:
-                problems.append(f"psi not increasing in x near {lo:g}")
-        for lo, hi in [(ages[i], ages[i + 1]) for i in range(len(ages) - 1)]:
-            if self.psi(1.0, float(hi)) < self.psi(1.0, float(lo)) - 1e-9:
-                problems.append(f"psi not increasing in age near {lo:g}")
-        gv = [self.g(float(t)) for t in ages]
-        if any(v < -1e-12 or v > 1.0 + 1e-12 for v in gv):
-            problems.append("g must take values in [0,1]")
-        if any(b > a + 1e-12 for a, b in zip(gv[:-1], gv[1:])):
-            problems.append("g must be decreasing")
-        if self.setup == "AD":
-            if self.K is None:
-                problems.append("setup AD needs the refractory bound K")
-            if not math.isfinite(self.delta) or self.delta <= 0:
-                problems.append("setup AD needs a finite refractory length delta > 0")
-            else:
-                inv = 1.0 / self.delta
-                if abs(inv - round(inv)) > 1e-9:
-                    problems.append("delta must be the reciprocal of an integer")
-                if self.K is not None:
-                    for x in xs:
-                        for a in np.linspace(0.0, self.delta, 9):
-                            if self.psi(float(x), float(a)) > self.K + 1e-9:
-                                problems.append(
-                                    f"psi({x:g},{a:g}) > K: refractory bound violated")
-        elif self.setup != "O":
-            problems.append(f"unknown setup {self.setup!r}")
-        return sorted(set(problems))
+        return RateSpec("hard_refractory", c, L, delta)
 
 
 # ---------------------------------------------------------------------------
@@ -376,32 +342,26 @@ class GammaSchedule:
         return self.C * ((1.0 + T) * math.log(1.0 + T) - T)
 
     def check_assumption(self, setup, assumption, p=None, c_h=None):
-        """Far-grid validation of the growth conditions; returns problems."""
-        problems = []
-        grid = np.geomspace(1e3, 1e9, 13)
+        """The growth conditions of the assumptions in closed form; returns
+        problems.  B needs a linear schedule; A (gamma(t) > (p+1) ln(t)/c_h
+        in setup O, gamma(t)/ln(t) bounded below in setup AD) needs
+        C c_h > p + 1 of a log schedule in setup O.  All need C > 1e-12."""
+        grows = self.C > 1e-12
         if assumption == "B":
-            # gamma(t)/t is C for a linear schedule and tends to 0 for a log one
-            if self.form != "linear" or self.C <= 1e-12:
-                problems.append("gamma(t)/t not bounded below on far grid (assumption B)")
-        elif assumption == "A":
-            if p is None:
-                problems.append("assumption A needs the moment order p")
-                return problems
-            if setup == "O":
-                if c_h is None or c_h <= 0:
-                    problems.append("setup O assumption A needs c_h > 0")
-                    return problems
-                ratios = [self.value(t) / ((p + 1.0) * math.log(t) / c_h) for t in grid]
-                if min(ratios) <= 1.0:
-                    problems.append(
-                        "gamma(t) must exceed (p+1)ln(t)/c_h on the far grid (setup O)")
-            else:
-                ratios = [self.value(t) / math.log(t) for t in grid]
-                if min(ratios) <= 1e-12:
-                    problems.append("gamma(t)/ln(t) not bounded below on far grid (setup AD)")
-        else:
-            problems.append(f"unknown assumption {assumption!r}")
-        return problems
+            if self.form != "linear" or not grows:
+                return ["gamma(t)/t not bounded below (assumption B)"]
+        elif assumption != "A":
+            return [f"unknown assumption {assumption!r}"]
+        elif p is None:
+            return ["assumption A needs the moment order p"]
+        elif setup == "O":
+            if c_h is None or c_h <= 0:
+                return ["setup O assumption A needs c_h > 0"]
+            if not grows or (self.form == "log" and not self.C * c_h > p + 1.0):
+                return ["gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]
+        elif not grows:
+            return ["gamma(t)/ln(t) not bounded below (setup AD)"]
+        return []
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +418,11 @@ class EnvelopeFns:
         self.sched = sched
         self.r = r
         self.D = float(D)
-        self.delta_inv = 0.0 if not math.isfinite(rate.delta) else 1.0 / rate.delta
+        self.delta_inv = 1.0 / rate.delta  # 0 for the ordinary setup
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
         self._J_inf = None  # J(inf), read by every f(t1) of an exponential kernel
         # where F may jump; the pieces between and their masses, once needed
-        self._jumps = sorted({0.0, self.D, *(b for b in rate.g_breaks if b > 0)})
+        self._jumps = sorted({0.0, self.D, *rate.g_breaks})
         self._pieces = self._C = None
 
     # -- inner integral ----------------------------------------------------
@@ -556,19 +516,15 @@ class EnvelopeFns:
     def _exp_form(self, lo, hi):
         """(A, B) with F(t) = A + B exp(-a t) on the piece (lo, hi) between
         two jumps of F, a the kernel's rate, or None.  F has that form for
-        an exponential kernel without r, where f(t) = f(0) exp(-a t), when
-        g is constant on the piece; g decreases, so it is when g takes one
-        value just inside both ends.  On [0, D] A = c_psi and B = L f(0);
-        past D A = c_psi g and B = 2 L f(0)."""
+        an exponential kernel without r, where f(t) = f(0) exp(-a t).  On
+        [0, D] A = c_psi and B = L f(0); past D A = c_psi g and B = 2 L f(0),
+        g = 1{t <= delta} being constant on a piece cut at delta."""
         if not isinstance(self.kernel, ExponentialKernel) or self.r is not None:
             return None
         rate, f0 = self.rate, self.f(0.0)
         if hi <= self.D:
             return rate.c_psi, rate.L * f0
-        g = float(rate.g(math.nextafter(lo, INF)))
-        if g != float(rate.g(math.nextafter(hi, -INF))):
-            return None
-        return rate.c_psi * g, 2.0 * rate.L * f0
+        return rate.c_psi * rate.g(hi), 2.0 * rate.L * f0
 
     def _prefix(self):
         """C_k = int_0^{lo_k} F at the start of each piece, then ||F||_1.
@@ -665,27 +621,25 @@ class EnvelopeFns:
             t = nxt
 
     def validate(self, assumption="A", p=0.0):
-        """Moment checks from the integrability assumptions; returns problems."""
+        """Assumption A (t^p f and t^p F integrable) or B (exp(0.05 t) F
+        integrable) from the kernel family, the schedule form, p and r;
+        returns problems.  Past D, f decays like r plus e^-at (exponential
+        kernel), plus 0 past a table's support, or plus t^(2-b) (linear
+        schedule) or ln(t) t^(1-b) (log) for a power law A (1+t)^-b, A != 0;
+        F = 2 L f + c_psi g, g zero past delta.  Other families are refused."""
+        k, r = self.kernel, self.r
+        if not isinstance(k, (ExponentialKernel, PowerLawKernel, TableKernel)):
+            return [f"no integrability rule for a {type(k).__name__} kernel"]
         if assumption == "A":
-            problems = []
-            for name, fn in [("t^p f", lambda t: t**p * self.f(t)),
-                             ("t^p F", lambda t: t**p * self.F(t))]:
-                try:
-                    integrate_to_inf(fn, 0.0, factor=name)
-                except IntegrabilityError:  # the quadrature found no finite value
-                    problems.append(f"{name} not integrable (assumption A)")
-            return problems
-        c = 0.05
-
-        def weighted(t):
-            # QUADPACK samples t far past 1.4e4, where exp(ct) overflows, also
-            # when F decays fast enough; where F has underflowed to 0 the
-            # integrand is 0, and only an overflow before that fails the moment
-            v = self.F(t)
-            return v * math.exp(c * t) if v > 0 else 0.0
-
-        try:
-            integrate_to_inf(weighted, 0.0, factor="exp(ct) F")
-        except (OverflowError, IntegrabilityError):  # no finite value
+            if not p > -1.0:
+                return ["assumption A needs p > -1"]
+            least = p + (3.0 if self.sched.form == "linear" else 2.0)
+            if isinstance(k, PowerLawKernel) and k.amplitude != 0 and not k.exponent > least:
+                names = ["t^p f", "t^p F"] if self.rate.L > 0 else ["t^p f"]
+                return [f"{name} not integrable (assumption A)" for name in names]
+            return []
+        rates = [k.rate] if isinstance(k, ExponentialKernel) else []
+        rates += [r.rate] if r is not None and r.c != 0 else []
+        if isinstance(k, PowerLawKernel) or not all(a > 0.05 for a in rates):
             return ["F lacks an exponential moment (assumption B)"]
         return []

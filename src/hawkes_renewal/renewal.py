@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, SimulationCapError
+from .errors import ConfigError, IntegrabilityError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
 from .kernels import (EnvelopeFns, ExpDecay, RateSpec, borel_c_h, ceil_int,
                       check_subcritical, pos_part)
@@ -41,8 +41,8 @@ _ABS_TOL = 1e-12
 @dataclass
 class RenewalConfig:
     """Everything the renewal system needs, with its caps; ``env`` is built
-    from the other fields.  A cycle draws tau from the band's exact law, of
-    total mass ``env.F_l1``."""
+    from the other fields, ``r`` is None or an :class:`ExpDecay`.  A cycle
+    draws tau from the band's exact law, of total mass ``env.F_l1``."""
 
     kernel: object
     rate: object
@@ -71,13 +71,18 @@ class RenewalConfig:
         return 0.0
 
     def validate(self):
-        problems = list(self.rate.validate())
-        if self.r is not None:
-            rs = [float(self.r(t)) for t in np.linspace(0.0, 20.0, 41).tolist()]
-            if any(v < 0 for v in rs):
+        """The named problems of the config; none needs a quadrature but ||F||_1's."""
+        problems, r = [], self.r
+        if r is not None:
+            if not isinstance(r, ExpDecay):
+                return ["start bound r must be an ExpDecay c exp(-rate t)"]
+            if not r.c >= 0:
                 problems.append("start bound r must be >= 0")
-            if any(b > a + 1e-12 for a, b in zip(rs[:-1], rs[1:])):
-                problems.append("start bound r must be decreasing")
+            if not r.rate > 0:
+                problems.append("start bound r must decrease: rate > 0")
+        inv = 1.0 / self.rate.delta  # 0 in setup O, where delta is inf
+        if abs(inv - round(inv)) > 1e-9:
+            problems.append("delta must be the reciprocal of an integer")
         c_h = None
         if self.setup == "O":
             try:
@@ -92,7 +97,10 @@ class RenewalConfig:
             problems.append("delay D must be >= 0")
         if not problems:
             # eta is geometric: P(a block passes max_cycles) <= exp(-max_cycles / cycles)
-            m = self.env.F_l1
+            try:
+                m = self.env.F_l1
+            except IntegrabilityError as exc:  # e^a past the float range, say
+                return [f"||F||_1 has no finite value: {exc}"]
             cycles = math.exp(m) if m < 709.0 else math.inf
             if self.max_cycles < 20.0 * cycles:
                 problems.append(f"||F||_1 = {m:.4g}: a block needs e^||F||_1 = {cycles:.3g} "

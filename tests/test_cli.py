@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import os
 import pathlib
@@ -6,7 +7,7 @@ import time
 
 import pytest
 
-from hawkes_renewal import RenewalConfig, renewal
+from hawkes_renewal import ConfigError, RenewalConfig, renewal
 from hawkes_renewal.cli import load_config, main
 from hawkes_renewal.verify import reference_ad_config, run_suites
 
@@ -255,6 +256,17 @@ class TestRenewal:
         err = capsys.readouterr().err
         assert "||F||_1 = 58.9" in err and "e^||F||_1 = 3.8e+25 cycles" in err
 
+    def test_a_band_mass_past_the_float_range_is_named(self, tmp_path, capsys):
+        # assumption A holds for every exponential rate, but under a log
+        # schedule f reads e^a E1(a), and e^800 overflows
+        text = BASE_CONFIG.replace("rate = 1.0\n", "rate = 800.0\n", 1) \
+                          .replace("[run]\n", "[gamma]\nform = log\nC = 3.0\n\n"
+                                              "[run]\nassumption = A\n")
+        assert main(["renewal", "--config", write(tmp_path, text)]) == 2
+        err = capsys.readouterr().err
+        assert "||F||_1 has no finite value: f evaluated non-finite" in err
+        assert "Traceback" not in err
+
     def test_zero_band_rows_have_inf_sentinels(self, tmp_path, capsys):
         cfg = write(tmp_path, ZERO_BAND_CONFIG)
         assert main(["renewal", "--config", cfg]) == 0
@@ -334,3 +346,61 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--only", "renewal"]) == 1
         err = capsys.readouterr().err
         assert "band-skipped-count" in err and "band-invariant" in err
+
+
+MATRIX_KERNELS = {"exponential": "form = exponential\n",
+                  "powerlaw-5": "form = powerlaw\nexponent = 5\n",
+                  "powerlaw-4.5": "form = powerlaw\nexponent = 4.5\n",
+                  "table": "form = table\n"}
+MATRIX_SCHEDULES = {"linear": "form = linear\nC = 1.0\n",
+                    "log-3": "form = log\nC = 3.0\n",
+                    "log-auto": "form = log\nC = auto\n"}
+MOMENT_PROBLEMS = {"t^p f not integrable (assumption A)",
+                   "F lacks an exponential moment (assumption B)"}
+
+
+def moment_rule(kernel, schedule, assumption, p=2.0):
+    """Assumption A or B of the defaults' kernels (exponential rate 1,
+    power-law amplitude 0.2) and r (rate 1 when given): A fails only for a
+    power law (1+t)^-b with b <= p + 3 (linear) or b <= p + 2 (log), B
+    only for a power law."""
+    if not kernel.startswith("powerlaw"):
+        return True
+    if assumption == "B":
+        return False
+    b = float(kernel.split("-")[1])
+    return b > p + (3.0 if schedule == "linear" else 2.0)
+
+
+class TestConfigMatrix:
+    def test_verdicts_follow_the_exact_rule(self, tmp_path):
+        # kernel x rate form x schedule x assumption x D x r, in-process
+        # through load_config with the defaults' parameters otherwise
+        t0 = time.perf_counter()
+        accepted = {}
+        cases = itertools.product(MATRIX_KERNELS, ("linear", "refractory_linear",
+                                                   "hard_refractory"),
+                                  MATRIX_SCHEDULES, "AB", (0, 1), ("zero", "exp"))
+        for case in cases:
+            kernel, rate, schedule, assumption, D, r = case
+            text = (f"[kernel]\n{MATRIX_KERNELS[kernel]}[rate]\nform = {rate}\n"
+                    f"[gamma]\n{MATRIX_SCHEDULES[schedule]}"
+                    f"[envelope]\nD = {D}\nr = {r}\n[run]\nassumption = {assumption}\n")
+            try:
+                load_config(write(tmp_path, text))
+                problems = []
+            except ConfigError as exc:
+                problems = exc.problems
+            assert bool(MOMENT_PROBLEMS & set(problems)) != \
+                moment_rule(kernel, schedule, assumption), (case, problems)
+            accepted[case] = not problems
+        assert time.perf_counter() - t0 < 5.0
+        assert len(accepted) == 288 and sum(accepted.values()) == 140
+        for (kernel, rate, schedule, assumption, D, r), ok in accepted.items():
+            # D changes F on [0, D] only, and r >= 0 only raises f
+            assert ok == accepted[kernel, rate, schedule, assumption, 1 - D, r]
+            if r == "exp":
+                assert not ok or accepted[kernel, rate, schedule, assumption, D, "zero"]
+        # exponent 4.5 passes assumption A under a log schedule, as
+        # t^2 f ~ ln(t) t^-1.5 is integrable
+        assert accepted["powerlaw-4.5", "refractory_linear", "log-3", "A", 0, "zero"]

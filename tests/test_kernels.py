@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ def env_with_r(D=0.0):
     """The AD reference envelope with a given r: F jumps at the g break 1,
     and with r its band mass is a quadrature."""
     return make_env(ExponentialKernel(1.0, 0.2), RateSpec.refractory_linear(0.5, 0.4, 1.0),
-                    GammaSchedule.linear(1.0), r=lambda t: 0.2 * math.exp(-2.0 * t), D=D)
+                    GammaSchedule.linear(1.0), r=ExpDecay(0.2, 2.0), D=D)
 
 
 # the inner integral I(t1) = int_0^inf gamma(s+1) hbar(t1+s) ds of
@@ -57,8 +58,7 @@ class TestEnvelopeValues:
     def test_constant_schedule_with_refractory(self):
         # gamma = t, delta = 1: prefactor gamma(0) + 1 + 1 = 2, and the inner
         # integral int_0^inf (s+1) e^{-t-s} ds = 2 e^{-t}, so f = 2 (1 + 2) e^{-t}
-        rate = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
-                        g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
+        rate = RateSpec.refractory_linear(1.0, 0.5, 1.0)
         env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0))
         for t in [0.0, 1.0, 2.5]:
             assert env.f(t) == pytest.approx(6.0 * math.exp(-t), rel=1e-7)
@@ -120,7 +120,7 @@ class TestEnvelopeValues:
             assert fn == ExpDecay(env.f(0.0, t2), 1.3)
             assert np.allclose([fn(t) for t in ts], [env.f(t, t2) for t in ts],
                                rtol=1e-14, atol=0.0)
-        r = lambda t: 0.2 * math.exp(-2.0 * t)
+        r = ExpDecay(0.2, 2.0)
         for kernel, r_fn in [(ExponentialKernel(1.0, 0.2), r),
                              (PowerLawKernel(0.2, 4.0), None)]:
             env = make_env(kernel, rate, sched, r=r_fn)
@@ -139,7 +139,8 @@ class TestEnvelopeValues:
         assert g.plus(lambda w: 0.0) is None
 
     def test_assumption_a_names_the_failed_moment(self):
-        # t^2 f decays like t^-0.5: the quadrature cannot converge
+        # under a log schedule t^2 f decays like ln(t) t^-0.5: exponent
+        # 2.5 is not above p + 2
         env = make_env(PowerLawKernel(0.2, 2.5),
                        RateSpec.refractory_linear(0.5, 0.4, 1.0),
                        GammaSchedule.log(C=3.0))
@@ -149,11 +150,42 @@ class TestEnvelopeValues:
 
     def test_assumption_b_moment_follows_the_kernel_rate(self):
         # F decays like exp(-rate t), so exp(0.05 t) F is integrable only
-        # for rate > 0.05, also where exp(0.05 t) alone overflows
+        # for rate > 0.05
         rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
         for kernel_rate, ok in [(0.04, False), (0.06, True), (0.1, True), (3.0, True)]:
             env = make_env(ExponentialKernel(kernel_rate, 0.01), rate, GammaSchedule.linear(1.0))
             assert (env.validate("B") == []) == ok, kernel_rate
+
+    def test_assumption_verdicts_need_no_quadrature(self, monkeypatch):
+        # A and B follow from the kernel family, the schedule form, p and r:
+        # a power law (1+t)^-b needs b > p + 3 (linear) or b > p + 2 (log)
+        # for A and never has B; every exponential rate must exceed 0.05
+        def fail(*args, **kwargs):
+            raise AssertionError("a quadrature was called")
+        monkeypatch.setattr(kernels, "integrate", fail)
+        monkeypatch.setattr(kernels, "integrate_to_inf", fail)
+        lin, log = GammaSchedule.linear(1.0), GammaSchedule.log(C=3.0)
+        table = TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)])
+        cases = [  # kernel, schedule, r, p, A holds, B holds
+            (ExponentialKernel(1.0, 0.2), lin, None, 2.0, True, True),
+            (ExponentialKernel(0.04, 0.2), log, None, 2.0, True, False),
+            (ExponentialKernel(1.0, 0.2), lin, ExpDecay(0.1, 0.05), 2.0, True, False),
+            (ExponentialKernel(1.0, 0.2), lin, ExpDecay(0.0, 0.01), 2.0, True, True),
+            (ExponentialKernel(1.0, 0.2), lin, None, -1.0, False, True),
+            (table, log, ExpDecay(0.1, 1.0), 7.0, True, True),
+            (PowerLawKernel(0.2, 5.0), lin, None, 2.0, False, False),
+            (PowerLawKernel(0.2, 5.5), lin, ExpDecay(0.1, 1.0), 2.0, True, False),
+            (PowerLawKernel(0.2, 4.5), log, None, 2.0, True, False),
+            (PowerLawKernel(0.2, 4.0), log, None, 2.0, False, False),
+            (PowerLawKernel(0.0, 1.5), log, None, 2.0, True, False),
+        ]
+        for kernel, sched, r, p, a_holds, b_holds in cases:
+            env = make_env(kernel, RateSpec.refractory_linear(0.5, 0.4, 1.0), sched, r=r)
+            assert (env.validate("A", p) == []) == a_holds, (kernel, sched, r, p)
+            assert (env.validate("B", p) == []) == b_holds, (kernel, sched, r, p)
+        # with L = 0, F = c_psi g past D: only t^p f fails
+        env = make_env(PowerLawKernel(0.2, 4.0), RateSpec.hard_refractory(0.5, 1.0, L=0.0), log)
+        assert env.validate("A", 2.0) == ["t^p f not integrable (assumption A)"]
 
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]
@@ -165,21 +197,23 @@ class TestEnvelopeValues:
         assert env.F_l1 == pytest.approx(3.0, rel=1e-7)
 
     def test_f_pre_substitution(self):
-        # D = 0, f = 6e^-t, g = e^-t, L = 0.5, c_psi = 1 -> F = 7 e^-t
-        rate = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
-                        g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
+        # D = 0, f = 6e^-t, g = 1{t <= 1}, L = 0.5, c_psi = 1 -> F = 6e^-t + g
+        rate = RateSpec.refractory_linear(1.0, 0.5, 1.0)
         env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0))
-        for t in [0.0, 0.7, 3.0]:
-            assert env.F(t) == pytest.approx(7.0 * math.exp(-t), rel=1e-7)
+        for t in [0.0, 0.7, 1.0, 1.5, 3.0]:
+            assert env.F(t) == pytest.approx(6.0 * math.exp(-t) + (t <= 1.0), rel=1e-7)
         assert env.F_l1 == pytest.approx(7.0, rel=1e-7)
 
     def test_quadrature_riemann_consistency(self):
-        rate = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
-                        g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
-        env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0))
+        # with r = 0.5 e^-2t the band mass is a quadrature, of
+        # F = 6e^-t + 0.5e^-2t + 1{t <= 1}
+        rate = RateSpec.refractory_linear(1.0, 0.5, 1.0)
+        env = make_env(ExponentialKernel(1.0, 1.0), rate, GammaSchedule.linear(1.0),
+                       r=ExpDecay(0.5, 2.0))
         h = 1e-4
         ts = np.arange(0.0, 40.0, h) + 0.5 * h  # midpoint rule at the stated step
-        riemann = float(np.sum(7.0 * np.exp(-ts) * h)) + 7.0 * math.exp(-40.0)
+        F = 6.0 * np.exp(-ts) + 0.5 * np.exp(-2.0 * ts) + (ts <= 1.0)
+        riemann = float(np.sum(F * h)) + 6.0 * math.exp(-40.0)
         assert env.F_l1 == pytest.approx(riemann, rel=1e-5)
 
     def test_moment_transfer_bound(self):
@@ -233,16 +267,17 @@ class TestEnvelopeValues:
                                                                        rel=1e-9)
 
     def test_inverse_band_mass_meets_its_mass_and_a_root_search(self):
-        # the three references take the closed form, the custom g of
-        # test_f_pre_substitution the quadrature of each Newton step
+        # the three references take the closed form, the config of
+        # test_quadrature_riemann_consistency, with its r, the quadrature of
+        # each Newton step
         ad = RateSpec.refractory_linear(0.5, 0.4, 1.0)
-        custom_g = RateSpec(psi=lambda x, a: 1.0, L=0.5, c_psi=1.0,
-                            g=lambda t: math.exp(-t), delta=1.0, K=1.0, setup="AD")
+        with_r = RateSpec.refractory_linear(1.0, 0.5, 1.0)
         envs = [make_env(ExponentialKernel(1.0, 0.2), ad, GammaSchedule.linear(1.0), D=0.0),
                 make_env(ExponentialKernel(1.0, 0.2), ad, GammaSchedule.linear(1.0), D=1.0),
                 make_env(ExponentialKernel(1.0, 0.3), RateSpec.linear(0.5, 1.0),
                          GammaSchedule.linear(1.0)),
-                make_env(ExponentialKernel(1.0, 1.0), custom_g, GammaSchedule.linear(1.0))]
+                make_env(ExponentialKernel(1.0, 1.0), with_r, GammaSchedule.linear(1.0),
+                         r=ExpDecay(0.5, 2.0))]
         for env in envs:
             # masses on a grid, and at and next to the mass at each jump of F
             # (D and the g break)
@@ -262,15 +297,17 @@ class TestEnvelopeValues:
     def test_reference_band_mass_needs_no_quadrature(self, monkeypatch):
         # on the four exponential references f(t1, t2) = f(0, t2) exp(-a t1)
         # with J(t2) closed-form, and F = A + B exp(-a t) between its jumps,
-        # so f and the band mass need no quadrature
-        envs = [reference_ad_config(D=0.0).env, reference_ad_config(D=1.0).env,
-                reference_o_config(D=0.0).env, reference_o_config(D=1.0).env]
+        # so f, the band mass and validate need no quadrature
+        cfgs = [reference_ad_config(D=0.0), reference_ad_config(D=1.0),
+                reference_o_config(D=0.0), reference_o_config(D=1.0)]
 
         def fail(*args, **kwargs):
             raise AssertionError("a quadrature was called")
         monkeypatch.setattr(kernels, "integrate", fail)
         monkeypatch.setattr(kernels, "integrate_to_inf", fail)
-        for env in envs:
+        for cfg in cfgs:
+            assert cfg.validate() == []
+            env = cfg.env
             assert env.F_l1 > 0
             assert all(env.f(0.0, float(t2)) > 0 for t2 in range(1, 6))
             for m in np.linspace(0.0, 1.0, 201)[1:-1] * env.F_l1:
@@ -390,12 +427,19 @@ class TestGammaSchedule:
         logsched = GammaSchedule.log(p=2.0, c_h=0.2)
         assert logsched.check_assumption("O", "A", p=2.0, c_h=0.2) == []
         slow = GammaSchedule.log(C=0.01)
-        assert slow.check_assumption("O", "A", p=2.0, c_h=0.2)
+        assert slow.check_assumption("O", "A", p=2.0, c_h=0.2) == [
+            "gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]
+        # in setup O a log schedule needs C c_h > p + 1, a linear one C > 0
+        assert GammaSchedule.log(C=15.0 * 1.01).check_assumption("O", "A", p=2.0, c_h=0.2) == []
+        assert GammaSchedule.log(C=15.0 * 0.99).check_assumption("O", "A", p=2.0, c_h=0.2)
+        assert GammaSchedule.linear(1e-3).check_assumption("O", "A", p=2.0, c_h=0.2) == []
+        assert GammaSchedule.linear(0.0).check_assumption("AD", "A", p=2.0) == [
+            "gamma(t)/ln(t) not bounded below (setup AD)"]
 
     @pytest.mark.parametrize("make", [reference_ad_config, reference_o_config])
     def test_assumption_B_needs_a_linear_schedule(self, make):
         # C ln(t)/t tends to 0, however large C is
-        problem = "gamma(t)/t not bounded below on far grid (assumption B)"
+        problem = "gamma(t)/t not bounded below (assumption B)"
         for C in (3.0, 1e-3):
             assert problem in make(sched=GammaSchedule.log(C=C), assumption="B").validate()
         assert make(assumption="B").validate() == []
@@ -459,24 +503,42 @@ class TestKernels:
 
 class TestRateSpec:
     def test_reference_rates_validate(self):
-        assert RateSpec.linear(0.5, 1.0).validate() == []
-        assert RateSpec.refractory_linear(0.5, 0.4, 1.0).validate() == []
-        assert RateSpec.hard_refractory(1.0, 0.5).validate() == []
+        # a value of four fields; psi, g, K, setup and the g breaks follow
+        lin, ref = RateSpec.linear(0.5, 1.0), RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        hard = RateSpec.hard_refractory(1.0, 0.5)
+        assert lin == RateSpec("linear", 0.5, 1.0, math.inf)
+        assert hard == RateSpec("hard_refractory", 1.0, 1.0, 0.5)
+        assert [(r.setup, r.K, r.g_breaks) for r in (lin, ref, hard)] == [
+            ("O", None, ()), ("AD", 0.5, (1.0,)), ("AD", 0.0, (0.5,))]
+        assert [lin.psi(2.0, 0.1), ref.psi(2.0, 1.0), ref.psi(2.0, 1.5),
+                hard.psi(2.0, 0.5), hard.psi(2.0, 0.6)] == [2.5, 0.5, 1.3, 0.0, 1.0]
+        assert [lin.g(0.0), ref.g(1.0), ref.g(1.5)] == [0.0, 1.0, 0.0]
+        with pytest.raises(AttributeError):
+            lin.L = 2.0
+        assert reference_ad_config().validate() == reference_o_config().validate() == []
 
-    def test_non_monotone_rate_is_caught(self):
-        bad = RateSpec(psi=lambda x, a: max(1.0 - x, 0.0), L=1.0, c_psi=1.0,
-                       g=lambda t: 0.0, delta=math.inf, setup="O")
-        assert any("increasing in x" in p for p in bad.validate())
+    @pytest.mark.parametrize("make, problem", [
+        (lambda: RateSpec.linear(-0.5, 1.0), "c must be >= 0, got -0.5"),
+        (lambda: RateSpec.linear(0.5, math.nan), "L must be >= 0, got nan"),
+        (lambda: RateSpec.hard_refractory(1.0, 0.5, L=-0.4), "L must be >= 0, got -0.4"),
+        (lambda: RateSpec.refractory_linear(0.5, 0.4, 0.0),
+         "refractory_linear needs a finite delta > 0, got 0.0"),
+        (lambda: RateSpec.hard_refractory(1.0, math.inf),
+         "hard_refractory needs a finite delta > 0, got inf"),
+        (lambda: RateSpec("linear", 0.5, 1.0, 1.0),
+         "a linear rate has no refractory length delta"),
+        (lambda: RateSpec("custom", 0.5, 1.0), "unknown form 'custom'"),
+    ], ids=["c", "L-nan", "hard-L", "delta-zero", "delta-inf", "linear-delta", "name"])
+    def test_construction_refuses_a_bad_value(self, make, problem):
+        with pytest.raises(ConfigError, match=re.escape(problem)):
+            make()
 
     def test_bad_delta_is_caught(self):
-        bad = RateSpec.refractory_linear(0.5, 0.4, 0.3)
-        assert any("reciprocal" in p for p in bad.validate())
-
-    def test_refractory_bound_violation_is_caught(self):
-        bad = RateSpec(psi=lambda x, a: 1.0 + max(x, 0.0), L=1.0, c_psi=1.0,
-                       g=lambda t: 1.0 if t <= 1 else 0.0, delta=1.0, K=1.0,
-                       setup="AD")
-        assert any("refractory" in p for p in bad.validate())
+        # any delta > 0 builds a rate and runs the simulator; setup AD of the
+        # renewal system needs 1/delta to be an integer
+        cfg = reference_ad_config(rate=RateSpec.refractory_linear(0.5, 0.4, 0.3))
+        assert cfg.validate() == ["delta must be the reciprocal of an integer"]
+        assert reference_ad_config(rate=RateSpec.hard_refractory(0.5, 0.25, L=0.4)).validate() == []
 
 
 class TestQuadrature:

@@ -284,8 +284,7 @@ class TestCertificate:
         kernel = ExponentialKernel(1.0, 0.3)
         jumps = [0.2, 1.1, 1.7]
         ub = memory_of(kernel, jumps).majorant_from(3.0)
-        r = lambda t: 0.1 * math.exp(-2.0 * t)
-        env_r = EnvelopeFns(kernel, rate, sched, r=r)
+        env_r = EnvelopeFns(kernel, rate, sched, r=ExpDecay(0.1, 2.0))
         for rhs in [lambda w: (1.0 + w) ** -3.0,         # power-law rhs
                     ExpDecay(2.0, 0.5),                    # another rate
                     env_r.envelope()]:                     # an envelope with r
@@ -316,7 +315,7 @@ class TestCertificate:
             return cert
 
         monkeypatch.setattr(renewal, "certify_dominated", both)
-        r = lambda t: math.exp(-t)
+        r = ExpDecay(1.0, 1.0)
         for seed in range(4):
             for cfg in [reference_o_config(D=0.0), reference_ad_config(D=1.0),
                         reference_o_config(D=0.0, r=r), reference_ad_config(D=1.0, r=r)]:
@@ -328,11 +327,16 @@ class TestCertificate:
 
 class TestConfigValidate:
     @pytest.mark.parametrize("r, problems", [
-        (lambda t: 0.5 * math.exp(-t), []),
-        (lambda t: -2.0 * math.exp(-t),
-         ["start bound r must be >= 0", "start bound r must be decreasing"]),
-        (lambda t: (1.0 + t) ** 3 * math.exp(-t), ["start bound r must be decreasing"]),
-    ], ids=["decreasing", "negative", "rising-then-falling"])
+        (ExpDecay(0.5, 1.0), []),
+        (ExpDecay(-2.0, 1.0), ["start bound r must be >= 0"]),
+        (lambda t: (1.0 + t) ** 3 * math.exp(-t),
+         ["start bound r must be an ExpDecay c exp(-rate t)"]),
+        (ExpDecay(0.5, 0.0), ["start bound r must decrease: rate > 0",
+                              "F lacks an exponential moment (assumption B)"]),
+        (ExpDecay(-0.5, -1.0),
+         ["start bound r must be >= 0", "start bound r must decrease: rate > 0",
+          "F lacks an exponential moment (assumption B)"]),
+    ], ids=["decreasing", "negative", "rising-then-falling", "constant", "negative-rising"])
     def test_start_bound_r_is_spot_checked(self, r, problems):
         cfg = RenewalConfig(ExponentialKernel(1.0, 0.2),
                             RateSpec.refractory_linear(0.5, 0.4, 1.0),
@@ -579,21 +583,31 @@ def raiser(exc):
 
 
 SCIPY_FREE_RUN = """
-import sys
+import os, sys, tempfile
 from hawkes_renewal import iterate_regenerations
+from hawkes_renewal.cli import load_config
 from hawkes_renewal.verify import reference_ad_config, reference_o_config
 for cfg in (reference_ad_config(D=1.0), reference_o_config(D=0.0)):
     assert len(iterate_regenerations(cfg, 20, seed=1)) == 20
+readme = open(sys.argv[1]).read()
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "sample.ini")
+    with open(path, "w") as fh:
+        fh.write(readme.split("```ini\\n", 1)[1].split("```", 1)[0])
+    cfg, _ = load_config(path)
+assert cfg.validate() == []
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_exponential_engine_loads_no_scipy():
     # a fresh interpreter: pytest's filterwarnings names a scipy.integrate
-    # warning, which imports SciPy in this one
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__),
-                                                   os.pardir, "src"))
-    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN], env=env,
+    # warning, which imports SciPy in this one.  Loading and validating the
+    # README's sample config (exponential, linear schedule) loads none either
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUN,
+                           os.path.join(root, "README.md")], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
