@@ -625,21 +625,23 @@ class EnvelopeFns:
         integrable) from the kernel family, the schedule form, p and r;
         returns problems.  Past D, f decays like r plus e^-at (exponential
         kernel), plus 0 past a table's support, or plus t^(2-b) (linear
-        schedule) or ln(t) t^(1-b) (log) for a power law A (1+t)^-b, A != 0;
-        F = 2 L f + c_psi g, g zero past delta.  Other families are refused."""
+        schedule) or ln(t) t^(1-b) (log) for a power law A (1+t)^-b; a kernel
+        of amplitude 0 adds nothing.  F = 2 L f + c_psi g, g zero past delta.
+        Other families are refused."""
         k, r = self.kernel, self.r
         if not isinstance(k, (ExponentialKernel, PowerLawKernel, TableKernel)):
             return [f"no integrability rule for a {type(k).__name__} kernel"]
+        power = isinstance(k, PowerLawKernel) and k.amplitude != 0
         if assumption == "A":
             if not p > -1.0:
                 return ["assumption A needs p > -1"]
             least = p + (3.0 if self.sched.form == "linear" else 2.0)
-            if isinstance(k, PowerLawKernel) and k.amplitude != 0 and not k.exponent > least:
+            if power and not k.exponent > least:
                 names = ["t^p f", "t^p F"] if self.rate.L > 0 else ["t^p f"]
                 return [f"{name} not integrable (assumption A)" for name in names]
             return []
-        rates = [k.rate] if isinstance(k, ExponentialKernel) else []
+        rates = [k.rate] if isinstance(k, ExponentialKernel) and k.amplitude != 0 else []
         rates += [r.rate] if r is not None and r.c != 0 else []
-        if isinstance(k, PowerLawKernel) or not all(a > 0.05 for a in rates):
+        if power or not all(a > 0.05 for a in rates):
             return ["F lacks an exponential moment (assumption B)"]
         return []

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, IntegrabilityError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
-from .kernels import (EnvelopeFns, ExpDecay, RateSpec, borel_c_h, ceil_int,
+from .kernels import (EnvelopeFns, ExpDecay, borel_c_h, ceil_int,
                       check_subcritical, pos_part)
 from .prm import PrmStream, derive_key, spawn_rng, split, swapped_in
 from .reprocess import step
@@ -58,6 +58,9 @@ class RenewalConfig:
     def __post_init__(self):
         self.env = EnvelopeFns(self.kernel, self.rate, self.sched,
                                r=self.r, D=self.D)
+        # (kernel, rate) of setup O's dominating linear process Z^n: h_+
+        # and the rate itself, which is linear there
+        self.zn_model = (pos_part(self.kernel), self.rate) if self.setup == "O" else None
 
     @property
     def setup(self):
@@ -395,9 +398,6 @@ class _Engine:
         self.cycle = None       # current/last comparison process
         self.cycle_start = None
         self.zn = None          # the cycle's dominating linear process Z^n
-        self.zn_model = ((pos_part(cfg.kernel),
-                          RateSpec.linear(cfg.rate.c_psi, cfg.rate.L))
-                         if cfg.setup == "O" else None)
         self.diag = Diagnostics()
 
     # -- band helpers -------------------------------------------------------
@@ -410,9 +410,9 @@ class _Engine:
             signal_upper=lambda t: 0.0,
             age0=0.0, delay=self.cfg.D, origin=a)
         self.cycle_start = a
-        if self.zn_model is not None:
+        if self.cfg.zn_model is not None:
             f_from_a = lambda t: env.f(max(t - a, 0.0))
-            self.zn = ProcessState(*self.zn_model, signal=f_from_a,
+            self.zn = ProcessState(*self.cfg.zn_model, signal=f_from_a,
                                    signal_upper=f_from_a, origin=a)
 
     def width(self, s):

@@ -8,6 +8,7 @@ blocks, which is exact for regeneration blocks.
 
 import logging
 import math
+import statistics
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -57,14 +58,21 @@ def summarize(reports):
 # Small test helpers
 # ---------------------------------------------------------------------------
 
+def _norm_sf(z):
+    """The standard normal upper tail P(N > z) of a float, or of each
+    entry of an array."""
+    if isinstance(z, np.ndarray):
+        return np.array([_norm_sf(v) for v in z.tolist()])
+    return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
 def ad_normality(x, alpha=0.01, name="anderson-darling"):
     """Anderson-Darling normality check with the D'Agostino p approximation."""
-    import scipy.stats
     x = np.asarray(x, dtype=float)
     n = len(x)
     # as scipy.stats.anderson(x, "norm"), whose critical_values is deprecated
     w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
-    terms = scipy.stats.norm.logcdf(w) + scipy.stats.norm.logsf(w)[::-1]
+    terms = np.log(_norm_sf(-w)) + np.log(_norm_sf(w))[::-1]
     stat = float(-n - np.sum((2 * np.arange(1, n + 1) - 1.0) / n * terms))
     crit = round(1.035 / (1.0 + 0.75 / n + 2.25 / n**2), 3)
     a2 = stat * (1.0 + 0.75 / n + 2.25 / n**2)
@@ -153,11 +161,10 @@ def poisson_dispersion(counts, alpha=0.01, name="poisson-dispersion"):
 
 def se_bound_report(name, value, target, se, k=3.0, n=0, detail=""):
     """|value - target| <= k * se, reported with a two-sided normal p."""
-    import scipy.stats
     z = abs(value - target) / se if se > 0 else (0.0 if value == target else math.inf)
-    p = 2.0 * scipy.stats.norm.sf(z)
+    p = 2.0 * _norm_sf(z)
     return TestReport(name=name, statistic=float(z), p_value=float(p), n=n,
-                      passed=z <= k, alpha=scipy.stats.norm.sf(k) * 2,
+                      passed=z <= k, alpha=_norm_sf(k) * 2,
                       detail=detail or f"value={value:.5g} target={target:.5g} se={se:.3g}")
 
 
@@ -293,7 +300,6 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01):
     interpolation at t = 0.25, 0.5, 1; tests Brownian marginal variances and
     increment independence, each two-sided at level ``alpha``.  Returns
     (t_grid, paths, reports)."""
-    import scipy.stats
     t_grid = _T_GRID
     def cut(blocks):
         """Consecutive paths of length >= n, and the length still missing."""
@@ -321,7 +327,7 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01):
         paths[i] = np.interp(n * np.asarray(t_grid), np.arange(len(s)), s) \
             / math.sqrt(n * sigma2)
     reports = []
-    k = scipy.stats.norm.isf(alpha / 2.0)
+    k = -statistics.NormalDist().inv_cdf(alpha / 2.0)
     i_end = len(t_grid) - 1
     var_end = paths[:, i_end].var(ddof=1) / t_grid[i_end]
     for j, t in enumerate(t_grid[:-1]):
@@ -335,7 +341,7 @@ def functional_clt_paths(cfg, n=200, n_paths=400, seed=0, n_jobs=1, alpha=0.01):
     thresh = k / math.sqrt(n_paths)
     reports.append(TestReport(
         name="fclt-increment-corr", statistic=corr,
-        p_value=2.0 * scipy.stats.norm.sf(abs(corr) * math.sqrt(n_paths)),
+        p_value=2.0 * _norm_sf(abs(corr) * math.sqrt(n_paths)),
         n=n_paths, passed=abs(corr) < thresh, alpha=alpha,
         detail=f"|corr| < {thresh:.4f}; var(B_1)/1 = {var_end:.3f}"))
     return np.array(t_grid), paths, reports

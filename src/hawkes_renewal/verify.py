@@ -21,7 +21,7 @@ from .kernels import ExponentialKernel, GammaSchedule, RateSpec
 from .prm import PrmStream, spawn_rng, split
 from .renewal import RenewalConfig, iterate_regenerations
 from .reprocess import REChain, return_time, invariant_cdf
-from .stats import (TestReport, blocks_until, chi2_gof, chi2_two_sample,
+from .stats import (TestReport, _norm_sf, blocks_until, chi2_gof, chi2_two_sample,
                     clt_time_average, coupling_experiment, functional_clt_paths,
                     ks_against, lil_envelope, poisson_dispersion,
                     se_bound_report)
@@ -77,7 +77,6 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
     certificates, the band points skipped below the drawn gaps, and block
     independence.
     """
-    import scipy.stats
     cfg = cfg if cfg is not None else reference_ad_config(D=0.0)
     diag = {}
     cycles_missing = lambda bs: max(n_cycles - sum(b.eta + 1 for b in bs),
@@ -132,7 +131,7 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
         r = float(np.corrcoef(x[:-1], x[1:])[0, 1])
         reports.append(TestReport(
             name=name, statistic=r,
-            p_value=2.0 * scipy.stats.norm.sf(abs(r) * math.sqrt(len(x) - 1)),
+            p_value=2.0 * _norm_sf(abs(r) * math.sqrt(len(x) - 1)),
             n=len(x), passed=abs(r) < thresh, detail=f"|r| < {thresh:.4f}"))
     if cfg.D > 0:
         gap_events = max(b.path.count(b.rho - cfg.D, b.rho) for b in blocks)

@@ -10,7 +10,8 @@ from scipy.optimize import brentq
 from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
                             ExponentialKernel, GammaSchedule,
                             IntegrabilityError, PowerLawKernel, RateSpec,
-                            TableKernel, ZeroKernel, pos_part)
+                            TableKernel, ZeroKernel, iterate_regenerations,
+                            pos_part)
 from hawkes_renewal import kernels
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
 from hawkes_renewal.verify import reference_ad_config, reference_o_config
@@ -156,6 +157,19 @@ class TestEnvelopeValues:
             env = make_env(ExponentialKernel(kernel_rate, 0.01), rate, GammaSchedule.linear(1.0))
             assert (env.validate("B") == []) == ok, kernel_rate
 
+    @pytest.mark.parametrize("kernel", [ExponentialKernel(0.04, 0.0),
+                                        PowerLawKernel(0.0, 5.0)], ids=["exp", "powerlaw"])
+    def test_a_zero_kernel_has_every_exponential_moment(self, kernel):
+        # f vanishes, so F = c_psi 1{t <= delta} and ||F||_1 = 0.5
+        cfg = reference_ad_config(D=1.0, kernel=kernel)
+        assert cfg.env.validate("B") == [] and cfg.validate() == []
+        assert cfg.env.F_l1 == pytest.approx(0.5, rel=1e-12)
+        if isinstance(kernel, ExponentialKernel):
+            etas = np.array([b.eta for b in iterate_regenerations(cfg, 200, seed=3)])
+            q = math.exp(-cfg.env.F_l1)  # eta is geometric: mean 1/q - 1
+            se = math.sqrt((1.0 - q) / q**2 / len(etas))
+            assert abs(etas.mean() - (1.0 / q - 1.0)) < 5.0 * se
+
     def test_assumption_verdicts_need_no_quadrature(self, monkeypatch):
         # A and B follow from the kernel family, the schedule form, p and r:
         # a power law (1+t)^-b needs b > p + 3 (linear) or b > p + 2 (log)
@@ -177,7 +191,10 @@ class TestEnvelopeValues:
             (PowerLawKernel(0.2, 5.5), lin, ExpDecay(0.1, 1.0), 2.0, True, False),
             (PowerLawKernel(0.2, 4.5), log, None, 2.0, True, False),
             (PowerLawKernel(0.2, 4.0), log, None, 2.0, False, False),
-            (PowerLawKernel(0.0, 1.5), log, None, 2.0, True, False),
+            # amplitude 0: f is r alone and F = c_psi g, whatever the family
+            (PowerLawKernel(0.0, 1.5), log, None, 2.0, True, True),
+            (ExponentialKernel(0.04, 0.0), lin, None, 2.0, True, True),
+            (ExponentialKernel(0.04, 0.0), lin, ExpDecay(0.1, 0.05), 2.0, True, False),
         ]
         for kernel, sched, r, p, a_holds, b_holds in cases:
             env = make_env(kernel, RateSpec.refractory_linear(0.5, 0.4, 1.0), sched, r=r)

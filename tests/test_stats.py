@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hawkes_renewal import ConfigError, Path
+from hawkes_renewal import ConfigError, Path, stats
 from hawkes_renewal.renewal import Block
-from hawkes_renewal.stats import (ad_normality, batch_means_sigma2,
+from hawkes_renewal.stats import (_norm_sf, ad_normality, batch_means_sigma2,
                                   block_stat_from_blocks, blocks_until, chi2_gof,
                                   chi2_two_sample, functional_clt_paths,
                                   unit_counts)
@@ -87,6 +87,35 @@ class TestHelpers:
             warnings.simplefilter("error", FutureWarning)
             rep = ad_normality(rng.normal(size=50))
         assert rep.detail == "crit(1%)=1.019"
+
+    def test_normal_tails_match_scipy(self):
+        z = np.linspace(-8.0, 8.0, 1601)
+        assert np.allclose(_norm_sf(z), scipy.stats.norm.sf(z), rtol=1e-13, atol=0)
+        assert np.allclose(np.log(_norm_sf(-z)), scipy.stats.norm.logcdf(z),
+                           rtol=0, atol=1e-13)
+        assert np.allclose(np.log(_norm_sf(z)), scipy.stats.norm.logsf(z),
+                           rtol=0, atol=1e-13)
+        assert [_norm_sf(v) for v in (0.0, math.inf, -math.inf)] == [0.5, 0.0, 1.0]
+
+    @pytest.mark.parametrize("n", [8, 50, 2000])
+    def test_ad_statistic_matches_the_scipy_formula(self, n):
+        x = np.random.default_rng(n).normal(size=n)
+        w = (np.sort(x) - np.mean(x)) / np.std(x, ddof=1)
+        terms = scipy.stats.norm.logcdf(w) + scipy.stats.norm.logsf(w)[::-1]
+        want = -n - np.sum((2 * np.arange(1, n + 1) - 1.0) / n * terms)
+        assert ad_normality(x).statistic == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.01, 1e-6])
+    def test_fclt_threshold_is_the_normal_quantile(self, monkeypatch, alpha):
+        ks, report = [], stats.se_bound_report
+        def spy(*args, k=3.0, **kwargs):
+            ks.append(k)
+            return report(*args, k=k, **kwargs)
+        monkeypatch.setattr(stats, "se_bound_report", spy)
+        functional_clt_paths(reference_ad_config(D=1.0), n=20, n_paths=4, seed=6,
+                             alpha=alpha)
+        want = scipy.stats.norm.isf(alpha / 2.0)
+        assert ks and all(abs(k - want) <= 1e-14 for k in ks)
 
     def test_fclt_gates_honour_alpha(self):
         cfg = reference_ad_config(D=1.0)
