@@ -683,19 +683,39 @@ def blocks_digest(blocks):
 
 class TestPinnedOutputs:
     # seeded outputs of the reference configs, byte for byte; a change that
-    # moves them must say why and pass the exact-law gates again
-    @pytest.mark.parametrize("make, D, seed, n, pin", [
-        (reference_ad_config, 1.0, 6, 60,
+    # moves them must say why and pass the exact-law gates again.  The
+    # table, power-law and r rows send their certificates through the walk:
+    # the digest hashes envelope_ok, a check in AD and the choice of alpha
+    # in O
+    @pytest.mark.parametrize("make, D, overrides, seed, n, pin", [
+        (reference_ad_config, 1.0, {}, 6, 60,
          "486032429f9ec47cf0d00c9df41f3ea5a333cfd4e525c2c3cfb23102a538dd01"),
-        (reference_ad_config, 0.0, 9, 60,
+        (reference_ad_config, 0.0, {}, 9, 60,
          "36e98f0fd5354d78628c8829490e689468b0a12a56ea15aa70a7eac241ca04b9"),
-        (reference_o_config, 0.0, 3, 12,
+        (reference_o_config, 0.0, {}, 3, 12,
          "271a23213fe5d0e644176efe0612a1beae73d1a2f4b3ebdf6fbacaf662fcd276"),
-        (reference_o_config, 1.0, 4, 12,
+        (reference_o_config, 1.0, {}, 4, 12,
          "5c23ada71016c01dd0b1edf6634a088a38db00c8aa6e275f477d4e3b67ac39ed"),
-    ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3", "O-D1-seed4"])
-    def test_blocks_match_their_pin(self, make, D, seed, n, pin):
-        assert blocks_digest(iterate_regenerations(make(D=D), n, seed=seed)) == pin
+        (reference_ad_config, 1.0,
+         {"kernel": TableKernel([(0.0, 0.2), (1.0, -0.05), (2.0, 0.0)])}, 67, 200,
+         "5d648dc587d037aeac37bb9e8d5b9898b46aed4708c04f5bbe555d268721f71e"),
+        (reference_o_config, 1.0,
+         {"kernel": TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)])}, 4, 30,
+         "015daaf77220c6f1a8f638af4f70d105d4e40ae3c9ce7707b154f57e35bcc2bc"),
+        (reference_ad_config, 0.0,
+         {"kernel": PowerLawKernel(0.2, 5.0), "sched": GammaSchedule.log(C=3.0),
+          "assumption": "A"}, 1, 4,
+         "666be5ec9c580456a047c54f1314d710bf7d0217fe0363dd8f615430663e8862"),
+        (reference_ad_config, 1.0, {"r": ExpDecay(1.0, 1.0)}, 5, 200,
+         "d64c9c9061e667673dd18788a01de276a1407e82e5b2cc63d3c55ae1e180f8dc"),
+        (reference_o_config, 0.0, {"r": ExpDecay(1.0, 1.0)}, 6, 20,
+         "87653979325312d51ee462de22f5503e93bc2766fa975b022a27aad75285f2a9"),
+    ], ids=["AD-D1-seed6", "AD-D0-seed9", "O-D0-seed3", "O-D1-seed4",
+            "AD-D1-table-seed67", "O-D1-table-seed4", "AD-D0-power-seed1",
+            "AD-D1-r-seed5", "O-D0-r-seed6"])
+    def test_blocks_match_their_pin(self, make, D, overrides, seed, n, pin):
+        cfg = make(D=D, **overrides)
+        assert blocks_digest(iterate_regenerations(cfg, n, seed=seed)) == pin
 
     @pytest.mark.parametrize("D, kernel, seed, pin", [
         (0.0, None, 7,
