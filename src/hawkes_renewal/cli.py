@@ -118,6 +118,11 @@ _RUN_NUMBERS = {"seed": int, "horizon": float, "n_blocks": int, "n_runs": int,
 # variances, so they need two
 _RUN_LEAST = {"n_blocks": 1, "n_runs": 2, "n_steps": 1, "fclt_units": 1,
               "fclt_paths": 2, "parallel": 0, "max_cycles": 1, "scan_cap": 1}
+# the least value of each [verify] size below which its suite compares
+# nothing or cannot run; the four sample-variance counts need two
+_VERIFY_LEAST = {"renewal.n_blocks": 3, "clt.rep_blocks": 1, "lil.n_max": 8,
+                 "thinning.n_runs": 1, "coupling.n_runs": 2, "fclt.n_paths": 2,
+                 "borel.n_clusters": 2, "re-chain.n_kac": 2}
 
 
 def _verify_sizes(sec, problems):
@@ -142,6 +147,9 @@ def _verify_sizes(sec, problems):
             value = _number(sec, key, kind, problems)
             if param == "alpha" and value is not None and not 0 < value < 1:
                 problems.append(f"verify: {key} must be in (0, 1), got {value!r}")
+            least = _VERIFY_LEAST.get(key)
+            if least is not None and value is not None and value < least:
+                problems.append(f"verify: {key} must be >= {least}, got {value}")
             sizes.setdefault(suite, {})[param] = value
     return sizes
 

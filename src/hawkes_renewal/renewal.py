@@ -227,72 +227,47 @@ def certify_dominated(ub, rhs):
     ``ub(w)`` must dominate the quantity on [w, inf); ``ub`` and ``rhs``
     must be decreasing and are called at one float w at a time.
 
-    When both are :class:`ExpDecay` with one rate, c_ub e^{-aw} and
-    c_rhs e^{-aw}, the verdict is the test at w = 0 alone,
-    c_ub <= c_rhs (1 + 1e-9) + 1e-12, which holds exactly when
+    When both are :class:`ExpDecay` of one rate a, the verdict is the test
+    at w = 0 alone, c_ub <= c_rhs (1 + 1e-9) + 1e-12, which holds exactly when
     ub(w) <= rhs(w) (1 + 1e-9) + 1e-12 for every w >= 0 (multiply by
     e^{-aw} <= 1); it counts one point.  Every certificate the walk below
     accepts is accepted.
 
-    Otherwise the walk covers the
-    fixed geometric grid w_0 = 0, w_{k+1} = max(1.3 w_k, w_k + 0.05) with
-    the intervals (lo, hi) = (w_k, w_{k+1}) and requires
-    ub(lo) <= rhs(hi) (1 + 1e-9) + 1e-12 on each, bisecting a failing
-    interval down to depth 14; it accepts at the first k >= 1 with
-    ub(w_k) <= 1e-12.  A first pass walks the grid, evaluating each grid
-    point once; a second bisects the failing intervals depth first,
-    carrying ub(lo) and rhs(hi) down, so no point is evaluated twice.
-
-    Two exits keep a violated certificate cheap.  A grid interval whose
-    leftmost depth-14 leaf fails ends the walk as a failure: every interval
-    on the way down to that leaf has the same left end and, rhs being
-    decreasing, a smaller rhs at its right end, so the bisection would
-    reach the leaf and fail there.  For the same reason so does an interval
-    of the bisection that fails at zero width,
-    ub(lo) > rhs(lo) (1 + 1e-9) + 1e-12.  Returns a
-    :class:`Certificate`.
+    Otherwise the walk covers the grid w_0 = 0,
+    w_{k+1} = max(1.3 w_k, w_k + 0.05), requiring
+    ub(lo) <= rhs(hi) (1 + 1e-9) + 1e-12 on each interval (lo, hi) and
+    bisecting a failing one depth first to depth 14, with ub(lo) and rhs(hi)
+    carried down so that no point is evaluated twice.  It accepts at the
+    first k >= 1 with ub(w_k) <= 1e-12 and fails at the first infinite w_k.
     """
-
     def holds(u, r):
         return u <= r * (1.0 + _SLACK) + _ABS_TOL
 
     if isinstance(ub, ExpDecay) and isinstance(rhs, ExpDecay) and ub.rate == rhs.rate:
         return Certificate(bool(holds(ub.c, rhs.c)), 1)
+    points = 0
 
-    # pass 1: the grid, keeping the failing intervals as (lo, hi, ub(lo), rhs(hi))
-    lo, u_lo, points, failing = 0.0, ub(0.0), 1, []
-    while True:
-        hi = max(lo * 1.3, lo + 0.05)
-        u_hi, r_hi = ub(hi), rhs(hi)
-        points += 2
-        if not holds(u_lo, r_hi):
-            leaf = hi
-            for _ in range(_DEPTH):
-                leaf = 0.5 * (lo + leaf)
-            points += 1
-            if not holds(u_lo, rhs(leaf)):
-                return Certificate(False, points)
-            failing.append((lo, hi, u_lo, r_hi, _DEPTH))
-        if u_hi <= _ABS_TOL:
-            break
-        if math.isinf(hi):  # the grid ends at its first infinite point
-            return Certificate(False, points)
-        lo, u_lo = hi, u_hi
-    # pass 2: bisect them depth first
-    while failing:
-        lo, hi, u_lo, r_hi, depth = failing.pop()
-        if depth == 0:
-            return Certificate(False, points)
+    def at(fn, w):
+        nonlocal points
+        points += 1
+        return fn(w)
+
+    def interval_ok(lo, hi, u_lo, r_hi, depth):
         mid = 0.5 * (lo + hi)
-        u_mid, r_mid = ub(mid), rhs(mid)
-        points += 2
-        if not holds(u_mid, r_mid):  # a right half fails at zero width
+        return holds(u_lo, r_hi) or (
+            depth > 0
+            and interval_ok(lo, mid, u_lo, at(rhs, mid), depth - 1)
+            and interval_ok(mid, hi, at(ub, mid), r_hi, depth - 1))
+
+    lo, u_lo = 0.0, at(ub, 0.0)
+    while math.isfinite(lo):  # the grid ends at its first infinite point
+        hi = max(lo * 1.3, lo + 0.05)
+        if not interval_ok(lo, hi, u_lo, at(rhs, hi), _DEPTH):
             return Certificate(False, points)
-        if not holds(u_mid, r_hi):
-            failing.append((mid, hi, u_mid, r_hi, depth - 1))
-        if not holds(u_lo, r_mid):
-            failing.append((lo, mid, u_lo, r_mid, depth - 1))
-    return Certificate(True, points)
+        lo, u_lo = hi, at(ub, hi)
+        if u_lo <= _ABS_TOL:
+            return Certificate(True, points)
+    return Certificate(False, points)
 
 
 def _shifted(fn, s):

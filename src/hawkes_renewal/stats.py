@@ -82,6 +82,8 @@ def ad_normality(x, alpha=0.01, name="anderson-darling"):
         p = 1.0 - math.exp(-8.318 + 42.796 * a2 - 59.938 * a2 * a2)
     elif a2 < 0.6:
         p = math.exp(0.9177 - 4.279 * a2 - 1.38 * a2 * a2)
+    elif a2 >= 5.709 / 0.0372:  # past its minimum, e^-437, the fit rises again
+        p = 0.0
     else:
         p = math.exp(1.2937 - 5.709 * a2 + 0.0186 * a2 * a2)
     p = min(max(p, 0.0), 1.0)
@@ -269,6 +271,9 @@ def clt_time_average(cfg, n_blocks=32000, rep_blocks=32, seed=0, n_jobs=1,
     tested for normality, and the block variance estimate is cross-checked
     against batch means on the concatenated run.
     """
+    if n_blocks < 2 * rep_blocks:
+        raise ConfigError(f"clt: n_blocks must be >= 2 * rep_blocks = {2 * rep_blocks} "
+                          f"for two normality groups, got {n_blocks}")
     blocks = iterate_regenerations(cfg, n_blocks, seed=seed, n_jobs=n_jobs)
     stat = block_stat_from_blocks(blocks)
     reports = []

@@ -135,6 +135,22 @@ class TestConfigProblems:
         ("renewal", "[kernel]\nrat = 2.0", "kernel: unknown key 'rat'"),
         ("simulate", "[typo_section]\nx = 1", "unknown section [typo_section]"),
         ("simulate", "[DEFAULT]\nseed = 2", "unknown section [DEFAULT]"),
+        ("verify", "[envelope]\nD = 1.0\n[verify]\nrenewal.n_blocks = 1",
+         "verify: renewal.n_blocks must be >= 3, got 1"),
+        ("verify", "[verify]\nclt.rep_blocks = 0", "verify: clt.rep_blocks must be >= 1, got 0"),
+        ("verify --only clt", "[verify]\nclt.n_blocks = 2",
+         "clt: n_blocks must be >= 2 * rep_blocks = 64 for two normality groups, got 2"),
+        ("verify --only clt", "[verify]\nclt.n_blocks = 1",
+         "clt: n_blocks must be >= 2 * rep_blocks = 64 for two normality groups, got 1"),
+        ("clt", "[run]\nn_blocks = 40",
+         "clt: n_blocks must be >= 2 * rep_blocks = 64 for two normality groups, got 40"),
+        ("verify", "[verify]\nlil.n_max = 1", "verify: lil.n_max must be >= 8, got 1"),
+        ("verify", "[verify]\nthinning.n_runs = 0", "verify: thinning.n_runs must be >= 1, got 0"),
+        ("verify", "[verify]\ncoupling.n_runs = 1", "verify: coupling.n_runs must be >= 2, got 1"),
+        ("verify", "[verify]\nfclt.n_paths = 1", "verify: fclt.n_paths must be >= 2, got 1"),
+        ("verify", "[verify]\nborel.n_clusters = 1",
+         "verify: borel.n_clusters must be >= 2, got 1"),
+        ("verify", "[verify]\nre-chain.n_kac = 1", "verify: re-chain.n_kac must be >= 2, got 1"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
@@ -143,10 +159,14 @@ class TestConfigProblems:
             "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
             "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
             "max_cycles-zero", "scan_cap-zero", "unknown-run-key", "unknown-kernel-key",
-            "unknown-section", "default-section"])
+            "unknown-section", "default-section", "verify-renewal-blocks",
+            "verify-clt-rep-blocks", "verify-clt-two-blocks", "verify-clt-one-block",
+            "clt-blocks", "verify-lil-n_max", "verify-thinning-runs",
+            "verify-coupling-runs", "verify-fclt-paths", "verify-borel-clusters",
+            "verify-re-chain-kac"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
-        assert main([command, "--config", cfg]) == 2
+        assert main([*command.split(), "--config", cfg]) == 2
         assert f"config error: {problem}" in capsys.readouterr().err
 
     def test_verify_sizes_are_read_as_their_keyword_types(self, tmp_path):

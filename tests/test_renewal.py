@@ -28,6 +28,11 @@ from hawkes_renewal.stats import functional_clt_paths, lil_envelope
 from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
                                    suite_renewal)
 
+# the table kernels of the exact-law row AD-D1-table (tests/test_acceptance.py)
+# and of the ordinary setup, whose certificates take the walk
+AD_TABLE = TableKernel([(0.0, 0.2), (1.0, -0.05), (2.0, 0.0)])
+O_TABLE = TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)])
+
 
 def memory_of(kernel, jumps):
     """A :class:`KernelMemory` of ``kernel`` holding ``jumps``."""
@@ -318,7 +323,9 @@ class TestCertificate:
         r = ExpDecay(1.0, 1.0)
         for seed in range(4):
             for cfg in [reference_o_config(D=0.0), reference_ad_config(D=1.0),
-                        reference_o_config(D=0.0, r=r), reference_ad_config(D=1.0, r=r)]:
+                        reference_o_config(D=0.0, r=r), reference_ad_config(D=1.0, r=r),
+                        reference_ad_config(D=1.0, kernel=AD_TABLE),
+                        reference_o_config(D=0.0, kernel=O_TABLE)]:
                 run_system(cfg, PrmStream(seed, 0), PrmStream(seed, 1))
         power = reference_ad_config(kernel=PowerLawKernel(0.2, 4.0))
         run_system(power, PrmStream(1, 0), PrmStream(1, 1))
@@ -696,11 +703,9 @@ class TestPinnedOutputs:
          "271a23213fe5d0e644176efe0612a1beae73d1a2f4b3ebdf6fbacaf662fcd276"),
         (reference_o_config, 1.0, {}, 4, 12,
          "5c23ada71016c01dd0b1edf6634a088a38db00c8aa6e275f477d4e3b67ac39ed"),
-        (reference_ad_config, 1.0,
-         {"kernel": TableKernel([(0.0, 0.2), (1.0, -0.05), (2.0, 0.0)])}, 67, 200,
+        (reference_ad_config, 1.0, {"kernel": AD_TABLE}, 67, 200,
          "5d648dc587d037aeac37bb9e8d5b9898b46aed4708c04f5bbe555d268721f71e"),
-        (reference_o_config, 1.0,
-         {"kernel": TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)])}, 4, 30,
+        (reference_o_config, 1.0, {"kernel": O_TABLE}, 4, 30,
          "015daaf77220c6f1a8f638af4f70d105d4e40ae3c9ce7707b154f57e35bcc2bc"),
         (reference_ad_config, 0.0,
          {"kernel": PowerLawKernel(0.2, 5.0), "sched": GammaSchedule.log(C=3.0),
@@ -722,7 +727,7 @@ class TestPinnedOutputs:
          "12b22e03e28b53a2ffb76439f739919523be308942f59e537356188e6b0ce8d9"),
         (1.0, None, 8,
          "680522c0507b97ecd603b48f29646d15d3579b9e1cc436c8fce5617ed0969cfc"),
-        (0.0, TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)]), 9,
+        (0.0, O_TABLE, 9,
          "89de5ecb6e2ae5cd2f5d7f98716d9b2cabdfaa427ed924c7bdec1a9ff76201b7"),
     ], ids=["O-D0-seed7", "O-D1-seed8", "O-table-seed9"])
     def test_zn_scan_inputs_match_their_pin(self, monkeypatch, D, kernel, seed, pin):

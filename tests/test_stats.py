@@ -97,6 +97,15 @@ class TestHelpers:
                            rtol=0, atol=1e-13)
         assert [_norm_sf(v) for v in (0.0, math.inf, -math.inf)] == [0.5, 0.0, 1.0]
 
+    def test_ad_p_is_zero_past_the_minimum_of_its_fit(self):
+        # D'Agostino's exp(1.2937 - 5.709 a2 + 0.0186 a2^2) bottoms out near
+        # a2 = 153.5 and rises past it: p read 1 on the first sample, and the
+        # second overflowed
+        for x, stat in [([0.0] * 1000 + [1.0] * 3, 386.5), ([0.0] * 3000 + [1.0] * 30, 1159.0)]:
+            rep = ad_normality(x)
+            assert rep.statistic == pytest.approx(stat, abs=0.1)
+            assert rep.p_value == 0.0 and not rep.passed
+
     @pytest.mark.parametrize("n", [8, 50, 2000])
     def test_ad_statistic_matches_the_scipy_formula(self, n):
         x = np.random.default_rng(n).normal(size=n)
