@@ -7,9 +7,11 @@ import time
 
 import pytest
 
-from hawkes_renewal import ConfigError, RenewalConfig, renewal
+from hawkes_renewal import (ConfigError, ExponentialKernel, GammaSchedule,
+                            PositivePartKernel, PowerLawKernel, RateSpec,
+                            RenewalConfig, renewal)
 from hawkes_renewal.cli import load_config, main
-from hawkes_renewal.verify import reference_ad_config, run_suites
+from hawkes_renewal.verify import reference_ad_config, reference_o_config, run_suites
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -375,6 +377,8 @@ MATRIX_KERNELS = {"exponential": "form = exponential\n",
 MATRIX_SCHEDULES = {"linear": "form = linear\nC = 1.0\n",
                     "log-3": "form = log\nC = 3.0\n",
                     "log-auto": "form = log\nC = auto\n"}
+# sha256 of every matrix case's "case: problems" line, in case order
+MATRIX_PROBLEMS_SHA256 = "de9be7919c415929674d66e14ee208fed813a383fab3ba4c0298e7e67fbacdac"
 MOMENT_PROBLEMS = {"t^p f not integrable (assumption A)",
                    "F lacks an exponential moment (assumption B)"}
 
@@ -397,7 +401,7 @@ class TestConfigMatrix:
         # kernel x rate form x schedule x assumption x D x r, in-process
         # through load_config with the defaults' parameters otherwise
         t0 = time.perf_counter()
-        accepted = {}
+        accepted, listed = {}, []
         cases = itertools.product(MATRIX_KERNELS, ("linear", "refractory_linear",
                                                    "hard_refractory"),
                                   MATRIX_SCHEDULES, "AB", (0, 1), ("zero", "exp"))
@@ -414,8 +418,12 @@ class TestConfigMatrix:
             assert bool(MOMENT_PROBLEMS & set(problems)) != \
                 moment_rule(kernel, schedule, assumption), (case, problems)
             accepted[case] = not problems
+            listed.append(f"{case}: {problems}\n")
         assert time.perf_counter() - t0 < 5.0
         assert len(accepted) == 288 and sum(accepted.values()) == 140
+        # every case's full problem list, text and order, in case order
+        digest = hashlib.sha256("".join(listed).encode()).hexdigest()
+        assert digest == MATRIX_PROBLEMS_SHA256
         for (kernel, rate, schedule, assumption, D, r), ok in accepted.items():
             # D changes F on [0, D] only, and r >= 0 only raises f
             assert ok == accepted[kernel, rate, schedule, assumption, 1 - D, r]
@@ -424,3 +432,36 @@ class TestConfigMatrix:
         # exponent 4.5 passes assumption A under a log schedule, as
         # t^2 f ~ ln(t) t^-1.5 is integrable
         assert accepted["powerlaw-4.5", "refractory_linear", "log-3", "A", 0, "zero"]
+
+    @pytest.mark.parametrize("setup, overrides, problems", [
+        ("AD", {"assumption": "A", "p": -1.5}, ["assumption A needs p > -1"]),
+        ("AD", {"assumption": "C"}, ["unknown assumption 'C'"]),
+        ("AD", {"assumption": "C", "kernel": PowerLawKernel(0.2, 5.0)},
+         ["unknown assumption 'C'", "F lacks an exponential moment (assumption B)"]),
+        ("O", {"assumption": "A", "rate": RateSpec.linear(0.5, 4.0)},
+         ["L*||h_+|| = 1.2 >= 1: not subcritical for an ordinary Hawkes setup",
+          "setup O assumption A needs c_h > 0"]),
+        ("O", {"assumption": "A", "rate": RateSpec.linear(0.5, 0.0),
+          "sched": GammaSchedule.log(C=3.0)}, ["setup O assumption A needs c_h > 0"]),
+        ("O", {"assumption": "A", "sched": GammaSchedule.log(C=0.01)},
+         ["gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]),
+        ("AD", {"sched": GammaSchedule.linear(0.0)},
+         ["gamma(t)/t not bounded below (assumption B)"]),
+        ("AD", {"sched": GammaSchedule.linear(0.0), "assumption": "A"},
+         ["gamma(t)/ln(t) not bounded below (setup AD)"]),
+        ("O", {"sched": GammaSchedule.linear(0.0), "assumption": "A"},
+         ["gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]),
+        ("AD", {"r": lambda t: 0.1}, ["start bound r must be an ExpDecay c exp(-rate t)"]),
+        ("AD", {"kernel": PositivePartKernel(ExponentialKernel(1.0, -0.2))},
+         ["no integrability rule for a PositivePartKernel kernel"]),
+        ("AD", {"kernel": PositivePartKernel(ExponentialKernel(1.0, -0.2)), "assumption": "A"},
+         ["no integrability rule for a PositivePartKernel kernel"]),
+    ], ids=["p-below-minus-one", "unknown-assumption", "unknown-assumption-powerlaw",
+            "O-supercritical", "O-L-zero", "O-slow-log", "linear-C-zero-B",
+            "linear-C-zero-A", "O-linear-C-zero-A", "r-not-ExpDecay", "no-kernel-rule",
+            "no-kernel-rule-A"])
+    def test_library_rows_keep_their_problems(self, setup, overrides, problems):
+        # the rarer branches of the assumption rule, text and order, read
+        # through RenewalConfig.validate without the CLI's parsing
+        make = reference_o_config if setup == "O" else reference_ad_config
+        assert make(**overrides).validate() == problems
