@@ -18,7 +18,7 @@ env = cfg.env
 # one run, by hand: the regenerating state against a positively biased start
 start_a = ZStart.atom(env)
 start_b = ZStart(signal=lambda t: env.f(t), signal_upper=lambda t: env.f(t),
-                 signal_abs=env.envelope(), age0=0.0, alpha0=0.0)
+                 signal_abs=env.envelope(), age0=0.0)
 out = run_system(cfg, PrmStream(5, 0), PrmStream(5, 1), start=start_a,
                  extra_starts=[start_b], extend_after=30.0)
 a, b = out.track_paths

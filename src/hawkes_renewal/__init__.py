@@ -10,7 +10,7 @@ from .errors import (BandViolationError, ConfigError, DominationError,
                      IntegrabilityError, SimulationCapError, SupercriticalError)
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, GammaSchedule,
                       Kernel, PositivePartKernel, PowerLawKernel, RateSpec,
-                      TableKernel, ZeroKernel, check_subcritical, pos_part)
+                      TableKernel, ZeroKernel, pos_part)
 from .prm import PrmStream, SplitStreams, spawn_rng, split
 from .hawkes import (KernelMemory, Path, ProcessState, path_to_csv,
                      simulate_adhp)
@@ -28,7 +28,7 @@ __all__ = [
     "IntegrabilityError", "SimulationCapError", "SupercriticalError",
     "EnvelopeFns", "ExpDecay", "ExponentialKernel", "GammaSchedule", "Kernel",
     "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
-    "ZeroKernel", "check_subcritical", "pos_part",
+    "ZeroKernel", "pos_part",
     "PrmStream", "SplitStreams", "spawn_rng", "split",
     "KernelMemory", "Path", "ProcessState", "path_to_csv", "simulate_adhp",
     "Block", "Certificate", "CycleRecord", "RenewalConfig", "RenewalOutcome",

@@ -92,7 +92,12 @@ def _build_gamma(sec, problems, p, kernel, rate):
             if not 0 < m < 1:
                 problems.append("gamma: auto log schedule needs 0 < L*||h+|| < 1")
                 return None
-            return GammaSchedule.log(p=p, c_h=borel_c_h(m))
+            if not (c_h := borel_c_h(m)) > 0:  # it rounds to 0 within ~1e-8 of m = 1
+                problems.append(f"gamma: auto log schedule needs c_h = m - ln(m) - 1 > 0, "
+                                f"which rounds to 0 at m = L*||h+|| = {m!r}")
+                return None
+            # 10% above the least C of assumption A in setup O
+            return GammaSchedule.log(1.1 * (p + 1.0) / c_h)
         return GammaSchedule(form, float(sec["C"]))
     except (ConfigError, ValueError) as exc:
         problems.append(f"gamma: {exc}")
@@ -114,14 +119,14 @@ _RUN_NUMBERS = {"seed": int, "horizon": float, "n_blocks": int, "n_runs": int,
                 "n_steps": int, "fclt_units": int, "fclt_paths": int,
                 "alpha": float, "parallel": int, "max_cycles": int,
                 "scan_cap": int}
-# the least value of each [run] count; n_runs and fclt_paths feed sample
-# variances, so they need two
+# the least value of each [run] count; n_runs feeds sample variances, so it
+# needs two, and fclt_paths three, as its variance ratios are jackknifed
 _RUN_LEAST = {"n_blocks": 1, "n_runs": 2, "n_steps": 1, "fclt_units": 1,
-              "fclt_paths": 2, "parallel": 0, "max_cycles": 1, "scan_cap": 1}
+              "fclt_paths": 3, "parallel": 0, "max_cycles": 1, "scan_cap": 1}
 # the least value of each [verify] size below which its suite compares
-# nothing or cannot run; the four sample-variance counts need two
+# nothing or cannot run; the sample-variance counts need two, fclt.n_paths three
 _VERIFY_LEAST = {"renewal.n_blocks": 3, "clt.rep_blocks": 1, "lil.n_max": 8,
-                 "thinning.n_runs": 1, "coupling.n_runs": 2, "fclt.n_paths": 2,
+                 "thinning.n_runs": 1, "coupling.n_runs": 2, "fclt.n_paths": 3,
                  "borel.n_clusters": 2, "re-chain.n_kac": 2}
 
 
@@ -293,8 +298,7 @@ def cmd_coupling(cfg, settings):
         fh.write("run,T,rho\n")
         for i, (t, r) in enumerate(zip(data["T"], data["rho"])):
             fh.write(f"{i},{_fmt(float(t))},{_fmt(float(r))}\n")
-    _write_and_print(reports, settings, "coupling_reports.csv")
-    return 0 if all(r.passed or not r.gating for r in reports) else 1
+    return _write_and_print(reports, settings, "coupling_reports.csv")
 
 
 def cmd_clt(cfg, settings):
@@ -314,16 +318,13 @@ def cmd_clt(cfg, settings):
         for i in range(paths.shape[0]):
             for t, b in zip(tg, paths[i]):
                 fh.write(f"{i},{_fmt(float(t))},{_fmt(float(b))}\n")
-    reports = reports + rep2
-    _write_and_print(reports, settings, "clt_reports.csv")
-    return 0 if all(r.passed or not r.gating for r in reports) else 1
+    return _write_and_print(reports + rep2, settings, "clt_reports.csv")
 
 
 def cmd_re_chain(cfg, settings):
     from .verify import suite_re_chain
     reports = suite_re_chain(n_steps=settings["n_steps"], seed=settings["seed"])
-    _write_and_print(reports, settings, "re_chain_reports.csv")
-    return 0 if all(r.passed or not r.gating for r in reports) else 1
+    return _write_and_print(reports, settings, "re_chain_reports.csv")
 
 
 def cmd_verify(cfg, settings, only=None):
@@ -340,11 +341,14 @@ def cmd_verify(cfg, settings, only=None):
 
 
 def _write_and_print(reports, settings, name):
+    """Write ``reports`` to ``name`` and print them; the exit code, 1 when a
+    gating one failed."""
     fname = _outfile(settings, name)
     with open(fname, "w") as fh:
         write_reports(reports, fh)
     print(summarize(reports))
     print(fname)
+    return 0 if all(r.passed or not r.gating for r in reports) else 1
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,10 @@ _SLACK = 1e-9
 
 @dataclass
 class Path:
-    """A simple point-process realization: sorted event times on (origin, horizon]."""
+    """A simple point-process realization: sorted event times on (0, horizon]."""
 
     times: np.ndarray
     horizon: float
-    origin: float = 0.0
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -174,7 +173,7 @@ class ProcessState:
 
 
 def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
-                  delay=0.0, horizon=100.0, origin=0.0):
+                  delay=0.0, horizon=100.0):
     """Exact thinning simulation of a (D-delayed) age-dependent Hawkes process.
 
     Parameters
@@ -186,7 +185,7 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
         decreasing upper envelope of it (required when R can be positive).
     age0, delay : initial age and the delay D during which the intensity
         is suppressed.
-    horizon : simulate on (origin, horizon].
+    horizon : simulate on (0, horizon].
 
     Returns the realized :class:`Path`.  The thinning never reads behind
     its frontier, so ``pi`` forgets the columns before it as it goes
@@ -196,14 +195,14 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
     """
     if not math.isfinite(horizon):
         raise DominationError("horizon must be finite")
-    state = ProcessState(kernel, rate, signal, signal_upper, age0, delay, origin)
+    state = ProcessState(kernel, rate, signal, signal_upper, age0, delay)
 
     def read(t0, t1, zmax):
         pi.forget_before(t0)
         return pi.sample(t0, t1, zmax)
 
-    thin([state], read, origin, horizon)
-    return Path(np.array(state.jumps), horizon=horizon, origin=origin)
+    thin([state], read, 0.0, horizon)
+    return Path(np.array(state.jumps), horizon=horizon)
 
 
 class _SwappedIn(tuple):

@@ -193,14 +193,6 @@ def pos_part(kernel):
     return PositivePartKernel(kernel)
 
 
-def check_subcritical(kernel, L):
-    """Setup (O) admissibility: L * ||h_+|| < 1."""
-    m = L * kernel.pos_l1
-    if m >= 1.0:
-        raise ConfigError(f"L*||h_+|| = {m:g} >= 1: not subcritical for an ordinary Hawkes setup")
-    return m
-
-
 def borel_c_h(m):
     """c_h = m - ln(m) - 1, the exponential-moment threshold of the Borel(m)
     cluster size, for a mean offspring 0 < m < 1."""
@@ -293,12 +285,7 @@ class GammaSchedule:
         return GammaSchedule("linear", C)
 
     @staticmethod
-    def log(C=None, p=None, c_h=None):
-        """C * ln_+(t); C defaults to 10% above the ordinary-setup bound."""
-        if C is None:
-            if p is None or c_h is None or c_h <= 0:
-                raise ConfigError("log schedule needs C, or p and c_h > 0 to auto-choose it")
-            C = 1.1 * (p + 1.0) / c_h
+    def log(C):
         return GammaSchedule("log", C)
 
     def value(self, t):
@@ -340,28 +327,6 @@ class GammaSchedule:
         if self.form == "linear":
             return self.C * (0.5 * T * T + T)
         return self.C * ((1.0 + T) * math.log(1.0 + T) - T)
-
-    def check_assumption(self, setup, assumption, p=None, c_h=None):
-        """The growth conditions of the assumptions in closed form; returns
-        problems.  B needs a linear schedule; A (gamma(t) > (p+1) ln(t)/c_h
-        in setup O, gamma(t)/ln(t) bounded below in setup AD) needs
-        C c_h > p + 1 of a log schedule in setup O.  All need C > 1e-12."""
-        grows = self.C > 1e-12
-        if assumption == "B":
-            if self.form != "linear" or not grows:
-                return ["gamma(t)/t not bounded below (assumption B)"]
-        elif assumption != "A":
-            return [f"unknown assumption {assumption!r}"]
-        elif p is None:
-            return ["assumption A needs the moment order p"]
-        elif setup == "O":
-            if c_h is None or c_h <= 0:
-                return ["setup O assumption A needs c_h > 0"]
-            if not grows or (self.form == "log" and not self.C * c_h > p + 1.0):
-                return ["gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]
-        elif not grows:
-            return ["gamma(t)/ln(t) not bounded below (setup AD)"]
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -619,29 +584,3 @@ class EnvelopeFns:
                 return nxt
             rest -= self._between(piece, t, nxt)
             t = nxt
-
-    def validate(self, assumption="A", p=0.0):
-        """Assumption A (t^p f and t^p F integrable) or B (exp(0.05 t) F
-        integrable) from the kernel family, the schedule form, p and r;
-        returns problems.  Past D, f decays like r plus e^-at (exponential
-        kernel), plus 0 past a table's support, or plus t^(2-b) (linear
-        schedule) or ln(t) t^(1-b) (log) for a power law A (1+t)^-b; a kernel
-        of amplitude 0 adds nothing.  F = 2 L f + c_psi g, g zero past delta.
-        Other families are refused."""
-        k, r = self.kernel, self.r
-        if not isinstance(k, (ExponentialKernel, PowerLawKernel, TableKernel)):
-            return [f"no integrability rule for a {type(k).__name__} kernel"]
-        power = isinstance(k, PowerLawKernel) and k.amplitude != 0
-        if assumption == "A":
-            if not p > -1.0:
-                return ["assumption A needs p > -1"]
-            least = p + (3.0 if self.sched.form == "linear" else 2.0)
-            if power and not k.exponent > least:
-                names = ["t^p f", "t^p F"] if self.rate.L > 0 else ["t^p f"]
-                return [f"{name} not integrable (assumption A)" for name in names]
-            return []
-        rates = [k.rate] if isinstance(k, ExponentialKernel) and k.amplitude != 0 else []
-        rates += [r.rate] if r is not None and r.c != 0 else []
-        if power or not all(a > 0.05 for a in rates):
-            return ["F lacks an exponential moment (assumption B)"]
-        return []

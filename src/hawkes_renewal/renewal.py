@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError, IntegrabilityError, SimulationCapError
 from .hawkes import Path, ProcessState, thin
-from .kernels import (EnvelopeFns, ExpDecay, borel_c_h, ceil_int,
-                      check_subcritical, pos_part)
+from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, PowerLawKernel,
+                      TableKernel, borel_c_h, ceil_int, pos_part)
 from .prm import PrmStream, derive_key, spawn_rng, split, swapped_in
 from .reprocess import step
 
@@ -74,8 +74,11 @@ class RenewalConfig:
         return 0.0
 
     def validate(self):
-        """The named problems of the config; none needs a quadrature but ||F||_1's."""
-        problems, r = [], self.r
+        """The named problems of the config, in order: r, delta, setup O's
+        L ||h+|| < 1, then assumption A or B (the schedule's growth, then the
+        moments of f and F) by the rule of README's "Assumptions A and B";
+        none needs a quadrature but ||F||_1's, read once all else holds."""
+        problems, r, k, sched, p = [], self.r, self.kernel, self.sched, self.p
         if r is not None:
             if not isinstance(r, ExpDecay):
                 return ["start bound r must be an ExpDecay c exp(-rate t)"]
@@ -86,16 +89,43 @@ class RenewalConfig:
         inv = 1.0 / self.rate.delta  # 0 in setup O, where delta is inf
         if abs(inv - round(inv)) > 1e-9:
             problems.append("delta must be the reciprocal of an integer")
-        c_h = None
+        c_h = 0.0  # the Borel threshold m - ln(m) - 1 of setup O's m = L ||h+||
         if self.setup == "O":
-            try:
-                m = check_subcritical(self.kernel, self.rate.L)
-                c_h = borel_c_h(m) if m > 0 else None
-            except ConfigError as exc:
-                problems.extend(exc.problems)
-        problems += self.sched.check_assumption(self.setup, self.assumption,
-                                                p=self.p, c_h=c_h)
-        problems += self.env.validate(self.assumption, self.p)
+            m = self.rate.L * k.pos_l1
+            if m >= 1.0:
+                problems.append(f"L*||h_+|| = {m:g} >= 1: not subcritical for an "
+                                f"ordinary Hawkes setup")
+            elif m > 0:
+                c_h = borel_c_h(m)
+        grows, linear = sched.C > 1e-12, sched.form == "linear"
+        if self.assumption == "B":
+            if not (linear and grows):
+                problems.append("gamma(t)/t not bounded below (assumption B)")
+        elif self.assumption != "A":
+            problems.append(f"unknown assumption {self.assumption!r}")
+        elif p is None:
+            problems.append("assumption A needs the moment order p")
+        elif self.setup == "O":
+            if not c_h > 0:
+                problems.append("setup O assumption A needs c_h > 0")
+            elif not grows or not (linear or sched.C * c_h > p + 1.0):
+                problems.append("gamma(t) must exceed (p+1)ln(t)/c_h (setup O)")
+        elif not grows:
+            problems.append("gamma(t)/ln(t) not bounded below (setup AD)")
+        power = isinstance(k, PowerLawKernel) and k.amplitude != 0
+        if not isinstance(k, (ExponentialKernel, PowerLawKernel, TableKernel)):
+            problems.append(f"no integrability rule for a {type(k).__name__} kernel")
+        elif self.assumption != "A":
+            rates = [k.rate] if isinstance(k, ExponentialKernel) and k.amplitude != 0 else []
+            rates += [r.rate] if r is not None and r.c != 0 else []
+            if power or not all(a > 0.05 for a in rates):
+                problems.append("F lacks an exponential moment (assumption B)")
+        elif p is not None:  # a missing p is named above
+            if not p > -1.0:
+                problems.append("assumption A needs p > -1")
+            elif power and not k.exponent > p + (3.0 if linear else 2.0):
+                names = ["t^p f", "t^p F"] if self.rate.L > 0 else ["t^p f"]
+                problems += [f"{name} not integrable (assumption A)" for name in names]
         if self.D < 0:
             problems.append("delay D must be >= 0")
         if not problems:
@@ -113,7 +143,7 @@ class RenewalConfig:
 
 @dataclass
 class ZStart:
-    """Initial condition of a target process, with its certified alpha0.
+    """Initial condition of a target process at alpha_0 = 0.
 
     ``signal_upper`` is a decreasing upper envelope of the signal (used for
     domination), ``signal_abs`` a decreasing envelope of its absolute value
@@ -126,7 +156,6 @@ class ZStart:
     signal_upper: object
     signal_abs: object
     age0: float = 0.0
-    alpha0: float = 0.0
 
     @staticmethod
     def atom(env):
@@ -135,14 +164,14 @@ class ZStart:
         return ZStart(signal=lambda t: -env.f(t + D),
                       signal_upper=lambda t: 0.0,
                       signal_abs=_shifted(env.envelope(), D),
-                      age0=D, alpha0=0.0)
+                      age0=D)
 
     @staticmethod
     def empty(age0=0.0):
-        """No past at all: zero signal, alpha0 = 0."""
+        """No past at all: zero signal."""
         zero = lambda t: 0.0
         return ZStart(signal=zero, signal_upper=zero,
-                      signal_abs=ExpDecay(0.0, 0.0), age0=age0, alpha0=0.0)
+                      signal_abs=ExpDecay(0.0, 0.0), age0=age0)
 
 
 @dataclass
@@ -366,8 +395,7 @@ class _Engine:
             for s in starts
         ]
         self.starts = starts
-        self.alpha0 = starts[0].alpha0
-        self.alphas = [self.alpha0]
+        self.alphas = [0.0]
         self.taus = []
         self.cycles = []
         self.cycle = None       # current/last comparison process
@@ -525,8 +553,8 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     ----------
     cfg : RenewalConfig
     pi, pibar : the two independent driving PRM streams.
-    start : ZStart for the target process (defaults to the regeneration
-        state, whose alpha0 = 0 is certified).
+    start : ZStart for the target process from alpha_0 = 0 (defaults to
+        the regeneration state).
     extra_starts : more ZStart values sharing pi and the stopping times;
         used by coupling experiments.
     tau_rng : Generator for the tau draws (derived from pi's seed when
@@ -544,11 +572,6 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     if tau_rng is None:
         tau_rng = spawn_rng(pi.seed, pi.stream, 0x7A0)
     eng = _Engine(cfg, pi, pibar, starts, tau_rng)
-
-    if eng.alpha0 > 0:
-        eng.sweep(0.0, eng.alpha0, False)
-        eng.certify_tracks(eng.alpha0)
-
     eta = None
     for n in range(1, cfg.max_cycles + 1):
         s_tau = eng.run_cycle()

@@ -4,14 +4,17 @@ import math
 import os
 import pathlib
 import time
+import warnings
 
 import pytest
 
 from hawkes_renewal import (ConfigError, ExponentialKernel, GammaSchedule,
                             PositivePartKernel, PowerLawKernel, RateSpec,
                             RenewalConfig, renewal)
-from hawkes_renewal.cli import load_config, main
-from hawkes_renewal.verify import reference_ad_config, reference_o_config, run_suites
+from hawkes_renewal import cli
+from hawkes_renewal.cli import _VERIFY_LEAST, load_config, main
+from hawkes_renewal.verify import (reference_ad_config, reference_o_config, run_suites,
+                                   suite_renewal)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -125,8 +128,9 @@ class TestConfigProblems:
         ("verify", "[verify]\nprm-split.alpha = -0.01",
          "verify: prm-split.alpha must be in (0, 1), got -0.01"),
         ("renewal", "[run]\nn_blocks = 0", "run: n_blocks must be >= 1, got 0"),
-        ("clt", "[run]\nfclt_paths = 0", "run: fclt_paths must be >= 2, got 0"),
-        ("clt", "[run]\nfclt_paths = 1", "run: fclt_paths must be >= 2, got 1"),
+        ("clt", "[run]\nfclt_paths = 0", "run: fclt_paths must be >= 3, got 0"),
+        ("clt", "[run]\nfclt_paths = 1", "run: fclt_paths must be >= 3, got 1"),
+        ("clt", "[run]\nfclt_paths = 2", "run: fclt_paths must be >= 3, got 2"),
         ("clt", "[run]\nfclt_units = 0", "run: fclt_units must be >= 1, got 0"),
         ("coupling", "[run]\nn_runs = 0", "run: n_runs must be >= 2, got 0"),
         ("coupling", "[run]\nn_runs = 1", "run: n_runs must be >= 2, got 1"),
@@ -149,23 +153,33 @@ class TestConfigProblems:
         ("verify", "[verify]\nlil.n_max = 1", "verify: lil.n_max must be >= 8, got 1"),
         ("verify", "[verify]\nthinning.n_runs = 0", "verify: thinning.n_runs must be >= 1, got 0"),
         ("verify", "[verify]\ncoupling.n_runs = 1", "verify: coupling.n_runs must be >= 2, got 1"),
-        ("verify", "[verify]\nfclt.n_paths = 1", "verify: fclt.n_paths must be >= 2, got 1"),
+        ("verify", "[verify]\nfclt.n_paths = 1", "verify: fclt.n_paths must be >= 3, got 1"),
+        ("verify --only fclt", "[verify]\nfclt.n_paths = 2\nfclt.n = 20",
+         "verify: fclt.n_paths must be >= 3, got 2"),
+        ("verify --only clt", "[verify]\nclt.rep_blocks = 1\nclt.n_blocks = 64",
+         "clt: a group of rep_blocks = 1 blocks has length 0"),
+        ("verify --only borel", "[verify]\nborel.n_clusters = 2",
+         "borel-total-progeny: 2 observations fill 0 pooled bins of expected count >= 5"),
         ("verify", "[verify]\nborel.n_clusters = 1",
          "verify: borel.n_clusters must be >= 2, got 1"),
         ("verify", "[verify]\nre-chain.n_kac = 1", "verify: re-chain.n_kac must be >= 2, got 1"),
+        ("renewal", "[kernel]\namplitude = 0.999999999\n[rate]\nform = linear\nL = 1.0\n"
+         "[gamma]\nform = log\nC = auto\n[run]\nassumption = A",
+         "gamma: auto log schedule needs c_h = m - ln(m) - 1 > 0, which rounds to 0"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
             "verify-size", "verify-parameter", "verify-suite", "duplicate-section",
             "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",
             "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
-            "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
+            "fclt_paths-two", "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
             "max_cycles-zero", "scan_cap-zero", "unknown-run-key", "unknown-kernel-key",
             "unknown-section", "default-section", "verify-renewal-blocks",
             "verify-clt-rep-blocks", "verify-clt-two-blocks", "verify-clt-one-block",
             "clt-blocks", "verify-lil-n_max", "verify-thinning-runs",
-            "verify-coupling-runs", "verify-fclt-paths", "verify-borel-clusters",
-            "verify-re-chain-kac"])
+            "verify-coupling-runs", "verify-fclt-paths", "verify-fclt-two-paths",
+            "verify-clt-empty-group", "verify-borel-two-clusters", "verify-borel-clusters",
+            "verify-re-chain-kac", "auto-log-c_h-rounds-to-zero"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
         assert main([*command.split(), "--config", cfg]) == 2
@@ -342,7 +356,7 @@ class TestVerify:
         fixed = {"moments": {"n_small": 20}, "thinning": {"n_runs": 3},
                  "prm-split": {"horizon": 200}, "borel": {"n_clusters": 200},
                  "re-chain": {"n_steps": 2000, "n_kac": 200}}
-        sizes = fixed | {"renewal": {"n_cycles": 30, "n_blocks": 10}}
+        sizes = fixed | {"renewal": {"n_cycles": 30, "n_blocks": 20}}
         plain = run_suites(list(fixed), sizes=sizes)
         filed = run_suites(list(sizes), sizes=sizes, cfg=reference_ad_config(D=1.0))
         # every report of a fixed-model suite carries the note, no other does
@@ -368,6 +382,59 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--only", "renewal"]) == 1
         err = capsys.readouterr().err
         assert "band-skipped-count" in err and "band-invariant" in err
+
+
+class TestLeastSizes:
+    # the other sizes of each suite, kept small
+    OTHER = {"renewal": "renewal.n_cycles = 300\n", "clt": "clt.n_blocks = 64\n",
+             "fclt": "fclt.n = 10\n", "re-chain": "re-chain.n_steps = 2000\n"}
+    # gating checks of a count or a bound, which carry no p-value
+    NO_P_VALUE = {"band-invariant", "envelope-certificate", "thinning-oracle-equivalence",
+                  "coupling-exact-after-rho", "coupling-T-below-rho",
+                  "coupling-moment-stability", "borel-truncated-mass"}
+
+    def test_each_least_size_runs_or_is_refused_by_name(self, tmp_path, capsys, monkeypatch):
+        # every [verify] size at its least: a run computes every gating
+        # statistic, with no RuntimeWarning and no nan, or exits 2 naming
+        # what it cannot compute
+        reports = []
+
+        def recording(*args, **kwargs):
+            out = run_suites(*args, **kwargs)
+            reports.extend(out)
+            return out
+        monkeypatch.setattr(cli, "run_suites", recording)
+        t0 = time.perf_counter()
+        for key, least in _VERIFY_LEAST.items():
+            suite = key.partition(".")[0]
+            text = (f"[run]\nparallel = 1\nout = {{out}}\n"
+                    f"[verify]\n{key} = {least}\n{self.OTHER.get(suite, '')}")
+            reports.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["verify", "--config", write(tmp_path, text), "--only", suite])
+            err = capsys.readouterr().err
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], key
+            assert "Traceback" not in err, key
+            if code == 2:
+                assert err.startswith("config error: "), key
+                continue
+            assert code in (0, 1), (key, code, err)
+            for r in reports:
+                assert not r.gating or not math.isnan(r.statistic), (key, r)
+                assert not r.gating or r.name in self.NO_P_VALUE or \
+                    not math.isnan(r.p_value), (key, r)
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_block_correlations_of_equal_values_are_zero(self):
+        # at renewal.n_blocks = 3 a lag pair is two blocks, often alike (at
+        # seed 2 in counts and in lengths): with no covariance r is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            reports = suite_renewal(reference_ad_config(D=0.0), n_cycles=300, n_blocks=3,
+                                    seed=2)
+        corr = [r for r in reports if r.name.startswith("block-")]
+        assert [r.statistic for r in corr] == [0.0, 0.0] and all(r.passed for r in corr)
 
 
 MATRIX_KERNELS = {"exponential": "form = exponential\n",
@@ -421,7 +488,6 @@ class TestConfigMatrix:
             listed.append(f"{case}: {problems}\n")
         assert time.perf_counter() - t0 < 5.0
         assert len(accepted) == 288 and sum(accepted.values()) == 140
-        # every case's full problem list, text and order, in case order
         digest = hashlib.sha256("".join(listed).encode()).hexdigest()
         assert digest == MATRIX_PROBLEMS_SHA256
         for (kernel, rate, schedule, assumption, D, r), ok in accepted.items():
@@ -435,6 +501,7 @@ class TestConfigMatrix:
 
     @pytest.mark.parametrize("setup, overrides, problems", [
         ("AD", {"assumption": "A", "p": -1.5}, ["assumption A needs p > -1"]),
+        ("AD", {"assumption": "A", "p": None}, ["assumption A needs the moment order p"]),
         ("AD", {"assumption": "C"}, ["unknown assumption 'C'"]),
         ("AD", {"assumption": "C", "kernel": PowerLawKernel(0.2, 5.0)},
          ["unknown assumption 'C'", "F lacks an exponential moment (assumption B)"]),
@@ -456,7 +523,7 @@ class TestConfigMatrix:
          ["no integrability rule for a PositivePartKernel kernel"]),
         ("AD", {"kernel": PositivePartKernel(ExponentialKernel(1.0, -0.2)), "assumption": "A"},
          ["no integrability rule for a PositivePartKernel kernel"]),
-    ], ids=["p-below-minus-one", "unknown-assumption", "unknown-assumption-powerlaw",
+    ], ids=["p-below-minus-one", "p-missing", "unknown-assumption", "unknown-assumption-powerlaw",
             "O-supercritical", "O-L-zero", "O-slow-log", "linear-C-zero-B",
             "linear-C-zero-A", "O-linear-C-zero-A", "r-not-ExpDecay", "no-kernel-rule",
             "no-kernel-rule-A"])

@@ -10,9 +10,10 @@ from scipy.optimize import brentq
 from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay,
                             ExponentialKernel, GammaSchedule,
                             IntegrabilityError, PowerLawKernel, RateSpec,
-                            TableKernel, ZeroKernel, iterate_regenerations,
-                            pos_part)
+                            RenewalConfig, TableKernel, ZeroKernel,
+                            iterate_regenerations, pos_part)
 from hawkes_renewal import kernels
+from hawkes_renewal.kernels import borel_c_h
 from hawkes_renewal.quadrature import integrate, integrate_to_inf
 from hawkes_renewal.verify import reference_ad_config, reference_o_config
 
@@ -142,27 +143,25 @@ class TestEnvelopeValues:
     def test_assumption_a_names_the_failed_moment(self):
         # under a log schedule t^2 f decays like ln(t) t^-0.5: exponent
         # 2.5 is not above p + 2
-        env = make_env(PowerLawKernel(0.2, 2.5),
-                       RateSpec.refractory_linear(0.5, 0.4, 1.0),
-                       GammaSchedule.log(C=3.0))
-        problems = env.validate("A", 2.0)
+        problems = reference_ad_config(kernel=PowerLawKernel(0.2, 2.5), assumption="A",
+                                       sched=GammaSchedule.log(C=3.0)).validate()
         assert "t^p f not integrable (assumption A)" in problems
         assert all("assumption A" in p for p in problems)
 
     def test_assumption_b_moment_follows_the_kernel_rate(self):
         # F decays like exp(-rate t), so exp(0.05 t) F is integrable only
         # for rate > 0.05
-        rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
+        problem = "F lacks an exponential moment (assumption B)"
         for kernel_rate, ok in [(0.04, False), (0.06, True), (0.1, True), (3.0, True)]:
-            env = make_env(ExponentialKernel(kernel_rate, 0.01), rate, GammaSchedule.linear(1.0))
-            assert (env.validate("B") == []) == ok, kernel_rate
+            cfg = reference_ad_config(kernel=ExponentialKernel(kernel_rate, 0.01))
+            assert (problem not in cfg.validate()) == ok, kernel_rate
 
     @pytest.mark.parametrize("kernel", [ExponentialKernel(0.04, 0.0),
                                         PowerLawKernel(0.0, 5.0)], ids=["exp", "powerlaw"])
     def test_a_zero_kernel_has_every_exponential_moment(self, kernel):
         # f vanishes, so F = c_psi 1{t <= delta} and ||F||_1 = 0.5
         cfg = reference_ad_config(D=1.0, kernel=kernel)
-        assert cfg.env.validate("B") == [] and cfg.validate() == []
+        assert cfg.assumption == "B" and cfg.validate() == []
         assert cfg.env.F_l1 == pytest.approx(0.5, rel=1e-12)
         if isinstance(kernel, ExponentialKernel):
             etas = np.array([b.eta for b in iterate_regenerations(cfg, 200, seed=3)])
@@ -173,11 +172,22 @@ class TestEnvelopeValues:
     def test_assumption_verdicts_need_no_quadrature(self, monkeypatch):
         # A and B follow from the kernel family, the schedule form, p and r:
         # a power law (1+t)^-b needs b > p + 3 (linear) or b > p + 2 (log)
-        # for A and never has B; every exponential rate must exceed 0.05
+        # for A and never has B; every exponential rate must exceed 0.05.
+        # An accepted config reads ||F||_1 for its cycle count, which is no
+        # verdict, so it is a constant here
         def fail(*args, **kwargs):
             raise AssertionError("a quadrature was called")
         monkeypatch.setattr(kernels, "integrate", fail)
         monkeypatch.setattr(kernels, "integrate_to_inf", fail)
+        monkeypatch.setattr(EnvelopeFns, "F_l1", 1.0)
+        moments = {"t^p f not integrable (assumption A)", "t^p F not integrable (assumption A)",
+                   "assumption A needs p > -1", "F lacks an exponential moment (assumption B)"}
+
+        def moments_of(kernel, sched, r, p, assumption,
+                       rate=RateSpec.refractory_linear(0.5, 0.4, 1.0)):
+            """The config's problems of the moments of f and F."""
+            cfg = RenewalConfig(kernel, rate, sched, r=r, p=p, assumption=assumption)
+            return [problem for problem in cfg.validate() if problem in moments]
         lin, log = GammaSchedule.linear(1.0), GammaSchedule.log(C=3.0)
         table = TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)])
         cases = [  # kernel, schedule, r, p, A holds, B holds
@@ -197,12 +207,12 @@ class TestEnvelopeValues:
             (ExponentialKernel(0.04, 0.0), lin, ExpDecay(0.1, 0.05), 2.0, True, False),
         ]
         for kernel, sched, r, p, a_holds, b_holds in cases:
-            env = make_env(kernel, RateSpec.refractory_linear(0.5, 0.4, 1.0), sched, r=r)
-            assert (env.validate("A", p) == []) == a_holds, (kernel, sched, r, p)
-            assert (env.validate("B", p) == []) == b_holds, (kernel, sched, r, p)
+            assert (moments_of(kernel, sched, r, p, "A") == []) == a_holds, (kernel, sched, r, p)
+            assert (moments_of(kernel, sched, r, p, "B") == []) == b_holds, (kernel, sched, r, p)
         # with L = 0, F = c_psi g past D: only t^p f fails
-        env = make_env(PowerLawKernel(0.2, 4.0), RateSpec.hard_refractory(0.5, 1.0, L=0.0), log)
-        assert env.validate("A", 2.0) == ["t^p f not integrable (assumption A)"]
+        assert moments_of(PowerLawKernel(0.2, 4.0), log, None, 2.0, "A",
+                          rate=RateSpec.hard_refractory(0.5, 1.0, L=0.0)) == [
+            "t^p f not integrable (assumption A)"]
 
     def test_envelope_collapses_to_delay_plateau(self):
         # f == 0 and g == 0 leave only the head piece c_psi on [0, D]
@@ -426,7 +436,7 @@ class TestGammaSchedule:
         # accepted in setup AD under assumption A, yet exp(1 / 1e-3)
         # overflows a float
         sched = GammaSchedule.log(C=1e-3)
-        assert sched.check_assumption("AD", "A", p=2.0) == []
+        assert reference_ad_config(sched=sched, assumption="A").validate() == []
         assert sched.inverse(0.7) == math.exp(0.7 / 1e-3) < math.inf
         assert sched.inverse(1.0) == math.inf
         assert sched.ceil_inverse(1.0) == math.inf
@@ -439,19 +449,20 @@ class TestGammaSchedule:
             assert sched.int_shifted(float(i)) == pytest.approx(expect, rel=1e-8)
 
     def test_assumption_checks(self):
-        lin = GammaSchedule.linear(1.0)
-        assert lin.check_assumption("AD", "B") == []
-        logsched = GammaSchedule.log(p=2.0, c_h=0.2)
-        assert logsched.check_assumption("O", "A", p=2.0, c_h=0.2) == []
-        slow = GammaSchedule.log(C=0.01)
-        assert slow.check_assumption("O", "A", p=2.0, c_h=0.2) == [
-            "gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]
-        # in setup O a log schedule needs C c_h > p + 1, a linear one C > 0
-        assert GammaSchedule.log(C=15.0 * 1.01).check_assumption("O", "A", p=2.0, c_h=0.2) == []
-        assert GammaSchedule.log(C=15.0 * 0.99).check_assumption("O", "A", p=2.0, c_h=0.2)
-        assert GammaSchedule.linear(1e-3).check_assumption("O", "A", p=2.0, c_h=0.2) == []
-        assert GammaSchedule.linear(0.0).check_assumption("AD", "A", p=2.0) == [
-            "gamma(t)/ln(t) not bounded below (setup AD)"]
+        assert reference_ad_config(sched=GammaSchedule.linear(1.0)).validate() == []
+        # in setup O a log schedule needs C c_h > p + 1, a linear one C > 0;
+        # the O reference has m = L ||h+|| = 0.3, the CLI's C = auto is 10%
+        # above the least C
+        slow = ["gamma(t) must exceed (p+1)ln(t)/c_h (setup O)"]
+        least = 3.0 / borel_c_h(0.3)
+        o_a = lambda sched: reference_o_config(sched=sched, assumption="A").validate()
+        assert o_a(GammaSchedule.log(1.1 * least)) == []
+        assert o_a(GammaSchedule.log(C=0.01)) == slow
+        assert o_a(GammaSchedule.log(least * 1.01)) == []
+        assert o_a(GammaSchedule.log(least * 0.99)) == slow
+        assert o_a(GammaSchedule.linear(1e-3)) == []
+        flat = reference_ad_config(sched=GammaSchedule.linear(0.0), assumption="A")
+        assert flat.validate() == ["gamma(t)/ln(t) not bounded below (setup AD)"]
 
     @pytest.mark.parametrize("make", [reference_ad_config, reference_o_config])
     def test_assumption_B_needs_a_linear_schedule(self, make):
@@ -460,7 +471,7 @@ class TestGammaSchedule:
         for C in (3.0, 1e-3):
             assert problem in make(sched=GammaSchedule.log(C=C), assumption="B").validate()
         assert make(assumption="B").validate() == []
-        assert GammaSchedule.linear(1e-12).check_assumption("AD", "B") == [problem]
+        assert make(sched=GammaSchedule.linear(1e-12), assumption="B").validate() == [problem]
 
 
 class TestKernels:

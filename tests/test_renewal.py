@@ -19,7 +19,7 @@ from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             SimulationCapError, TableKernel, ZeroKernel, ZStart,
                             check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
-                            scan_alpha_O)
+                            scan_alpha_O, simulate_adhp)
 from hawkes_renewal import hawkes, prm, renewal, spawn_rng
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.hawkes import KernelMemory
@@ -353,15 +353,13 @@ class TestConfigValidate:
 
 class TestRunSystem:
     def test_zero_band_regenerates_immediately(self):
-        # F == 0: the first cycle certifies tau = inf, rho = alpha0
+        # F == 0: the first cycle certifies tau = inf, rho = alpha_0 = 0
         cfg = RenewalConfig(kernel=ZeroKernel(), rate=RateSpec.linear(1.0, 0.5),
                             sched=GammaSchedule.linear(1.0), D=0.0)
         assert cfg.env.F_l1 == 0.0
-        start = ZStart.empty()
-        start.alpha0 = 2.5
-        out = run_system(cfg, PrmStream(3, 0), PrmStream(3, 1), start=start)
+        out = run_system(cfg, PrmStream(3, 0), PrmStream(3, 1), start=ZStart.empty())
         assert out.eta == 0
-        assert out.rho == pytest.approx(2.5)
+        assert out.rho == 0.0
         assert out.taus == [math.inf]
 
     def test_tail_draws_land_past_the_horizon(self):
@@ -401,16 +399,16 @@ class TestRunSystem:
 
     def test_undominated_start_signal_is_refused(self):
         # signal_upper = 0 understates a signal of 3, so the window bounds
-        # do not dominate the target's intensity: thinning must not go on.
-        # The free sweep to alpha0 = 20 reads candidates at rate 0.5, so it
-        # meets one, and refuses, at every seed but with odds e^-10
-        start = ZStart(signal=lambda t: 3.0, signal_upper=lambda t: 0.0,
-                       signal_abs=lambda t: 3.0, age0=5.0, alpha0=20.0)
+        # do not dominate the intensity: thinning must not go on.  A sweep
+        # to 20 reads candidates at rate 0.5, so it meets one, and refuses,
+        # at every seed but with odds e^-10
+        cfg = reference_ad_config(D=1.0)
         for seed in range(20):
             with pytest.raises(DominationError) as err:
-                run_system(reference_ad_config(D=1.0), PrmStream(seed, 0),
-                           PrmStream(seed, 1), start=start)
-            assert err.value.at_time <= start.alpha0
+                simulate_adhp(PrmStream(seed, 0), cfg.kernel, cfg.rate,
+                              signal=lambda t: 3.0, signal_upper=lambda t: 0.0,
+                              age0=5.0, horizon=20.0)
+            assert err.value.at_time <= 20.0
 
     def test_ordinary_setup_runs(self):
         cfg = reference_o_config(D=0.0)

@@ -141,6 +141,16 @@ class TestHelpers:
         rep = chi2_gof(obs, probs)
         assert rep.passed
 
+    def test_chi2_with_fewer_than_two_pooled_bins_is_refused_by_name(self):
+        probs = np.array([0.5, 0.3, 0.2])
+        with pytest.raises(ConfigError, match="borel: 6 observations fill 1 pooled bins"):
+            chi2_gof(np.array([3, 2, 1]), probs, name="borel")
+        assert chi2_gof(np.array([6, 3, 1]) * 2, probs).detail == "2 pooled bins"
+
+    def test_fclt_needs_three_paths_for_its_jackknife(self):
+        with pytest.raises(ConfigError, match="fclt: n_paths must be >= 3"):
+            functional_clt_paths(reference_ad_config(D=1.0), n=10, n_paths=2)
+
     def test_two_sample_counts_tell_their_laws_apart(self):
         # small heavily tied counts, as in a unit window before a gap
         rng = np.random.default_rng(4)
