@@ -49,7 +49,6 @@ _DEFAULTS = {
     "envelope": {"D": "0.0", "r": "zero", "r_coef": "1.0", "r_rate": "1.0"},
     "run": {"p": "2.0", "assumption": "B", "seed": "1", "horizon": "100.0",
             "n_blocks": "1000", "out": ".", "alpha": "0.01", "parallel": "0",
-            "max_cycles": "1000000", "scan_cap": "1000000",
             "n_runs": "1000", "n_steps": "1000000",
             "fclt_units": "200", "fclt_paths": "400"},
     "verify": {},
@@ -117,12 +116,11 @@ def _number(sec, key, kind, problems, default=None):
 
 _RUN_NUMBERS = {"seed": int, "horizon": float, "n_blocks": int, "n_runs": int,
                 "n_steps": int, "fclt_units": int, "fclt_paths": int,
-                "alpha": float, "parallel": int, "max_cycles": int,
-                "scan_cap": int}
+                "alpha": float, "parallel": int}
 # the least value of each [run] count; n_runs feeds sample variances, so it
 # needs two, and fclt_paths three, as its variance ratios are jackknifed
 _RUN_LEAST = {"n_blocks": 1, "n_runs": 2, "n_steps": 1, "fclt_units": 1,
-              "fclt_paths": 3, "parallel": 0, "max_cycles": 1, "scan_cap": 1}
+              "fclt_paths": 3, "parallel": 0}
 # the least value of each [verify] size below which its suite compares
 # nothing or cannot run; the sample-variance counts need two, fclt.n_paths three
 _VERIFY_LEAST = {"renewal.n_blocks": 3, "clt.rep_blocks": 1, "lil.n_max": 8,
@@ -132,7 +130,8 @@ _VERIFY_LEAST = {"renewal.n_blocks": 3, "clt.rep_blocks": 1, "lil.n_max": 8,
 
 def _verify_sizes(sec, problems):
     """[verify] as {suite: {param: value}}: each key ``suite.param`` names a
-    suite of SUITES and a numeric keyword of it, read as its default's type."""
+    suite of SUITES and a numeric keyword of it other than n_jobs (the
+    worker count is [run] parallel), read as its default's type."""
     sizes = {}
     for key in sec:
         if key in sec.parser.defaults():  # named as [DEFAULT] already
@@ -148,6 +147,8 @@ def _verify_sizes(sec, problems):
         if kind is None:
             problems.append(f"verify: {key}: suite {suite} has no numeric "
                             f"parameter {param!r}")
+        elif param == "n_jobs":
+            problems.append(f"verify: {key}: the worker count is [run] parallel")
         else:
             value = _number(sec, key, kind, problems)
             if param == "alpha" and value is not None and not 0 < value < 1:
@@ -230,10 +231,8 @@ def load_config(path=None, seed_override=None, out_override=None):
     cfg = None
     if not problems and kernel is not None and rate is not None and sched is not None:
         try:
-            cfg = RenewalConfig(
-                kernel=kernel, rate=rate, sched=sched, r=r_fn, D=D, p=p,
-                assumption=assumption, max_cycles=nums["max_cycles"],
-                scan_cap=nums["scan_cap"])
+            cfg = RenewalConfig(kernel=kernel, rate=rate, sched=sched, r=r_fn, D=D,
+                                p=p, assumption=assumption)
             problems.extend(cfg.validate())
         except (ConfigError, ValueError) as exc:
             problems.append(str(exc))

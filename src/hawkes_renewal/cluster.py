@@ -59,9 +59,8 @@ class BorelLaw:
 
 @dataclass
 class Cluster:
-    """One simulated cluster: the root, all event times, size and extent."""
+    """One simulated cluster: all event times from the root at 0, size and extent."""
 
-    root: float
     times: np.ndarray
     W: int
     Y: float
@@ -87,4 +86,4 @@ def simulate_cluster(kernel, L, rng, cap=10**7):
                 raise SupercriticalError(
                     f"cluster exceeded {cap} events: supercritical suspicion")
     arr = np.sort(np.array(times))
-    return Cluster(root=0.0, times=arr, W=len(arr), Y=float(arr[-1]))
+    return Cluster(times=arr, W=len(arr), Y=float(arr[-1]))

@@ -32,6 +32,9 @@ from .reprocess import step
 
 _SLACK = 1e-9
 _ABS_TOL = 1e-12
+# SimulationCapError past this many cycles in a block, or offsets in an alpha scan
+_MAX_CYCLES = 10**6
+_SCAN_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +43,9 @@ _ABS_TOL = 1e-12
 
 @dataclass
 class RenewalConfig:
-    """Everything the renewal system needs, with its caps; ``env`` is built
-    from the other fields, ``r`` is None or an :class:`ExpDecay`.  A cycle
-    draws tau from the band's exact law, of total mass ``env.F_l1``."""
+    """Everything the renewal system needs; ``env`` is built from the other
+    fields, ``r`` is None or an :class:`ExpDecay`.  A cycle draws tau from
+    the band's exact law, of total mass ``env.F_l1``."""
 
     kernel: object
     rate: object
@@ -51,8 +54,6 @@ class RenewalConfig:
     D: float = 0.0
     p: float = 2.0
     assumption: str = "B"
-    max_cycles: int = 10**6
-    scan_cap: int = 10**6
     env: EnvelopeFns = field(init=False)
 
     def __post_init__(self):
@@ -129,15 +130,16 @@ class RenewalConfig:
         if self.D < 0:
             problems.append("delay D must be >= 0")
         if not problems:
-            # eta is geometric: P(a block passes max_cycles) <= exp(-max_cycles / cycles)
+            # eta is geometric: P(a block passes the cap) <= exp(-_MAX_CYCLES / cycles)
             try:
                 m = self.env.F_l1
             except IntegrabilityError as exc:  # e^a past the float range, say
                 return [f"||F||_1 has no finite value: {exc}"]
             cycles = math.exp(m) if m < 709.0 else math.inf
-            if self.max_cycles < 20.0 * cycles:
+            if _MAX_CYCLES < 20.0 * cycles:
                 problems.append(f"||F||_1 = {m:.4g}: a block needs e^||F||_1 = {cycles:.3g} "
-                                f"cycles on average, more than max_cycles / 20")
+                                f"cycles on average, more than 1/20 of the cycle "
+                                f"cap {_MAX_CYCLES:g}")
         return problems
 
 
@@ -227,7 +229,6 @@ class RenewalOutcome(Diagnostics):
     eta: int
     rho: float
     cycles: list
-    zstar: Path
     track_paths: list
 
 
@@ -325,7 +326,7 @@ def check_envelope_inequality(env, memory, base, signal_abs=None):
 # The two alpha scans
 # ---------------------------------------------------------------------------
 
-def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
+def scan_alpha_AD(sched, counts, tau_gap, cap=_SCAN_CAP):
     """Age-dependent alpha scan via the random-exchange recursion.
 
     ``counts(i)`` is the refractory-bound point count on the i-th unit
@@ -351,7 +352,7 @@ def scan_alpha_AD(sched, counts, tau_gap, cap=10**6):
                              diagnostics={"last_state": m})
 
 
-def scan_alpha_O(env, sched, zn, tau_gap, cap=4000, certs=None):
+def scan_alpha_O(env, sched, zn, tau_gap, cap=_SCAN_CAP, certs=None):
     """Ordinary-setup alpha scan on the dominating linear process.
 
     ``zn(i)``, called at i = ceil(tau_gap) + 1, + 2, ... in turn, returns
@@ -508,7 +509,7 @@ class _Engine:
                     return len(self.pi.sample(t0, t1, K))
                 return len(split(self.pi, self.pibar, band, (t0, t1), K).down)
 
-            alpha = a + scan_alpha_AD(cfg.sched, counts, tau_gap, cap=cfg.scan_cap)
+            alpha = a + scan_alpha_AD(cfg.sched, counts, tau_gap)
             self.sweep(tau_abs, alpha, False)
             return alpha
         # ordinary setup: Z^n grows on demand in one sweep with the tracks,
@@ -523,8 +524,7 @@ class _Engine:
             return len(zn.jumps), zn.memory.majorant_from(t)  # all at or before t
 
         certs = []
-        off = scan_alpha_O(self.env, cfg.sched, zn_at, tau_gap,
-                           cap=cfg.scan_cap, certs=certs)
+        off = scan_alpha_O(self.env, cfg.sched, zn_at, tau_gap, certs=certs)
         for cert in certs:
             self._count(cert)
         return a + off
@@ -573,7 +573,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
         tau_rng = spawn_rng(pi.seed, pi.stream, 0x7A0)
     eng = _Engine(cfg, pi, pibar, starts, tau_rng)
     eta = None
-    for n in range(1, cfg.max_cycles + 1):
+    for n in range(1, _MAX_CYCLES + 1):
         s_tau = eng.run_cycle()
         if s_tau is None:
             eng.taus.append(math.inf)
@@ -589,7 +589,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
             envelope_ok=env_ok))
     else:
         raise SimulationCapError(
-            f"no regeneration within {cfg.max_cycles} cycles "
+            f"no regeneration within {_MAX_CYCLES} cycles "
             f"(expected about exp(||F||_1) = {math.exp(cfg.env.F_l1):.3g})")
 
     rho = eng.alphas[-1] + cfg.D
@@ -605,7 +605,7 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     ]
     return RenewalOutcome(
         alphas=eng.alphas, taus=eng.taus, eta=eta, rho=rho, cycles=eng.cycles,
-        zstar=track_paths[0], track_paths=track_paths, **vars(eng.diag))
+        track_paths=track_paths, **vars(eng.diag))
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +626,6 @@ class Block:
     def n_events(self):
         return self.path.n
 
-    def __iter__(self):
-        yield self.rho
-        yield self.path
-
 
 def _run_chunk(cfg, job):
     """Blocks lo..hi-1 of stream ``seed`` and their summed diagnostics."""
@@ -645,7 +641,7 @@ def _run_chunk(cfg, job):
         tau_rng.bit_generator.state = fresh
         out = run_system(cfg, PrmStream(seed, stream=3 * i),
                          PrmStream(seed, stream=3 * i + 1), tau_rng=tau_rng)
-        blocks.append(Block(out.rho, out.zstar, out.eta, out.cycles))
+        blocks.append(Block(out.rho, out.track_paths[0], out.eta, out.cycles))
         diag.merge(out)
     return blocks, diag
 

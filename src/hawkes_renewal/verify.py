@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .cluster import BorelLaw, simulate_cluster
-from .errors import ConfigError
+from .errors import ConfigError, DominationError
 from .hawkes import simulate_adhp
 from .kernels import ExponentialKernel, GammaSchedule, RateSpec
 from .prm import PrmStream, spawn_rng, split
@@ -146,15 +146,16 @@ def suite_renewal(cfg=None, n_cycles=10**4, n_blocks=10**4, seed=11, n_jobs=1,
     return reports
 
 
-def suite_coupling(cfg=None, n_runs=10**3, seed=7, alpha=0.01):
+def suite_coupling(cfg=None, n_runs=10**3, seed=7):
     cfg = cfg if cfg is not None else reference_ad_config(D=0.0)
     reports, _ = coupling_experiment(cfg, n_runs=n_runs, seed=seed)
     return reports
 
 
-def suite_thinning(n_runs=10**3, horizon=20.0, bound=12.0, seed=3):
+def suite_thinning(n_runs=10**3, seed=3):
     """Exact equivalence of the windowed thinning simulation against a
-    brute-force global-bound replay of the thinning definition."""
+    brute-force replay of the thinning definition, global bound 12 on (0, 20]."""
+    horizon, bound = 20.0, 12.0
     kernel = ExponentialKernel(rate=1.0, amplitude=0.2)
     rate = RateSpec.refractory_linear(c=0.5, L=0.4, delta=1.0)
     mismatches = 0
@@ -171,7 +172,8 @@ def suite_thinning(n_runs=10**3, horizon=20.0, bound=12.0, seed=3):
                 age = s
                 mem = 0.0
             lam = rate.psi(mem, age)
-            assert lam <= bound, "global bound violated in oracle"
+            if lam > bound:
+                raise DominationError(f"thinning oracle: intensity {lam:.6g} > {bound:g}", s)
             if z <= lam:
                 events.append(s)
         path = simulate_adhp(pi, kernel, rate, horizon=horizon)
@@ -184,10 +186,11 @@ def suite_thinning(n_runs=10**3, horizon=20.0, bound=12.0, seed=3):
         detail=f"{checked} events compared")]
 
 
-def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
-    """Independence and marginal-law checks for the split measures,
-    including a history-dependent predictable band."""
+def suite_prm_split(seed=5, alpha=0.01):
+    """Independence and marginal-law checks for the split measures on
+    (0, 10^4], including a history-dependent predictable band."""
     import scipy.stats
+    horizon = 10**4
     pi = PrmStream(seed, stream=1)
     pibar = PrmStream(seed, stream=2)
     res = split(pi, pibar, lambda t: (1.0, 2.0), (0.0, float(horizon)), 3.0)
@@ -233,9 +236,9 @@ def suite_prm_split(seed=5, horizon=10**4, alpha=0.01):
     return reports
 
 
-def suite_borel(n_clusters=10**5, mean_offspring=0.5, seed=13, alpha=0.01):
-    kernel = ExponentialKernel(rate=1.0, amplitude=mean_offspring)
-    law = BorelLaw(mean_offspring)
+def suite_borel(n_clusters=10**5, seed=13, alpha=0.01):
+    law = BorelLaw(0.5)  # mean offspring
+    kernel = ExponentialKernel(rate=1.0, amplitude=law.m)
     rng = spawn_rng(seed, 0xB0)
     ws = np.array([simulate_cluster(kernel, 1.0, rng).W for _ in range(n_clusters)])
     nmax = law.truncation_size(1e-9)
@@ -249,23 +252,23 @@ def suite_borel(n_clusters=10**5, mean_offspring=0.5, seed=13, alpha=0.01):
         name="borel-truncated-mass", statistic=float(mass), p_value=float("nan"),
         n=nmax, passed=mass >= 1.0 - 1e-9, detail=f"N={nmax}"))
     reports.append(se_bound_report(
-        "borel-mean-size", float(ws.mean()), 1.0 / (1.0 - mean_offspring),
+        "borel-mean-size", float(ws.mean()), 1.0 / (1.0 - law.m),
         float(ws.std(ddof=1)) / math.sqrt(n_clusters), n=n_clusters))
     return reports
 
 
-def suite_re_chain(n_steps=10**6, n_kac=10**5, seed=17, alpha=0.01, thin=25):
+def suite_re_chain(n_steps=10**6, n_kac=10**5, seed=17, alpha=0.01):
     """Invariant product law and the Kac identity for the exchange chain.
 
-    Occupation counts are thinned beyond the chain's mixing time so the
-    chi-square null is calibrated (consecutive states are dependent).
+    Occupation counts take every 25th state, beyond the chain's mixing time,
+    so the chi-square null is calibrated (consecutive states are dependent).
     """
     import scipy.stats
     lam = 0.7
     chain = REChain(cdf=lambda k: float(scipy.stats.poisson.cdf(k, lam)),
                     sampler=lambda rng, size=None: rng.poisson(lam, size=size))
     rng = spawn_rng(seed, 0x8E)
-    traj = chain.run(0, n_steps, rng)[1:][::thin]
+    traj = chain.run(0, n_steps, rng)[1:][::25]
     kmax = int(traj.max())
     obs = np.bincount(traj, minlength=kmax + 1)
     mu = np.array([invariant_cdf(chain, k) for k in range(kmax + 1)])

@@ -110,7 +110,7 @@ class TestAcceptance:
         assert report_criterion("1-6", label, reports, runtime=dt)
 
     def test_criterion_07_borel_total_progeny(self):
-        reports = suite_borel(n_clusters=10**5, mean_offspring=0.5, seed=13)
+        reports = suite_borel(n_clusters=10**5, seed=13)
         assert report_criterion(7, "total progeny matches the Borel pmf", reports)
 
     def test_criterion_08_re_chain_invariant(self):
@@ -119,7 +119,7 @@ class TestAcceptance:
                                 reports)
 
     def test_criterion_09_thinning_oracle(self):
-        reports = suite_thinning(n_runs=10**3, horizon=20.0, seed=3)
+        reports = suite_thinning(n_runs=10**3, seed=3)
         assert report_criterion(9, "thinning equals the brute-force oracle", reports)
 
     def test_criterion_10_prm_splitting(self):

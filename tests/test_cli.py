@@ -1,9 +1,13 @@
+import configparser
+import dataclasses
 import hashlib
+import inspect
 import itertools
 import math
 import os
 import pathlib
 import time
+import types
 import warnings
 
 import pytest
@@ -11,10 +15,10 @@ import pytest
 from hawkes_renewal import (ConfigError, ExponentialKernel, GammaSchedule,
                             PositivePartKernel, PowerLawKernel, RateSpec,
                             RenewalConfig, renewal)
-from hawkes_renewal import cli
+from hawkes_renewal import DominationError, cli, stats, verify
 from hawkes_renewal.cli import _VERIFY_LEAST, load_config, main
-from hawkes_renewal.verify import (reference_ad_config, reference_o_config, run_suites,
-                                   suite_renewal)
+from hawkes_renewal.verify import (SUITES, reference_ad_config, reference_o_config,
+                                   run_suites, suite_renewal, suite_thinning)
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -93,7 +97,7 @@ class TestConfigDefaults:
                             "verify_sizes": {"renewal": {"n_cycles": 10000}}}
         describe = lambda c: (repr(c.kernel), c.rate.name, c.rate.c_psi, c.rate.L,
                               c.rate.delta, c.sched.form, c.sched.C, c.r, c.D,
-                              c.p, c.assumption, c.max_cycles, c.scan_cap)
+                              c.p, c.assumption)
         assert describe(cfg) == describe(default_cfg)
 
 
@@ -103,7 +107,6 @@ class TestConfigProblems:
         ("renewal", "[run]\nseed = x", "run: seed must be an integer, got 'x'"),
         ("clt", "[run]\nalpha = low", "run: alpha must be a number, got 'low'"),
         ("clt", "[run]\nalpha = 1%", "run: alpha must be a number, got '1%'"),
-        ("renewal", "[run]\nmax_cycles = 1e6", "run: max_cycles must be an integer"),
         ("renewal", "[envelope]\nr = exp\nr_coef = big", "envelope: r_coef must be a number"),
         ("renewal", "[envelope]\nr = exp\nr_rate = fast", "envelope: r_rate must be a number"),
         ("renewal", "[envelope]\nr = exp\nr_coef = -2.0",
@@ -135,8 +138,6 @@ class TestConfigProblems:
         ("coupling", "[run]\nn_runs = 0", "run: n_runs must be >= 2, got 0"),
         ("coupling", "[run]\nn_runs = 1", "run: n_runs must be >= 2, got 1"),
         ("re-chain", "[run]\nn_steps = 0", "run: n_steps must be >= 1, got 0"),
-        ("renewal", "[run]\nmax_cycles = 0", "run: max_cycles must be >= 1, got 0"),
-        ("renewal", "[run]\nscan_cap = 0", "run: scan_cap must be >= 1, got 0"),
         ("renewal", "[run]\nn_block = 3", "run: unknown key 'n_block'"),
         ("renewal", "[kernel]\nrat = 2.0", "kernel: unknown key 'rat'"),
         ("simulate", "[typo_section]\nx = 1", "unknown section [typo_section]"),
@@ -163,23 +164,26 @@ class TestConfigProblems:
         ("verify", "[verify]\nborel.n_clusters = 1",
          "verify: borel.n_clusters must be >= 2, got 1"),
         ("verify", "[verify]\nre-chain.n_kac = 1", "verify: re-chain.n_kac must be >= 2, got 1"),
+        ("verify --only re-chain", "[verify]\nre-chain.n_kac = 2\nre-chain.n_steps = 2000",
+         "re-kac-identity: standard error 0 at 0.402216; it compares nothing"),
         ("renewal", "[kernel]\namplitude = 0.999999999\n[rate]\nform = linear\nL = 1.0\n"
          "[gamma]\nform = log\nC = auto\n[run]\nassumption = A",
          "gamma: auto log schedule needs c_h = m - ln(m) - 1 > 0, which rounds to 0"),
-    ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
+    ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
             "verify-size", "verify-parameter", "verify-suite", "duplicate-section",
             "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",
             "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
             "fclt_paths-two", "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
-            "max_cycles-zero", "scan_cap-zero", "unknown-run-key", "unknown-kernel-key",
+            "unknown-run-key", "unknown-kernel-key",
             "unknown-section", "default-section", "verify-renewal-blocks",
             "verify-clt-rep-blocks", "verify-clt-two-blocks", "verify-clt-one-block",
             "clt-blocks", "verify-lil-n_max", "verify-thinning-runs",
             "verify-coupling-runs", "verify-fclt-paths", "verify-fclt-two-paths",
             "verify-clt-empty-group", "verify-borel-two-clusters", "verify-borel-clusters",
-            "verify-re-chain-kac", "auto-log-c_h-rounds-to-zero"])
+            "verify-re-chain-kac", "verify-re-chain-kac-se-zero",
+            "auto-log-c_h-rounds-to-zero"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
         assert main([*command.split(), "--config", cfg]) == 2
@@ -194,6 +198,64 @@ class TestConfigProblems:
     def test_seed_flag_skips_the_file_seed(self, tmp_path):
         _, settings = load_config(write(tmp_path, "[run]\nseed = x\n"), seed_override=4)
         assert settings["seed"] == 4
+
+
+class TestConfigSurface:
+    """Every value a caller can set: a new one needs a change here."""
+
+    def test_settable_values_are_these(self):
+        assert list(cli._DEFAULTS["run"]) == [
+            "p", "assumption", "seed", "horizon", "n_blocks", "out", "alpha", "parallel",
+            "n_runs", "n_steps", "fclt_units", "fclt_paths"]
+        # every keyword of every suite offered in [verify]: the accepted ones
+        parser = configparser.ConfigParser()
+        parser.read_dict({"verify": {f"{name}.{param}": "0.5" for name, suite in SUITES.items()
+                                     for param in inspect.signature(suite).parameters}})
+        sizes = cli._verify_sizes(parser["verify"], [])
+        assert [f"{name}.{param}" for name, kw in sizes.items() for param in kw] == [
+            "renewal.n_cycles", "renewal.n_blocks", "renewal.seed", "renewal.alpha",
+            "coupling.n_runs", "coupling.seed", "thinning.n_runs", "thinning.seed",
+            "prm-split.seed", "prm-split.alpha",
+            "borel.n_clusters", "borel.seed", "borel.alpha",
+            "re-chain.n_steps", "re-chain.n_kac", "re-chain.seed", "re-chain.alpha",
+            "clt.n_blocks", "clt.rep_blocks", "clt.seed", "clt.alpha",
+            "fclt.n", "fclt.n_paths", "fclt.seed", "fclt.alpha",
+            "lil.n_max", "lil.seed", "moments.n_small", "moments.seed"]
+        assert [f.name for f in dataclasses.fields(RenewalConfig) if f.init] == [
+            "kernel", "rate", "sched", "r", "D", "p", "assumption"]
+        assert list(inspect.signature(stats.coupling_experiment).parameters) == [
+            "cfg", "n_runs", "seed"]
+        assert list(inspect.signature(stats.lil_envelope).parameters) == [
+            "cfg", "n_max", "seed", "n_jobs"]
+
+    @pytest.mark.parametrize("suite, text, problem", [
+        ("renewal", "[run]\nmax_cycles = 1000000", "run: unknown key 'max_cycles'"),
+        ("renewal", "[run]\nscan_cap = 1000000", "run: unknown key 'scan_cap'"),
+        ("thinning", "[verify]\nthinning.horizon = 0",
+         "verify: thinning.horizon: suite thinning has no numeric parameter 'horizon'"),
+        ("thinning", "[verify]\nthinning.bound = 12",
+         "verify: thinning.bound: suite thinning has no numeric parameter 'bound'"),
+        ("prm-split", "[verify]\nprm-split.horizon = 5",
+         "verify: prm-split.horizon: suite prm-split has no numeric parameter 'horizon'"),
+        ("borel", "[verify]\nborel.mean_offspring = 1.5",
+         "verify: borel.mean_offspring: suite borel has no numeric parameter 'mean_offspring'"),
+        ("re-chain", "[verify]\nre-chain.thin = 25",
+         "verify: re-chain.thin: suite re-chain has no numeric parameter 'thin'"),
+        ("coupling", "[verify]\ncoupling.alpha = 0.7",
+         "verify: coupling.alpha: suite coupling has no numeric parameter 'alpha'"),
+        ("renewal", "[verify]\nrenewal.n_jobs = 2",
+         "verify: renewal.n_jobs: the worker count is [run] parallel"),
+    ], ids=["run-max_cycles", "run-scan_cap", "thinning-horizon", "thinning-bound",
+            "prm-split-horizon", "borel-mean_offspring", "re-chain-thin", "coupling-alpha",
+            "renewal-n_jobs"])
+    def test_a_removed_key_is_refused_by_name(self, tmp_path, capsys, monkeypatch,
+                                              suite, text, problem):
+        ran = []
+        monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: ran.append(args))
+        cfg = write(tmp_path, text + "\n")
+        assert main(["verify", "--config", cfg, "--only", suite]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert ran == []
 
 
 class TestReferenceDigests:
@@ -354,7 +416,7 @@ class TestVerify:
     def test_fixed_model_suites_say_they_ignore_the_file(self, tmp_path, capsys):
         note = "[ran its own fixed model, not the config file's]"
         fixed = {"moments": {"n_small": 20}, "thinning": {"n_runs": 3},
-                 "prm-split": {"horizon": 200}, "borel": {"n_clusters": 200},
+                 "prm-split": {}, "borel": {"n_clusters": 200},
                  "re-chain": {"n_steps": 2000, "n_kac": 200}}
         sizes = fixed | {"renewal": {"n_cycles": 30, "n_blocks": 20}}
         plain = run_suites(list(fixed), sizes=sizes)
@@ -382,6 +444,16 @@ class TestVerify:
         assert main(["verify", "--config", cfg, "--only", "renewal"]) == 1
         err = capsys.readouterr().err
         assert "band-skipped-count" in err and "band-invariant" in err
+
+
+    def test_thinning_oracle_refuses_an_intensity_above_its_bound(self, monkeypatch):
+        # c = 13 puts the intensity above the oracle's global bound 12 from
+        # the first candidate past the refractory period on
+        spec = RateSpec.refractory_linear
+        monkeypatch.setattr(verify, "RateSpec", types.SimpleNamespace(
+            refractory_linear=lambda c, L, delta: spec(13.0, L, delta)))
+        with pytest.raises(DominationError, match="thinning oracle: intensity 13 > 12"):
+            suite_thinning(n_runs=1)
 
 
 class TestLeastSizes:

@@ -376,7 +376,7 @@ class TestRunSystem:
         outs = [run_system(cfg, PrmStream(9, 0), PrmStream(9, 1)) for _ in range(2)]
         assert outs[0].rho == outs[1].rho
         assert outs[0].alphas == outs[1].alphas
-        assert np.array_equal(outs[0].zstar.times, outs[1].zstar.times)
+        assert np.array_equal(outs[0].track_paths[0].times, outs[1].track_paths[0].times)
 
     def test_alphas_are_integer_offsets(self):
         cfg = reference_ad_config(D=0.0)
@@ -446,12 +446,6 @@ class TestBlocks:
         with pytest.raises(ConfigError, match="need n_jobs >= 1"):
             iterate_regenerations(reference_ad_config(D=1.0), 4, n_jobs=n_jobs)
 
-    def test_block_tuple_unpacking(self):
-        cfg = reference_ad_config(D=1.0)
-        blk = iterate_regenerations(cfg, 1, seed=5)[0]
-        rho, path = blk
-        assert rho == blk.rho and path is blk.path
-
     def test_worker_count_does_not_change_output(self):
         # 70 blocks make 5 chunks of 16 at n_jobs 2, 3 and 9: this process
         # and 1, 2 or 4 forked children, each with a share of the chunks
@@ -475,7 +469,7 @@ class TestBlocks:
     def test_extend_after_keeps_paths_growing(self):
         cfg = reference_ad_config(D=0.0)
         out = run_system(cfg, PrmStream(8, 0), PrmStream(8, 1), extend_after=30.0)
-        assert out.zstar.horizon == pytest.approx(out.rho + 30.0)
+        assert out.track_paths[0].horizon == pytest.approx(out.rho + 30.0)
 
     def test_engine_forgets_the_prm_behind_each_alpha(self):
         forgotten = 0

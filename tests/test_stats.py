@@ -147,6 +147,15 @@ class TestHelpers:
             chi2_gof(np.array([3, 2, 1]), probs, name="borel")
         assert chi2_gof(np.array([6, 3, 1]) * 2, probs).detail == "2 pooled bins"
 
+    def test_an_se_bound_with_se_zero_is_refused_by_name(self):
+        # equal draws have no spread: the bound compares nothing, whether or
+        # not the value meets its target
+        for value in (1.0, 2.0):
+            with pytest.raises(ConfigError, match=f"borel-mean-size: standard error 0 at "
+                                                  f"{value:g}; it compares nothing"):
+                stats.se_bound_report("borel-mean-size", value, 2.0, 0.0, n=2)
+        assert stats.se_bound_report("borel-mean-size", 2.1, 2.0, 0.1, n=2).passed
+
     def test_fclt_needs_three_paths_for_its_jackknife(self):
         with pytest.raises(ConfigError, match="fclt: n_paths must be >= 3"):
             functional_clt_paths(reference_ad_config(D=1.0), n=10, n_paths=2)
