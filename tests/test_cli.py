@@ -107,6 +107,7 @@ class TestConfigProblems:
         ("renewal", "[run]\nseed = x", "run: seed must be an integer, got 'x'"),
         ("clt", "[run]\nalpha = low", "run: alpha must be a number, got 'low'"),
         ("clt", "[run]\nalpha = 1%", "run: alpha must be a number, got '1%'"),
+        ("renewal", "[run]\nmax_cycles = 1e6", "run: unknown key 'max_cycles'"),
         ("renewal", "[envelope]\nr = exp\nr_coef = big", "envelope: r_coef must be a number"),
         ("renewal", "[envelope]\nr = exp\nr_rate = fast", "envelope: r_rate must be a number"),
         ("renewal", "[envelope]\nr = exp\nr_coef = -2.0",
@@ -138,6 +139,7 @@ class TestConfigProblems:
         ("coupling", "[run]\nn_runs = 0", "run: n_runs must be >= 2, got 0"),
         ("coupling", "[run]\nn_runs = 1", "run: n_runs must be >= 2, got 1"),
         ("re-chain", "[run]\nn_steps = 0", "run: n_steps must be >= 1, got 0"),
+        ("renewal", "[run]\nmax_cycles = 0", "run: unknown key 'max_cycles'"),
         ("renewal", "[run]\nn_block = 3", "run: unknown key 'n_block'"),
         ("renewal", "[kernel]\nrat = 2.0", "kernel: unknown key 'rat'"),
         ("simulate", "[typo_section]\nx = 1", "unknown section [typo_section]"),
@@ -169,14 +171,14 @@ class TestConfigProblems:
         ("renewal", "[kernel]\namplitude = 0.999999999\n[rate]\nform = linear\nL = 1.0\n"
          "[gamma]\nform = log\nC = auto\n[run]\nassumption = A",
          "gamma: auto log schedule needs c_h = m - ln(m) - 1 > 0, which rounds to 0"),
-    ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "r_coef", "r_rate",
+    ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
             "verify-size", "verify-parameter", "verify-suite", "duplicate-section",
             "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",
             "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
             "fclt_paths-two", "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
-            "unknown-run-key", "unknown-kernel-key",
+            "max_cycles-zero", "unknown-run-key", "unknown-kernel-key",
             "unknown-section", "default-section", "verify-renewal-blocks",
             "verify-clt-rep-blocks", "verify-clt-two-blocks", "verify-clt-one-block",
             "clt-blocks", "verify-lil-n_max", "verify-thinning-runs",
