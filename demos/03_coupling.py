@@ -16,11 +16,8 @@ cfg = reference_ad_config(D=0.0)
 env = cfg.env
 
 # one run, by hand: the regenerating state against a positively biased start
-start_a = ZStart.atom(env)
-start_b = ZStart(signal=lambda t: env.f(t), signal_upper=lambda t: env.f(t),
-                 signal_abs=env.envelope(), age0=0.0)
-out = run_system(cfg, PrmStream(5, 0), PrmStream(5, 1), start=start_a,
-                 extra_starts=[start_b], extend_after=30.0)
+starts = [ZStart.atom(env), ZStart.envelope(env)]
+out = run_system(cfg, PrmStream(5, 0), PrmStream(5, 1), starts, extend_after=30.0)
 a, b = out.track_paths
 post_a, post_b = a.times[a.times > out.rho], b.times[b.times > out.rho]
 diff = np.setxor1d(a.times, b.times)

@@ -12,12 +12,12 @@ from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, GammaSchedule,
                       Kernel, PositivePartKernel, PowerLawKernel, RateSpec,
                       TableKernel, ZeroKernel, pos_part)
 from .prm import PrmStream, SplitStreams, spawn_rng, split
-from .hawkes import (KernelMemory, Path, ProcessState, path_to_csv,
+from .hawkes import (KernelMemory, Path, ProcessState, ZStart, path_to_csv,
                      simulate_adhp)
 from .renewal import (Block, Certificate, CycleRecord, Diagnostics,
-                      RenewalConfig, RenewalOutcome, ZStart,
-                      check_envelope_inequality, iterate_regenerations,
-                      run_system, scan_alpha_AD, scan_alpha_O)
+                      RenewalConfig, RenewalOutcome, check_envelope_inequality,
+                      iterate_regenerations, run_system, scan_alpha_AD,
+                      scan_alpha_O)
 from .cluster import BorelLaw, Cluster, simulate_cluster
 from .reprocess import REChain, invariant_cdf, return_time, step
 from .stats import (BlockStat, TestReport, clt_time_average,
@@ -30,9 +30,10 @@ __all__ = [
     "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
     "ZeroKernel", "pos_part",
     "PrmStream", "SplitStreams", "spawn_rng", "split",
-    "KernelMemory", "Path", "ProcessState", "path_to_csv", "simulate_adhp",
+    "KernelMemory", "Path", "ProcessState", "ZStart", "path_to_csv",
+    "simulate_adhp",
     "Block", "Certificate", "CycleRecord", "RenewalConfig", "RenewalOutcome",
-    "Diagnostics", "ZStart",
+    "Diagnostics",
     "check_envelope_inequality", "iterate_regenerations", "run_system",
     "scan_alpha_AD", "scan_alpha_O",
     "BorelLaw", "Cluster", "simulate_cluster",

@@ -16,7 +16,7 @@ import os
 import sys
 
 from .errors import ConfigError
-from .hawkes import path_to_csv, simulate_adhp
+from .hawkes import ZStart, path_to_csv, simulate_adhp
 from .kernels import (ExpDecay, ExponentialKernel, GammaSchedule, PowerLawKernel,
                       RateSpec, TableKernel, borel_c_h)
 from .prm import PrmStream
@@ -262,7 +262,7 @@ def _outfile(settings, name):
 
 def cmd_simulate(cfg, settings):
     pi = PrmStream(settings["seed"], stream=0)
-    path = simulate_adhp(pi, cfg.kernel, cfg.rate, delay=cfg.D,
+    path = simulate_adhp(pi, cfg.kernel, cfg.rate, ZStart.empty(cfg.D), origin=cfg.D,
                          horizon=settings["horizon"])
     fname = _outfile(settings, "events.csv")
     with open(fname, "w") as fh:
@@ -368,14 +368,20 @@ def main(argv=None):
     ap.add_argument("--only", help="run a single verification suite",
                     choices=sorted(SUITES))
     args = ap.parse_args(argv)
+    problems = []  # a flag that the command would ignore, then the file's
+    if args.only and args.command != "verify":
+        problems.append(f"--only picks a verify suite; {args.command} runs none")
+    if args.seed is not None and args.command == "verify":
+        problems.append("--seed: verify runs each suite at its own seed, "
+                        "which is [verify] <suite>.seed")
     try:
         cfg, settings = load_config(args.config, seed_override=args.seed,
                                     out_override=args.out)
     except ConfigError as exc:
-        for prob in exc.problems:
-            print(f"config error: {prob}", file=sys.stderr)
-        return 2
+        problems += exc.problems
     try:
+        if problems:
+            raise ConfigError(problems)
         if args.command == "simulate":
             return cmd_simulate(cfg, settings)
         if args.command == "renewal":

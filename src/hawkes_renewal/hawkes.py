@@ -122,22 +122,56 @@ class KernelMemory:
         return lambda w: float(np.sum(self.kernel.majorant(base + w - us)))
 
 
-class ProcessState:
-    """One thinned process: kernel memory, signal, age and delay handling.
+def _shifted(fn, s):
+    """w -> fn(s + w), an :class:`ExpDecay` again when fn is one."""
+    return fn.shift(s) if isinstance(fn, ExpDecay) else lambda w: fn(s + w)
 
-    ``signal`` is evaluated in absolute time; ``signal_upper`` must be a
-    decreasing upper envelope of the signal (not of its absolute value) so
-    that the domination bound stays valid between events.
+
+@dataclass
+class ZStart:
+    """A process's state at its origin, each function read at the time w
+    since the origin: the signal, a decreasing upper envelope of it (for
+    domination), a decreasing envelope of its absolute value (for the
+    envelope certificates; an :class:`ExpDecay` keeps those of an
+    exponential kernel in closed form), and the age."""
+
+    signal: object
+    signal_upper: object
+    signal_abs: object
+    age0: float = 0.0
+
+    @staticmethod
+    def atom(env):
+        """The regeneration state: age D and signal w -> -f(w + D)."""
+        D = env.D
+        return ZStart(lambda w: -env.f(w + D), lambda w: 0.0,
+                      _shifted(env.envelope(), D), D)
+
+    @staticmethod
+    def envelope(env):
+        """The envelope start: signal and upper envelope f, age 0."""
+        return ZStart(env.f, env.f, env.envelope(), 0.0)
+
+    @staticmethod
+    def empty(age0=0.0):
+        """No past at all: zero signal."""
+        zero = lambda w: 0.0
+        return ZStart(zero, zero, ExpDecay(0.0, 0.0), age0)
+
+
+class ProcessState:
+    """One thinned process: its kernel, its rate, a start state and an origin.
+
+    The process is silent up to ``origin`` and has age ``start.age0`` there
+    (the empty start by default).  It reads ``start.signal`` and
+    ``start.signal_upper`` in time since the origin; a bound asked before
+    the origin reads the upper envelope at 0.
     """
 
-    def __init__(self, kernel, rate, signal=None, signal_upper=None,
-                 age0=0.0, delay=0.0, origin=0.0):
+    def __init__(self, kernel, rate, start=None, origin=0.0):
         self.memory = KernelMemory(kernel)
         self.rate = rate
-        self.signal = signal if signal is not None else (lambda t: 0.0)
-        self.signal_upper = signal_upper
-        self.age0 = float(age0)
-        self.delay = float(delay)
+        self.start = start if start is not None else ZStart.empty()
         self.origin = float(origin)
 
     @property
@@ -145,24 +179,18 @@ class ProcessState:
         return self.memory.jumps
 
     def lambda_at(self, t):
-        if t <= self.origin + self.delay:
+        if t <= self.origin:
             return 0.0
-        jumps = self.memory.jumps
+        w, jumps = t - self.origin, self.memory.jumps
         i = bisect.bisect_left(jumps, t)  # one search for the memory and the age
-        age = t - jumps[i - 1] if i else self.age0 + (t - self.origin)
-        x = self.memory.value_at(t, i) + float(self.signal(t))
+        age = t - jumps[i - 1] if i else self.start.age0 + w
+        x = self.memory.value_at(t, i) + float(self.start.signal(w))
         return float(self.rate.psi(x, age))
 
     def bound_from(self, t):
         """Dominating intensity bound valid on [t, next jump)."""
-        env = self.memory.majorant_sum(t)
-        if self.signal_upper is not None:
-            env += max(float(self.signal_upper(t)), 0.0)
-        else:
-            s = float(self.signal(t))
-            if s > 0:
-                raise DominationError(
-                    "positive signal needs a decreasing upper envelope", at_time=t)
+        upper = float(self.start.signal_upper(max(t - self.origin, 0.0)))
+        env = self.memory.majorant_sum(t) + max(upper, 0.0)
         b = self.rate.c_psi + self.rate.L * max(env, 0.0)
         if not math.isfinite(b):
             raise DominationError("dominating bound is not finite", at_time=t)
@@ -172,19 +200,16 @@ class ProcessState:
         self.memory.add(t)
 
 
-def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
-                  delay=0.0, horizon=100.0):
-    """Exact thinning simulation of a (D-delayed) age-dependent Hawkes process.
+def simulate_adhp(pi, kernel, rate, start=None, origin=0.0, horizon=100.0):
+    """Exact thinning simulation of an age-dependent Hawkes process.
 
     Parameters
     ----------
     pi : PrmStream
         Driving PRM.
     kernel, rate : weight function and rate specification.
-    signal, signal_upper : initial signal R(t) in absolute time, and a
-        decreasing upper envelope of it (required when R can be positive).
-    age0, delay : initial age and the delay D during which the intensity
-        is suppressed.
+    start, origin : the :class:`ZStart` of the process at ``origin``, up
+        to which it is silent (a delay D is the empty start of age D at D).
     horizon : simulate on (0, horizon].
 
     Returns the realized :class:`Path`.  The thinning never reads behind
@@ -195,7 +220,7 @@ def simulate_adhp(pi, kernel, rate, signal=None, signal_upper=None, age0=0.0,
     """
     if not math.isfinite(horizon):
         raise DominationError("horizon must be finite")
-    state = ProcessState(kernel, rate, signal, signal_upper, age0, delay)
+    state = ProcessState(kernel, rate, start, origin)
 
     def read(t0, t1, zmax):
         pi.forget_before(t0)

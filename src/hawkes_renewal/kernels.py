@@ -24,6 +24,12 @@ def ceil_int(x, tol=1e-9):
     return int(math.ceil(x - tol))
 
 
+def _require_finite(key, value):
+    """Raise :class:`ConfigError` naming ``key`` when ``value`` is not finite."""
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Weight kernels
 # ---------------------------------------------------------------------------
@@ -52,6 +58,8 @@ class ExponentialKernel(Kernel):
     """h(t) = amplitude * exp(-rate * t)."""
 
     def __init__(self, rate, amplitude):
+        _require_finite("rate", rate)
+        _require_finite("amplitude", amplitude)
         if rate <= 0:
             raise ConfigError("exponential kernel needs rate > 0")
         self.rate = float(rate)
@@ -84,6 +92,8 @@ class PowerLawKernel(Kernel):
     """h(t) = amplitude * (1 + t)^(-exponent)."""
 
     def __init__(self, amplitude, exponent):
+        _require_finite("amplitude", amplitude)
+        _require_finite("exponent", exponent)
         if exponent <= 1:
             raise ConfigError("power-law kernel needs exponent > 1 for integrability")
         self.amplitude = float(amplitude)
@@ -118,6 +128,8 @@ class TableKernel(Kernel):
 
     def __init__(self, knots):
         knots = sorted((float(t), float(v)) for t, v in knots)
+        if not all(math.isfinite(x) for knot in knots for x in knot):
+            raise ConfigError("table kernel knots must be finite")
         if not knots or knots[0][0] != 0.0:
             raise ConfigError("table kernel needs a knot at t=0")
         ts = np.array([k[0] for k in knots])
@@ -220,8 +232,9 @@ class RateSpec:
 
     def __post_init__(self):
         name, c, L, delta = self.name, self.c_psi, self.L, self.delta
-        problems = [] if c >= 0 and L >= 0 else [
-            f"{key} must be >= 0, got {v!r}" for key, v in (("c", c), ("L", L)) if not v >= 0]
+        problems = [] if 0 <= c < INF and 0 <= L < INF else [
+            f"{key} must be >= 0, got {v!r}" if not v >= 0 else f"{key} must be finite, got {v!r}"
+            for key, v in (("c", c), ("L", L)) if not 0 <= v < INF]
         if name == "linear":
             if delta != INF:
                 problems.append("a linear rate has no refractory length delta")
@@ -279,6 +292,7 @@ class GammaSchedule:
     def __post_init__(self):
         if self.form not in ("linear", "log"):
             raise ConfigError(f"unknown schedule form {self.form!r}: linear or log")
+        _require_finite("C", self.C)
 
     @staticmethod
     def linear(C=1.0):

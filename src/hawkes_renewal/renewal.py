@@ -1,7 +1,9 @@
 """The renewal system: band-coupled cycle processes and regeneration blocks.
 
-Each cycle restarts a delayed comparison process at the last certified time
-and surrounds its intensity with the deterministic band of width F.  The
+Each cycle restarts the comparison process at the last certified time
+alpha: it is the regeneration atom (age D, signal -f(w + D) at w past its
+origin) restarted at alpha + D, silent on the delay, and its intensity is
+surrounded by the deterministic band of width F.  The
 first band point ends the cycle; a cycle with no band point (probability
 exp(-||F||_1)) yields the regeneration time rho = alpha_eta + D.  The band
 points form a Poisson process of intensity F (on the delay D the band is
@@ -12,7 +14,7 @@ that sweep also thins Z^n, the dominating linear process of the alpha scan,
 on pi outside the band and pibar inside it; past tau Z^n and the tracks
 share one sweep.  Blocks between consecutive regeneration times are
 independent and identically distributed by construction and restart from
-the certified state (age D, signal -f(t+D)) on fresh streams.
+that atom on fresh streams.
 """
 
 import math
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConfigError, IntegrabilityError, SimulationCapError
-from .hawkes import Path, ProcessState, thin
+from .hawkes import Path, ProcessState, ZStart, _shifted, thin
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, PowerLawKernel,
                       TableKernel, borel_c_h, ceil_int, pos_part)
 from .prm import PrmStream, derive_key, spawn_rng, split, swapped_in
@@ -38,7 +40,7 @@ _SCAN_CAP = 10**6
 
 
 # ---------------------------------------------------------------------------
-# Configuration and start states
+# Configuration and records
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -87,6 +89,8 @@ class RenewalConfig:
                 problems.append("start bound r must be >= 0")
             if not r.rate > 0:
                 problems.append("start bound r must decrease: rate > 0")
+            if math.inf in (r.c, r.rate):
+                problems.append("start bound r must be finite")
         inv = 1.0 / self.rate.delta  # 0 in setup O, where delta is inf
         if abs(inv - round(inv)) > 1e-9:
             problems.append("delta must be the reciprocal of an integer")
@@ -127,8 +131,10 @@ class RenewalConfig:
             elif power and not k.exponent > p + (3.0 if linear else 2.0):
                 names = ["t^p f", "t^p F"] if self.rate.L > 0 else ["t^p f"]
                 problems += [f"{name} not integrable (assumption A)" for name in names]
-        if self.D < 0:
-            problems.append("delay D must be >= 0")
+        if not 0 <= self.D < math.inf:
+            problems.append("delay D must be finite and >= 0")
+        if p is not None and not math.isfinite(p):  # coupling reads p under A or B
+            problems.append("moment order p must be finite")
         if not problems:
             # eta is geometric: P(a block passes the cap) <= exp(-_MAX_CYCLES / cycles)
             try:
@@ -141,39 +147,6 @@ class RenewalConfig:
                                 f"cycles on average, more than 1/20 of the cycle "
                                 f"cap {_MAX_CYCLES:g}")
         return problems
-
-
-@dataclass
-class ZStart:
-    """Initial condition of a target process at alpha_0 = 0.
-
-    ``signal_upper`` is a decreasing upper envelope of the signal (used for
-    domination), ``signal_abs`` a decreasing envelope of its absolute value
-    (used by the post-alpha envelope checks).  ``signal_abs`` takes one
-    float time; an :class:`ExpDecay` keeps exponential-kernel certificates
-    in closed form.
-    """
-
-    signal: object
-    signal_upper: object
-    signal_abs: object
-    age0: float = 0.0
-
-    @staticmethod
-    def atom(env):
-        """The regeneration state: age D and signal t -> -f(t + D)."""
-        D = env.D
-        return ZStart(signal=lambda t: -env.f(t + D),
-                      signal_upper=lambda t: 0.0,
-                      signal_abs=_shifted(env.envelope(), D),
-                      age0=D)
-
-    @staticmethod
-    def empty(age0=0.0):
-        """No past at all: zero signal."""
-        zero = lambda t: 0.0
-        return ZStart(signal=zero, signal_upper=zero,
-                      signal_abs=ExpDecay(0.0, 0.0), age0=age0)
 
 
 @dataclass
@@ -300,11 +273,6 @@ def certify_dominated(ub, rhs):
     return Certificate(False, points)
 
 
-def _shifted(fn, s):
-    """w -> fn(s + w), an :class:`ExpDecay` again when fn is one."""
-    return fn.shift(s) if isinstance(fn, ExpDecay) else lambda w: fn(s + w)
-
-
 def _plus(f, g):
     """w -> f(w) + g(w), an :class:`ExpDecay` when both are of one rate."""
     both = f.plus(g) if isinstance(f, ExpDecay) else None
@@ -389,13 +357,10 @@ class _Engine:
         self.pi = pi
         self.pibar = pibar
         self.rng = tau_rng
-        self.tracks = [
-            ProcessState(cfg.kernel, cfg.rate, signal=s.signal,
-                         signal_upper=s.signal_upper, age0=s.age0,
-                         delay=0.0, origin=0.0)
-            for s in starts
-        ]
-        self.starts = starts
+        self.atom = ZStart.atom(self.env)
+        self.zn_start = ZStart.envelope(self.env) if cfg.zn_model else None
+        self.starts = starts if starts is not None else [self.atom]
+        self.tracks = [ProcessState(cfg.kernel, cfg.rate, s) for s in self.starts]
         self.alphas = [0.0]
         self.taus = []
         self.cycles = []
@@ -407,17 +372,12 @@ class _Engine:
     # -- band helpers -------------------------------------------------------
 
     def _new_cycle(self, a):
-        env = self.env
-        self.cycle = ProcessState(
-            self.cfg.kernel, self.cfg.rate,
-            signal=lambda t, a=a: -env.f(max(t - a, 0.0)),
-            signal_upper=lambda t: 0.0,
-            age0=0.0, delay=self.cfg.D, origin=a)
+        cfg = self.cfg
+        # the regeneration state, restarted after the delay
+        self.cycle = ProcessState(cfg.kernel, cfg.rate, self.atom, origin=a + cfg.D)
         self.cycle_start = a
-        if self.cfg.zn_model is not None:
-            f_from_a = lambda t: env.f(max(t - a, 0.0))
-            self.zn = ProcessState(*self.cfg.zn_model, signal=f_from_a,
-                                   signal_upper=f_from_a, origin=a)
+        if cfg.zn_model is not None:
+            self.zn = ProcessState(*cfg.zn_model, self.zn_start, origin=a)
 
     def width(self, s):
         """The band width at absolute time s."""
@@ -545,18 +505,16 @@ class _Engine:
         return fails == 0
 
 
-def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
-               extend_after=0.0):
+def run_system(cfg, pi, pibar, starts=None, tau_rng=None, extend_after=0.0):
     """Run the renewal system to its regeneration time.
 
     Parameters
     ----------
     cfg : RenewalConfig
     pi, pibar : the two independent driving PRM streams.
-    start : ZStart for the target process from alpha_0 = 0 (defaults to
-        the regeneration state).
-    extra_starts : more ZStart values sharing pi and the stopping times;
-        used by coupling experiments.
+    starts : the :class:`ZStart` of each target process at alpha_0 = 0,
+        all sharing pi and the stopping times (default: the regeneration
+        state alone); the band checks read the first.
     tau_rng : Generator for the tau draws (derived from pi's seed when
         omitted).
     extend_after : continue all target processes this far past rho
@@ -567,8 +525,6 @@ def run_system(cfg, pi, pibar, start=None, extra_starts=(), tau_rng=None,
     cycle has no band point and their intensities lie in the band.
     Returns a :class:`RenewalOutcome`.
     """
-    starts = [start if start is not None else ZStart.atom(cfg.env)]
-    starts += list(extra_starts)
     if tau_rng is None:
         tau_rng = spawn_rng(pi.seed, pi.stream, 0x7A0)
     eng = _Engine(cfg, pi, pibar, starts, tau_rng)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .prm import PrmStream, derive_key, spawn_rng
-from .renewal import Diagnostics, ZStart, iterate_regenerations, run_system
+from .hawkes import ZStart
+from .renewal import Diagnostics, iterate_regenerations, run_system
 
 log = logging.getLogger("hawkes_renewal")
 
@@ -174,6 +175,18 @@ def se_bound_report(name, value, target, se, k=3.0, n=0, detail=""):
     return TestReport(name=name, statistic=float(z), p_value=float(p), n=n,
                       passed=z <= k, alpha=_norm_sf(k) * 2,
                       detail=detail or f"value={value:.5g} target={target:.5g} se={se:.3g}")
+
+
+def half_sample_stability(name, values, label):
+    """The mean of the first half of ``values`` against the mean of all of
+    them, passed when they differ by at most 20% of the latter; ``label``
+    opens the detail line."""
+    values = np.asarray(values, dtype=float)
+    half = float(np.mean(values[: len(values) // 2]))
+    full = float(np.mean(values))
+    rel = abs(half - full) / max(full, 1e-12)
+    return TestReport(name=name, statistic=rel, p_value=float("nan"), n=len(values),
+                      passed=rel <= 0.2, detail=f"{label}: half={half:.5g} full={full:.5g}")
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +398,15 @@ def _jackknife_ratio(x, y):
 def coupling_experiment(cfg, n_runs=1000, seed=0):
     """Couple two differently-initialized processes on shared streams.
 
-    Both start at alpha_0 = 0: the regeneration state and the signal f, each
-    within the start inequality of the configured envelope.  Up to 20 past
+    Both start at alpha_0 = 0: the regeneration state and the envelope
+    start (signal f), each within the start inequality of the configured
+    envelope.  Up to 20 past
     the regeneration time the two paths must agree event for event; any
     disagreement is a hard failure.  The moment check takes ``cfg.p``.
     Returns (reports, data dict).
     """
     env, p = cfg.env, cfg.p
-    flipped = ZStart(signal=lambda t: env.f(t), signal_upper=lambda t: env.f(t),
-                     signal_abs=env.envelope(), age0=0.0)
-    starts = (ZStart.atom(env), flipped)
+    starts = [ZStart.atom(env), ZStart.envelope(env)]
     t_vals = np.empty(n_runs)
     rho_vals = np.empty(n_runs)
     exact = 0
@@ -402,9 +414,7 @@ def coupling_experiment(cfg, n_runs=1000, seed=0):
         pi = PrmStream(seed, stream=100_000 + 5 * r)
         pibar = PrmStream(seed, stream=100_000 + 5 * r + 1)
         tau_rng = spawn_rng(seed, r, 0xC0)
-        out = run_system(cfg, pi, pibar, start=starts[0],
-                         extra_starts=[starts[1]], tau_rng=tau_rng,
-                         extend_after=20.0)
+        out = run_system(cfg, pi, pibar, starts, tau_rng=tau_rng, extend_after=20.0)
         a, b = out.track_paths[0].times, out.track_paths[1].times
         exact += np.array_equal(a[a > out.rho], b[b > out.rho])
         diff = np.setxor1d(a, b)
@@ -419,13 +429,8 @@ def coupling_experiment(cfg, n_runs=1000, seed=0):
     reports.append(TestReport(
         name="coupling-T-below-rho", statistic=float(np.max(t_vals - rho_vals)),
         p_value=float("nan"), n=n_runs, passed=bound_ok))
-    h1 = float(np.mean(t_vals[: n_runs // 2] ** p))
-    h2 = float(np.mean(t_vals ** p))
-    rel = abs(h1 - h2) / max(h2, 1e-12)
-    reports.append(TestReport(
-        name="coupling-moment-stability", statistic=rel, p_value=float("nan"),
-        n=n_runs, passed=rel <= 0.2,
-        detail=f"p={p:g}: half={h1:.5g} full={h2:.5g}"))
+    reports.append(half_sample_stability("coupling-moment-stability", t_vals ** p,
+                                         f"p={p:g}"))
     return reports, {"T": t_vals, "rho": rho_vals}
 
 

@@ -13,8 +13,8 @@ import warnings
 import pytest
 
 from hawkes_renewal import (ConfigError, ExponentialKernel, GammaSchedule,
-                            PositivePartKernel, PowerLawKernel, RateSpec,
-                            RenewalConfig, renewal)
+                            PositivePartKernel, PowerLawKernel, ProcessState, RateSpec,
+                            RenewalConfig, ZStart, renewal, run_system, simulate_adhp)
 from hawkes_renewal import DominationError, cli, stats, verify
 from hawkes_renewal.cli import _VERIFY_LEAST, load_config, main
 from hawkes_renewal.verify import (SUITES, reference_ad_config, reference_o_config,
@@ -171,6 +171,17 @@ class TestConfigProblems:
         ("renewal", "[kernel]\namplitude = 0.999999999\n[rate]\nform = linear\nL = 1.0\n"
          "[gamma]\nform = log\nC = auto\n[run]\nassumption = A",
          "gamma: auto log schedule needs c_h = m - ln(m) - 1 > 0, which rounds to 0"),
+        ("renewal", "[envelope]\nD = -1", "delay D must be finite and >= 0"),
+        ("renewal", "[envelope]\nD = nan", "delay D must be finite and >= 0"),
+        ("simulate", "[envelope]\nD = inf", "delay D must be finite and >= 0"),
+        ("renewal", "[rate]\nc = inf", "rate: c must be finite, got inf"),
+        ("renewal", "[rate]\nL = inf", "rate: L must be finite, got inf"),
+        ("renewal", "[kernel]\nrate = nan", "kernel: rate must be finite, got nan"),
+        ("renewal", "[kernel]\nform = table\nknots = 0:1,1:nan",
+         "kernel: table kernel knots must be finite"),
+        ("renewal", "[gamma]\nC = nan", "gamma: C must be finite, got nan"),
+        ("renewal", "[envelope]\nr = exp\nr_rate = inf", "start bound r must be finite"),
+        ("coupling", "[run]\np = inf", "moment order p must be finite"),
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
@@ -185,11 +196,35 @@ class TestConfigProblems:
             "verify-coupling-runs", "verify-fclt-paths", "verify-fclt-two-paths",
             "verify-clt-empty-group", "verify-borel-two-clusters", "verify-borel-clusters",
             "verify-re-chain-kac", "verify-re-chain-kac-se-zero",
-            "auto-log-c_h-rounds-to-zero"])
+            "auto-log-c_h-rounds-to-zero", "D-negative", "D-nan", "D-inf", "c-inf", "L-inf",
+            "kernel-rate-nan", "table-knot-nan", "schedule-C-nan", "r_rate-inf", "p-inf"])
     def test_named_problem_exits_2(self, tmp_path, capsys, command, text, problem):
         cfg = write(tmp_path, text + "\n")
         assert main([*command.split(), "--config", cfg]) == 2
         assert f"config error: {problem}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, problem", [
+        ("verify --seed 5 --only thinning",
+         "--seed: verify runs each suite at its own seed, which is [verify] <suite>.seed"),
+        ("simulate --only thinning", "--only picks a verify suite; simulate runs none"),
+        ("renewal --only clt", "--only picks a verify suite; renewal runs none"),
+        ("coupling --only coupling", "--only picks a verify suite; coupling runs none"),
+        ("clt --only clt", "--only picks a verify suite; clt runs none"),
+        ("re-chain --only re-chain", "--only picks a verify suite; re-chain runs none"),
+    ], ids=["verify-seed", "simulate-only", "renewal-only", "coupling-only", "clt-only",
+            "re-chain-only"])
+    def test_an_ignored_flag_is_refused_by_name(self, tmp_path, capsys, monkeypatch,
+                                                argv, problem):
+        ran = []
+        record = lambda name: lambda *args, **kwargs: ran.append(name)
+        monkeypatch.setattr(cli, "run_suites", record("suite"))
+        monkeypatch.setattr(verify, "suite_re_chain", record("suite"))
+        monkeypatch.setattr(renewal, "run_system", record("block"))
+        monkeypatch.setattr(cli, "simulate_adhp", record("path"))
+        cfg = write(tmp_path, BASE_CONFIG)
+        assert main([*argv.split(), "--config", cfg]) == 2
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert ran == [] and not (tmp_path / "out").exists()
 
     def test_verify_sizes_are_read_as_their_keyword_types(self, tmp_path):
         text = "[verify]\nprm-split.alpha = 0.05\nrenewal.n_cycles = 1e3\n"
@@ -229,6 +264,15 @@ class TestConfigSurface:
             "cfg", "n_runs", "seed"]
         assert list(inspect.signature(stats.lil_envelope).parameters) == [
             "cfg", "n_max", "seed", "n_jobs"]
+        # the processes: a start state and an origin build every one
+        assert list(inspect.signature(ProcessState).parameters) == [
+            "kernel", "rate", "start", "origin"]
+        assert list(inspect.signature(simulate_adhp).parameters) == [
+            "pi", "kernel", "rate", "start", "origin", "horizon"]
+        assert list(inspect.signature(run_system).parameters) == [
+            "cfg", "pi", "pibar", "starts", "tau_rng", "extend_after"]
+        assert [f.name for f in dataclasses.fields(ZStart)] == [
+            "signal", "signal_upper", "signal_abs", "age0"]
 
     @pytest.mark.parametrize("suite, text, problem", [
         ("renewal", "[run]\nmax_cycles = 1000000", "run: unknown key 'max_cycles'"),

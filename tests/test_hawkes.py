@@ -6,7 +6,7 @@ import pytest
 
 from hawkes_renewal import (ConfigError, ExpDecay, ExponentialKernel, Path,
                             PowerLawKernel, PrmStream, RateSpec, TableKernel,
-                            ZeroKernel, path_to_csv, pos_part, simulate_adhp)
+                            ZeroKernel, ZStart, path_to_csv, pos_part, simulate_adhp)
 from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
 from hawkes_renewal.prm import swapped_in
 
@@ -39,8 +39,9 @@ def band_replay(pi, specs, width, bound, horizon, pibar=None):
     """Brute-force replay of a band sweep of several tracks below one global
     bound: the band (lam, lam + width] rides on the last track and its
     points are skipped; the band points of a second driver ``pibar``, when
-    given, drive the first track alone.  Returns (jumps of each track, band
-    points skipped)."""
+    given, drive the first track alone.  Each spec's process is silent up
+    to its origin and reads its start in time since the origin.  Returns
+    (jumps of each track, band points skipped)."""
     events = [[] for _ in specs]
     skipped = 0
     points = [(s, z, False) for s, z in pi.sample(0.0, horizon, bound)]
@@ -51,10 +52,11 @@ def band_replay(pi, specs, width, bound, horizon, pibar=None):
         lams = []
         for sp, ev in zip(specs, events):
             us = np.array(ev)
+            w, start = s - sp["origin"], sp["start"]
             mem = float(np.sum(sp["kernel"].value(s - us))) if ev else 0.0
-            mem += sp["signal"](s) if sp["signal"] is not None else 0.0
-            age = (s - ev[-1]) if ev else sp["age0"] + s
-            lams.append(0.0 if s <= sp["delay"] else sp["rate"].psi(mem, age))
+            mem += start.signal(w)
+            age = (s - ev[-1]) if ev else start.age0 + w
+            lams.append(0.0 if w <= 0 else sp["rate"].psi(mem, age))
         lam = lams[-1]
         assert max(lams + [lam + width(s)]) <= bound, "replay bound violated; enlarge it"
         inside = lam < z <= lam + width(s)
@@ -150,7 +152,8 @@ class TestQueries:
         # psi = c 1{age > delta}: lambda_at reads c for delta just below the
         # age it uses and 0 just above it
         def lam(age0, jumps, t, delta):
-            st = ProcessState(ZeroKernel(), RateSpec.hard_refractory(2.0, delta), age0=age0)
+            st = ProcessState(ZeroKernel(), RateSpec.hard_refractory(2.0, delta),
+                              ZStart.empty(age0))
             for u in jumps:
                 st.add_jump(u)
             return st.lambda_at(t)
@@ -232,27 +235,32 @@ class TestSimulate:
             assert np.array_equal(oracle, path.times), f"seed {seed}"
 
     def test_thinning_oracle_with_delay_and_age(self):
+        # age 2 at time 0 and silent up to 1.5: the empty start of age 3.5
+        # at origin 1.5
         kernel = ExponentialKernel(1.0, 0.2)
         rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
         for seed in range(30):
             pi = PrmStream(seed, 37)
             oracle = thinning_oracle(pi, kernel, rate, bound=12.0, horizon=15.0,
                                      age0=2.0, delay=1.5)
-            path = simulate_adhp(pi, kernel, rate, age0=2.0, delay=1.5,
+            path = simulate_adhp(pi, kernel, rate, ZStart.empty(3.5), origin=1.5,
                                  horizon=15.0)
             assert np.array_equal(oracle, path.times)
 
-    # two tracks and a delayed, banded last track (the cycle process)
+    # two tracks and a delayed, banded last track (the cycle process): age
+    # 2 at 0; signal 0.4 e^-t; signal -0.5 e^-t, silent up to 1 and of age
+    # 1 there
     AD = RateSpec.refractory_linear(0.5, 0.4, 1.0)
     SPECS = [
-        dict(kernel=ExponentialKernel(1.0, 0.2), rate=AD, signal=None,
-             upper=None, age0=2.0, delay=0.0),
+        dict(kernel=ExponentialKernel(1.0, 0.2), rate=AD, start=ZStart.empty(2.0),
+             origin=0.0),
         dict(kernel=PowerLawKernel(0.3, 3.0), rate=RateSpec.linear(0.5, 0.6),
-             signal=lambda t: 0.4 * math.exp(-t),
-             upper=lambda t: 0.4 * math.exp(-t), age0=0.0, delay=0.0),
+             start=ZStart(ExpDecay(0.4, 1.0), ExpDecay(0.4, 1.0), ExpDecay(0.4, 1.0)),
+             origin=0.0),
         dict(kernel=ExponentialKernel(1.0, 0.2), rate=AD,
-             signal=lambda t: -0.5 * math.exp(-t), upper=lambda t: 0.0,
-             age0=0.0, delay=1.0),
+             start=ZStart(lambda w: -0.5 * math.exp(-(w + 1.0)), lambda w: 0.0,
+                          ExpDecay(0.5 * math.exp(-1.0), 1.0), age0=1.0),
+             origin=1.0),
     ]
 
     @staticmethod
@@ -260,9 +268,8 @@ class TestSimulate:
         return 0.3 * math.exp(-0.5 * s)
 
     def banded_tracks(self):
-        return [ProcessState(sp["kernel"], sp["rate"], signal=sp["signal"],
-                             signal_upper=sp["upper"], age0=sp["age0"],
-                             delay=sp["delay"]) for sp in self.SPECS]
+        return [ProcessState(sp["kernel"], sp["rate"], sp["start"], sp["origin"])
+                for sp in self.SPECS]
 
     def test_band_sweep_of_several_tracks_matches_replay(self):
         # on one driver, whose band points are skipped
@@ -305,7 +312,7 @@ class TestSimulate:
 
     def test_delay_suppresses_events(self):
         path = simulate_adhp(PrmStream(5, 0), ZeroKernel(), RateSpec.linear(3.0, 1.0),
-                             delay=2.0, horizon=50.0)
+                             ZStart.empty(2.0), origin=2.0, horizon=50.0)
         assert np.all(path.times > 2.0)
 
     def test_linear_dominates_age_dependent_pathwise(self):

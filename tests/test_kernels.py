@@ -556,7 +556,16 @@ class TestRateSpec:
         (lambda: RateSpec("linear", 0.5, 1.0, 1.0),
          "a linear rate has no refractory length delta"),
         (lambda: RateSpec("custom", 0.5, 1.0), "unknown form 'custom'"),
-    ], ids=["c", "L-nan", "hard-L", "delta-zero", "delta-inf", "linear-delta", "name"])
+        (lambda: RateSpec.linear(math.inf, 1.0), "c must be finite, got inf"),
+        (lambda: RateSpec.refractory_linear(0.5, math.inf, 1.0), "L must be finite, got inf"),
+        (lambda: ExponentialKernel(math.nan, 0.2), "rate must be finite, got nan"),
+        (lambda: ExponentialKernel(1.0, math.inf), "amplitude must be finite, got inf"),
+        (lambda: PowerLawKernel(0.2, math.nan), "exponent must be finite, got nan"),
+        (lambda: TableKernel([(0, 1), (1, math.nan)]), "table kernel knots must be finite"),
+        (lambda: GammaSchedule.linear(math.inf), "C must be finite, got inf"),
+    ], ids=["c", "L-nan", "hard-L", "delta-zero", "delta-inf", "linear-delta", "name",
+            "c-inf", "L-inf", "exp-rate-nan", "exp-amplitude-inf", "power-exponent-nan",
+            "table-knot-nan", "schedule-C-inf"])
     def test_construction_refuses_a_bad_value(self, make, problem):
         with pytest.raises(ConfigError, match=re.escape(problem)):
             make()

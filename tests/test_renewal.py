@@ -20,7 +20,7 @@ from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             check_envelope_inequality,
                             iterate_regenerations, run_system, scan_alpha_AD,
                             scan_alpha_O, simulate_adhp)
-from hawkes_renewal import hawkes, prm, renewal, spawn_rng
+from hawkes_renewal import hawkes, prm, renewal, spawn_rng, stats
 from hawkes_renewal.kernels import EnvelopeFns
 from hawkes_renewal.hawkes import KernelMemory
 from hawkes_renewal.renewal import certify_dominated
@@ -343,7 +343,10 @@ class TestConfigValidate:
         (ExpDecay(-0.5, -1.0),
          ["start bound r must be >= 0", "start bound r must decrease: rate > 0",
           "F lacks an exponential moment (assumption B)"]),
-    ], ids=["decreasing", "negative", "rising-then-falling", "constant", "negative-rising"])
+        (ExpDecay(math.inf, 1.0), ["start bound r must be finite"]),
+        (ExpDecay(0.5, math.inf), ["start bound r must be finite"]),
+    ], ids=["decreasing", "negative", "rising-then-falling", "constant", "negative-rising",
+            "infinite", "infinite-rate"])
     def test_start_bound_r_is_spot_checked(self, r, problems):
         cfg = RenewalConfig(ExponentialKernel(1.0, 0.2),
                             RateSpec.refractory_linear(0.5, 0.4, 1.0),
@@ -357,7 +360,7 @@ class TestRunSystem:
         cfg = RenewalConfig(kernel=ZeroKernel(), rate=RateSpec.linear(1.0, 0.5),
                             sched=GammaSchedule.linear(1.0), D=0.0)
         assert cfg.env.F_l1 == 0.0
-        out = run_system(cfg, PrmStream(3, 0), PrmStream(3, 1), start=ZStart.empty())
+        out = run_system(cfg, PrmStream(3, 0), PrmStream(3, 1), [ZStart.empty()])
         assert out.eta == 0
         assert out.rho == 0.0
         assert out.taus == [math.inf]
@@ -398,17 +401,49 @@ class TestRunSystem:
             assert out.band_max_high <= 1e-9
 
     def test_undominated_start_signal_is_refused(self):
-        # signal_upper = 0 understates a signal of 3, so the window bounds
+        # an upper envelope 0 understates a signal of 3, so the window bounds
         # do not dominate the intensity: thinning must not go on.  A sweep
         # to 20 reads candidates at rate 0.5, so it meets one, and refuses,
         # at every seed but with odds e^-10
         cfg = reference_ad_config(D=1.0)
         for seed in range(20):
             with pytest.raises(DominationError) as err:
-                simulate_adhp(PrmStream(seed, 0), cfg.kernel, cfg.rate,
-                              signal=lambda t: 3.0, signal_upper=lambda t: 0.0,
-                              age0=5.0, horizon=20.0)
+                start = ZStart(signal=lambda w: 3.0, signal_upper=lambda w: 0.0,
+                               signal_abs=ExpDecay(3.0, 0.0), age0=5.0)
+                simulate_adhp(PrmStream(seed, 0), cfg.kernel, cfg.rate, start,
+                              horizon=20.0)
             assert err.value.at_time <= 20.0
+
+    def test_every_process_starts_from_a_zstart(self, monkeypatch):
+        # the track from the atom at 0, each cycle process as that atom
+        # restarted at alpha + D, each Z^n as the envelope start at alpha;
+        # the coupling experiment's second start is the envelope start too
+        built = []
+
+        class Recorded(hawkes.ProcessState):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(renewal, "ProcessState", Recorded)
+        cfg = reference_o_config(D=1.0)
+        out = run_system(cfg, PrmStream(4, 0), PrmStream(4, 1))
+        track, cycles, zns = built[0], built[1::2], built[2::2]
+        atom = track.start
+        assert len(out.alphas) > 1 and len(built) == 1 + 2 * len(out.alphas)
+        assert (track.origin, atom.age0, atom.signal_upper(0.5)) == (0.0, 1.0, 0.0)
+        assert atom.signal(0.5) == -cfg.env.f(1.5)
+        assert all(p.start is atom for p in cycles)
+        assert [p.origin for p in cycles] == [a + cfg.D for a in out.alphas]
+        assert all(p.start == ZStart.envelope(cfg.env) for p in zns)
+        assert [p.origin for p in zns] == out.alphas
+        seen = []
+        run = stats.run_system
+        monkeypatch.setattr(stats, "run_system", lambda cfg, pi, pibar, starts, **kw:
+                            seen.append(starts) or run(cfg, pi, pibar, starts, **kw))
+        stats.coupling_experiment(cfg, n_runs=2, seed=1)
+        assert [s[1] for s in seen] == [ZStart.envelope(cfg.env)] * 2
+        assert [s[0].age0 for s in seen] == [cfg.D] * 2
 
     def test_ordinary_setup_runs(self):
         cfg = reference_o_config(D=0.0)

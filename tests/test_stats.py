@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from hawkes_renewal import ConfigError, Path, stats
+from hawkes_renewal import ConfigError, Path, stats, verify
 from hawkes_renewal.renewal import Block
 from hawkes_renewal.stats import (_norm_sf, ad_normality, batch_means_sigma2,
                                   block_stat_from_blocks, blocks_until, chi2_gof,
@@ -155,6 +155,22 @@ class TestHelpers:
                                                   f"{value:g}; it compares nothing"):
                 stats.se_bound_report("borel-mean-size", value, 2.0, 0.0, n=2)
         assert stats.se_bound_report("borel-mean-size", 2.1, 2.0, 0.1, n=2).passed
+
+    def test_half_sample_stability_compares_the_first_half_with_all(self):
+        same = stats.half_sample_stability("m", [1.0, 3.0, 2.0, 2.0], "p=1")
+        assert (same.statistic, same.n, same.passed) == (0.0, 4, True)
+        assert same.detail == "p=1: half=2 full=2"
+        # the first half of five values is two: |1 - 2.8| / 2.8
+        moved = stats.half_sample_stability("m", [1.0, 1.0, 4.0, 4.0, 4.0], "c=1")
+        assert (moved.statistic, moved.n, moved.passed) == (pytest.approx(9 / 14), 5, False)
+
+    def test_moment_reports_count_the_blocks_they_read(self):
+        # n_small blocks per half of the power moment, 2 n_small per half of
+        # the exponential one
+        reports = verify.suite_moments(n_small=20)
+        assert [(r.name, r.n) for r in reports] == [
+            ("rho-power-moment-stability", 40), ("rho-exponential-moment-stability", 80)]
+        assert [r.detail.split(":")[0] for r in reports] == ["p=2", "c=0.05"]
 
     def test_fclt_needs_three_paths_for_its_jackknife(self):
         with pytest.raises(ConfigError, match="fclt: n_paths must be >= 3"):
