@@ -142,15 +142,16 @@ class ZStart:
 
     @staticmethod
     def atom(env):
-        """The regeneration state: age D and signal w -> -f(w + D)."""
-        D = env.D
-        return ZStart(lambda w: -env.f(w + D), lambda w: 0.0,
-                      _shifted(env.envelope(), D), D)
+        """The regeneration state: age D, signal -f(w + D), upper envelope 0."""
+        e = _shifted(env.envelope(), env.D)
+        if isinstance(e, ExpDecay):
+            return ZStart(ExpDecay(-e.c, e.rate), ExpDecay(0.0, e.rate), e, env.D)
+        return ZStart(lambda w: -e(w), lambda w: 0.0, e, env.D)
 
     @staticmethod
     def envelope(env):
-        """The envelope start: signal and upper envelope f, age 0."""
-        return ZStart(env.f, env.f, env.envelope(), 0.0)
+        """The envelope start: signal and both envelopes f, age 0."""
+        return ZStart(env.envelope(), env.envelope(), env.envelope())
 
     @staticmethod
     def empty(age0=0.0):
@@ -166,13 +167,25 @@ class ProcessState:
     (the empty start by default).  It reads ``start.signal`` and
     ``start.signal_upper`` in time since the origin; a bound asked before
     the origin reads the upper envelope at 0.
+
+    An :class:`ExponentialKernel` with start signals :class:`ExpDecay` of
+    its rate makes it Markov in X(u) = amp S(u) + signal and X-bar(u) =
+    |amp| S(u) + max(upper, 0) at its last jump u (the origin before one),
+    S the memory's anchored sum: ``lambda_at`` past u and ``bound_from``
+    from u decay them with one exp, and earlier times read the jumps.
     """
 
     def __init__(self, kernel, rate, start=None, origin=0.0):
         self.memory = KernelMemory(kernel)
         self.rate = rate
-        self.start = start if start is not None else ZStart.empty()
+        self.start = start = start if start is not None else ZStart.empty()
         self.origin = float(origin)
+        self._a = kernel.rate if isinstance(kernel, ExponentialKernel) else None
+        self._carry = all(isinstance(g, ExpDecay) and g.rate == self._a
+                          for g in (start.signal, start.signal_upper))
+        if self._carry:
+            self._u, self._x = self.origin, start.signal.c
+            self._xbar = max(start.signal_upper.c, 0.0)
 
     @property
     def jumps(self):
@@ -182,15 +195,21 @@ class ProcessState:
         if t <= self.origin:
             return 0.0
         w, jumps = t - self.origin, self.memory.jumps
-        i = bisect.bisect_left(jumps, t)  # one search for the memory and the age
+        if self._carry and t > self._u:
+            i, x = len(jumps), self._x * math.exp(-self._a * (t - self._u))
+        else:
+            i = bisect.bisect_left(jumps, t)  # one search for the memory and the age
+            x = self.memory.value_at(t, i) + float(self.start.signal(w))
         age = t - jumps[i - 1] if i else self.start.age0 + w
-        x = self.memory.value_at(t, i) + float(self.start.signal(w))
         return float(self.rate.psi(x, age))
 
     def bound_from(self, t):
         """Dominating intensity bound valid on [t, next jump)."""
-        upper = float(self.start.signal_upper(max(t - self.origin, 0.0)))
-        env = self.memory.majorant_sum(t) + max(upper, 0.0)
+        if self._carry and t >= self._u and t >= self.origin:
+            env = self._xbar * math.exp(-self._a * (t - self._u))
+        else:
+            upper = float(self.start.signal_upper(max(t - self.origin, 0.0)))
+            env = self.memory.majorant_sum(t) + max(upper, 0.0)
         b = self.rate.c_psi + self.rate.L * max(env, 0.0)
         if not math.isfinite(b):
             raise DominationError("dominating bound is not finite", at_time=t)
@@ -198,6 +217,10 @@ class ProcessState:
 
     def add_jump(self, t):
         self.memory.add(t)
+        if self._carry:  # from S(t) and the start at t, never from the last state
+            amp, S, w = self.memory.kernel.amplitude, self.memory._S[-1], t - self.origin
+            self._u, self._x = t, amp * S + self.start.signal(w)
+            self._xbar = abs(amp) * S + max(self.start.signal_upper(w), 0.0)
 
 
 def simulate_adhp(pi, kernel, rate, start=None, origin=0.0, horizon=100.0):

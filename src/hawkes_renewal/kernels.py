@@ -400,6 +400,7 @@ class EnvelopeFns:
         self.delta_inv = 1.0 / rate.delta  # 0 for the ordinary setup
         self.prefactor = sched.value(0.0) + 1.0 + self.delta_inv
         self._J_inf = None  # J(inf), read by every f(t1) of an exponential kernel
+        self._envelopes = {}  # t2 -> w -> f(w, t2); cleared when it holds 64
         # where F may jump; the pieces between and their masses, once needed
         self._jumps = sorted({0.0, self.D, *rate.g_breaks})
         self._pieces = self._C = None
@@ -468,18 +469,23 @@ class EnvelopeFns:
         return val
 
     def envelope(self, t2=INF):
-        """w -> f(w, t2); an :class:`ExpDecay` for an exponential kernel and
-        no r, where f(w, t2) = f(0, t2) exp(-rate * w)."""
-        if isinstance(self.kernel, ExponentialKernel) and self.r is None:
-            return ExpDecay(self.f(0.0, t2), self.kernel.rate)
-        return lambda w: self.f(w, t2)
+        """w -> f(w, t2), built once per t2; an :class:`ExpDecay` for an
+        exponential kernel and no r, where f(w, t2) = f(0, t2) exp(-rate w)."""
+        if (e := self._envelopes.get(t2)) is None:
+            if len(self._envelopes) >= 64:
+                self._envelopes.clear()
+            e = self._envelopes[t2] = (
+                ExpDecay(self.f(0.0, t2), self.kernel.rate)
+                if isinstance(self.kernel, ExponentialKernel) and self.r is None
+                else lambda w: self.f(w, t2))
+        return e
 
     def F_pre(self, t):
-        return 2.0 * self.rate.L * self.f(t) + self.rate.c_psi * float(self.rate.g(t))
+        return 2.0 * self.rate.L * self.envelope()(t) + self.rate.c_psi * float(self.rate.g(t))
 
     def F(self, t):
         if self.D > 0 and t <= self.D:
-            return self.rate.c_psi + self.rate.L * self.f(t)
+            return self.rate.c_psi + self.rate.L * self.envelope()(t)
         return self.F_pre(t)
 
     def F_sup(self, lo, hi):

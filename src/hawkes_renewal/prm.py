@@ -8,6 +8,7 @@ that swap the two driving PRMs inside a predictable band.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -33,11 +34,14 @@ def _mix64(x):
     return z ^ (z >> 31)
 
 
+_part_mix = functools.lru_cache(maxsize=4096)(_mix64)  # derive_key's mix of a later part
+
+
 def derive_key(*parts):
     """Fold integers into a 128-bit Philox key, order-sensitive.
 
-    The fold of the first part is memoised: a stream folds its base into
-    the key of every cell."""
+    The fold of the first part and the mix of each later part are
+    memoised: the cells of a stream share its base, columns and layers."""
     h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
     if parts:
         p = int(parts[0]) & _MASK64
@@ -49,7 +53,7 @@ def derive_key(*parts):
     for p in parts[1:]:
         p = int(p) & _MASK64
         h0 = _mix64(h0 ^ p)
-        h1 = _mix64(h1 ^ _mix64(p))
+        h1 = _mix64(h1 ^ _part_mix(p))
     return (h1 << 64) | h0
 
 

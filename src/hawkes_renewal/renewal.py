@@ -22,6 +22,7 @@ import os
 import pickle
 import signal
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,11 @@ class RenewalConfig:
     @property
     def setup(self):
         return self.rate.setup
+
+    @cached_property
+    def zstarts(self):
+        """The atom and Z^n's envelope start (setup O), built on first use."""
+        return ZStart.atom(self.env), ZStart.envelope(self.env) if self.zn_model else None
 
     @property
     def cycle_horizon(self):
@@ -185,11 +191,13 @@ class Diagnostics:
     def merge(self, other):
         """Fold the counters of ``other`` into this record and return it: the
         float fields (band excursions) take the maximum, counts add up."""
-        for f in fields(Diagnostics):
-            mine, theirs = getattr(self, f.name), getattr(other, f.name)
-            setattr(self, f.name,
-                    max(mine, theirs) if f.type is float else mine + theirs)
+        for name, is_float in _DIAG_FIELDS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            setattr(self, name, max(mine, theirs) if is_float else mine + theirs)
         return self
+
+
+_DIAG_FIELDS = [(f.name, f.type is float) for f in fields(Diagnostics)]
 
 
 @dataclass(kw_only=True)
@@ -357,8 +365,7 @@ class _Engine:
         self.pi = pi
         self.pibar = pibar
         self.rng = tau_rng
-        self.atom = ZStart.atom(self.env)
-        self.zn_start = ZStart.envelope(self.env) if cfg.zn_model else None
+        self.atom, self.zn_start = cfg.zstarts
         self.starts = starts if starts is not None else [self.atom]
         self.tracks = [ProcessState(cfg.kernel, cfg.rate, s) for s in self.starts]
         self.alphas = [0.0]

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_renewal import (ConfigError, ExpDecay, ExponentialKernel, Path,
-                            PowerLawKernel, PrmStream, RateSpec, TableKernel,
-                            ZeroKernel, ZStart, path_to_csv, pos_part, simulate_adhp)
+from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay, ExponentialKernel,
+                            GammaSchedule, Path, PowerLawKernel, PrmStream, RateSpec,
+                            TableKernel, ZeroKernel, ZStart, path_to_csv, pos_part,
+                            simulate_adhp)
 from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
 from hawkes_renewal.prm import swapped_in
 
@@ -164,6 +165,74 @@ class TestQueries:
         ]:
             assert lam(age0, jumps, t, age - 1e-9) == 2.0, (age0, jumps, t)
             assert lam(age0, jumps, t, age + 1e-9) == 0.0, (age0, jumps, t)
+
+
+def direct_intensity(kernel, rate, start, origin, jumps, t):
+    """lambda and the dominating bound at t, summed over the jumps plus the
+    start: the jumps before t (at or before t for the bound), the signal
+    at t - origin (the upper envelope at 0 before the origin)."""
+    us = np.array(jumps)
+    lam = 0.0
+    if t > origin:
+        past = us[us < t]
+        x = float(np.sum(kernel.value(t - past))) + start.signal(t - origin)
+        age = t - past[-1] if len(past) else start.age0 + (t - origin)
+        lam = float(rate.psi(x, age))
+    upto = us[us <= t]
+    env = (float(np.sum(kernel.majorant(t - upto)))
+           + max(start.signal_upper(max(t - origin, 0.0)), 0.0))
+    return lam, rate.c_psi + rate.L * max(env, 0.0)
+
+
+def _env(kernel, rate, D):
+    return EnvelopeFns(kernel, rate, GammaSchedule.linear(1.0), D=D)
+
+
+O_RATE, AD_RATE = RateSpec.linear(0.5, 1.0), RateSpec.refractory_linear(0.5, 0.4, 1.0)
+EXP_O, EXP_AD = ExponentialKernel(1.0, 0.3), ExponentialKernel(1.0, 0.2)
+SIGNED, TABLE = ExponentialKernel(1.5, -0.3), TableKernel([(0, .3), (1, .1), (2, 0)])
+
+
+class TestCarriedState:
+    # a process of an exponential kernel whose start signals are ExpDecay of
+    # its rate carries X and X-bar from jump to jump (``_carry``); every
+    # other one reads its jumps.  Both must equal the direct sum
+    @pytest.mark.parametrize("kernel, rate, start, carried", [
+        (EXP_O, O_RATE, ZStart.atom(_env(EXP_O, O_RATE, 1.0)), True),
+        (EXP_O, O_RATE, ZStart.envelope(_env(EXP_O, O_RATE, 0.0)), True),
+        (EXP_AD, AD_RATE, ZStart.atom(_env(EXP_AD, AD_RATE, 1.0)), True),
+        (EXP_AD, AD_RATE, ZStart.envelope(_env(EXP_AD, AD_RATE, 0.0)), True),
+        (SIGNED, AD_RATE, ZStart.atom(_env(SIGNED, AD_RATE, 0.5)), True),
+        # an upper envelope below 0 adds nothing to the bound
+        (SIGNED, O_RATE, ZStart(ExpDecay(-0.4, 1.5), ExpDecay(-0.1, 1.5), None, 0.3), True),
+        (EXP_AD, AD_RATE, ZStart.empty(0.7), False),
+        (pos_part(SIGNED), O_RATE, ZStart.envelope(_env(SIGNED, O_RATE, 0.0)), False),
+        (TABLE, O_RATE, ZStart.atom(_env(TABLE, O_RATE, 1.0)), False),
+    ], ids=["O-atom", "O-envelope", "AD-atom", "AD-envelope", "signed-AD-atom",
+            "negative-upper", "AD-empty", "positive-part-envelope", "table-atom"])
+    def test_intensities_match_the_direct_sum(self, kernel, rate, start, carried):
+        rng = np.random.default_rng(8)
+        for _ in range(12):
+            origin = float(rng.uniform(0.5, 4.0))
+            jumps = (origin + np.cumsum(rng.exponential(0.6, rng.integers(1, 16)))).tolist()
+            if rng.random() < 0.5:  # a jump before the origin, which the engine never adds
+                jumps.insert(0, origin - 0.4)
+            st = ProcessState(kernel, rate, start, origin)
+            assert st._carry == carried
+            seen = []
+            for u in [None] + jumps:
+                if u is not None:
+                    st.add_jump(u)
+                    seen.append(u)
+                last = seen[-1] if seen else origin
+                queries = [last, last + 1e-9, *(last + rng.exponential(1.0, 3)),
+                           origin - 0.3, origin - 0.1, origin]
+                if len(seen) > 1:  # between earlier jumps, and at one
+                    queries += [float(rng.uniform(origin, last)), seen[-2]]
+                for t in map(float, queries):
+                    lam, bound = direct_intensity(kernel, rate, start, origin, seen, t)
+                    assert st.lambda_at(t) == pytest.approx(lam, rel=1e-12, abs=0.0), t
+                    assert st.bound_from(t) == pytest.approx(bound, rel=1e-12, abs=0.0), t
 
 
 class TestSimulate:

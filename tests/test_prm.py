@@ -188,6 +188,7 @@ class TestPrmStream:
         for parts in cases + cases:
             assert prm.derive_key(*parts) == plain_fold(*parts), parts
         assert len(prm._FOLDS) <= 64
+        assert prm._part_mix.cache_info().currsize <= 4096
 
     def test_forget_before(self):
         # reads from floor(t) on are answered; the columns [8k, 8k+8) wholly
