@@ -19,6 +19,7 @@ from .errors import BandViolationError, ConfigError
 
 _MASK64 = (1 << 64) - 1
 _FOLDS = {}  # derive_key's fold of a first part; cleared when it holds 64
+_HEADS = {}  # its fold of the first two parts as given; cleared at 256
 _time = itemgetter(0)
 # time units per cell: one key fold, generator reset and pair of draws
 # serve this many unit columns
@@ -40,20 +41,29 @@ _part_mix = functools.lru_cache(maxsize=4096)(_mix64)  # derive_key's mix of a l
 def derive_key(*parts):
     """Fold integers into a 128-bit Philox key, order-sensitive.
 
-    The fold of the first part and the mix of each later part are
-    memoised: the cells of a stream share its base, columns and layers."""
-    h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
-    if parts:
-        p = int(parts[0]) & _MASK64
-        if p not in _FOLDS:
-            if len(_FOLDS) >= 64:
-                _FOLDS.clear()
-            _FOLDS[p] = _mix64(h0 ^ p), _mix64(h1 ^ _mix64(p))
-        h0, h1 = _FOLDS[p]
-    for p in parts[1:]:
+    The fold of the first part, the fold of the first two parts and the mix
+    of each later part are memoised: the cells of a stream share its base,
+    those of a column its base and column, and all of them their layers."""
+    head = parts[:2]
+    if head not in _HEADS:
+        if len(_HEADS) >= 256:
+            _HEADS.clear()
+        h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
+        if parts:
+            p = int(parts[0]) & _MASK64
+            if p not in _FOLDS:
+                if len(_FOLDS) >= 64:
+                    _FOLDS.clear()
+                _FOLDS[p] = _mix64(h0 ^ p), _mix64(h1 ^ _mix64(p))
+            h0, h1 = _FOLDS[p]
+        for p in head[1:]:
+            p = int(p) & _MASK64
+            h0, h1 = _mix64(h0 ^ p), _mix64(h1 ^ _part_mix(p))
+        _HEADS[head] = h0, h1
+    h0, h1 = _HEADS[head]
+    for p in parts[2:]:
         p = int(p) & _MASK64
-        h0 = _mix64(h0 ^ p)
-        h1 = _mix64(h1 ^ _part_mix(p))
+        h0, h1 = _mix64(h0 ^ p), _mix64(h1 ^ _part_mix(p))
     return (h1 << 64) | h0
 
 
@@ -62,11 +72,19 @@ def spawn_rng(*parts):
     return np.random.Generator(np.random.Philox(key=derive_key(*parts)))
 
 
-# every stream draws its cells from this one generator, resetting it to the
-# cell's key and a zero counter first; so streams are read by one thread
+# a fresh Philox state (zero counter, empty buffer) whose key words
+# ``rekey`` overwrites; every stream draws its cells from the one generator
+# below, rekeyed to the cell's key first, so streams are read by one thread
+_FRESH = np.random.Philox(key=0).state
 _BITGEN = np.random.Philox(key=0)
 _GEN = np.random.Generator(_BITGEN)
-_STATE = _BITGEN.state
+
+
+def rekey(bitgen, key):
+    """Reset the Philox ``bitgen`` to draw as ``Philox(key=key)`` would."""
+    words = _FRESH["state"]["key"]
+    words[0], words[1] = key & _MASK64, key >> 64
+    bitgen.state = _FRESH
 
 
 class PrmStream:
@@ -92,18 +110,16 @@ class PrmStream:
 
     def _grow(self, k, col, need):
         pairs, layers = (col[0], col[2]) if col else ([], 0)
-        key = _STATE["state"]["key"]
         start = _WIDTH * k
         for m in range(layers, need):
-            cell = derive_key(self._base, k, m)
-            key[0], key[1] = cell & _MASK64, cell >> 64
-            _BITGEN.state = _STATE
+            rekey(_BITGEN, derive_key(self._base, k, m))
             n = int(_GEN.poisson(_WIDTH))
             if n:
                 u = _GEN.random(2 * n).tolist()
                 pairs += [(start + _WIDTH * t, m + z)
                           for t, z in zip(sorted(u[:n]), u[n:])]
-        pairs.sort(key=_time)  # stable: cells of lower layers first on ties
+        if need > 1:  # a column of layer 0 alone is drawn in time order
+            pairs.sort(key=_time)  # stable: cells of lower layers first on ties
         col = self._cols[k] = (pairs, [p[0] for p in pairs], need)
         return col
 
@@ -131,8 +147,13 @@ class PrmStream:
         if t0 < self._first:
             raise ConfigError(f"PRM read at t = {t0:g} behind forget_before"
                               f"({self._first})")
-        k0, k1 = int(math.floor(t0 / _WIDTH)), int(math.ceil(t1 / _WIDTH))
-        need = int(math.ceil(zmax))
+        k0, k1 = math.floor(t0 / _WIDTH), math.ceil(t1 / _WIDTH)
+        need = math.ceil(zmax)
+        if k1 - k0 == 1:  # inside one column, as every read of the engine is
+            col = self._cols.get(k0)
+            pairs, ts, _ = col if col and col[2] >= need else self._grow(k0, col, need)
+            return [p for p in pairs[bisect.bisect_right(ts, t0):bisect.bisect_right(ts, t1)]
+                    if p[1] <= zmax]
         out = []
         for k in range(k0, k1):
             col = self._cols.get(k)

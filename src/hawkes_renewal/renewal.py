@@ -30,7 +30,7 @@ from .errors import ConfigError, IntegrabilityError, SimulationCapError
 from .hawkes import Path, ProcessState, ZStart, _shifted, thin
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, PowerLawKernel,
                       TableKernel, borel_c_h, ceil_int, pos_part)
-from .prm import PrmStream, derive_key, spawn_rng, split, swapped_in
+from .prm import PrmStream, derive_key, rekey, spawn_rng, split, swapped_in
 from .reprocess import step
 
 _SLACK = 1e-9
@@ -563,7 +563,7 @@ def run_system(cfg, pi, pibar, starts=None, tau_rng=None, extend_after=0.0):
         end = rho + extend_after
         eng.sweep(eng.alphas[-1], end, True)
     track_paths = [
-        Path(np.array([u for u in tr.jumps if u <= end + 1e-12]), horizon=end)
+        Path([u for u in tr.jumps if u <= end + 1e-12], horizon=end)
         for tr in eng.tracks
     ]
     return RenewalOutcome(
@@ -594,14 +594,11 @@ def _run_chunk(cfg, job):
     """Blocks lo..hi-1 of stream ``seed`` and their summed diagnostics."""
     seed, lo, hi = job
     blocks, diag = [], Diagnostics()
-    # one tail generator, re-keyed per block with a zero counter and an empty
-    # buffer as PRM cells are: it draws as spawn_rng(seed, i, 0x7A1) would
+    # one tail generator, re-keyed per block as PRM cells are: it draws as
+    # spawn_rng(seed, i, 0x7A1) would
     tau_rng = np.random.Generator(np.random.Philox(key=0))
-    fresh = tau_rng.bit_generator.state
     for i in range(lo, hi):
-        key = fresh["state"]["key"]
-        key[1], key[0] = divmod(derive_key(seed, i, 0x7A1), 1 << 64)
-        tau_rng.bit_generator.state = fresh
+        rekey(tau_rng.bit_generator, derive_key(seed, i, 0x7A1))
         out = run_system(cfg, PrmStream(seed, stream=3 * i),
                          PrmStream(seed, stream=3 * i + 1), tau_rng=tau_rng)
         blocks.append(Block(out.rho, out.track_paths[0], out.eta, out.cycles))

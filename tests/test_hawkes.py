@@ -394,6 +394,16 @@ class TestSimulate:
             p_lin = simulate_adhp(PrmStream(seed, 41), kernel, lin, horizon=200.0)
             assert np.all(np.isin(p_ad.times, p_lin.times))
 
+    def test_path_times_strictly_increase(self):
+        # a list is checked as given, any other sequence as a float array
+        for make in (list, np.array, tuple):
+            path = Path(make([0.5, 1.25, 3]), horizon=4.0)
+            assert path.times.dtype == float and path.times.tolist() == [0.5, 1.25, 3.0]
+            assert Path(make([]), horizon=1.0).times.shape == (0,)
+            for times in ([0.5, 0.5], [0.5, 1.0, 1.0], [2.0, 1.0], [0.0, 3.0, 2.0, 4.0]):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    Path(make(times), horizon=5.0)
+
     def test_csv_format(self):
         path = Path(np.array([0.5, 1.25]), horizon=2.0)
         buf = io.StringIO()

@@ -54,11 +54,14 @@ def sample_by_cells(seed, stream, t0, t1, zmax, cells):
 
 def random_windows(rng, n):
     """Windows inside one unit, across units, from an integer t0, across a
-    cell boundary 8j (or ending on it) and up to 20 units long, with mark
-    bounds that rise and fall, each read twice in a row."""
+    cell boundary 8j (or ending on it) and up to 20 units long; windows that
+    start or end on a column edge 8j, end one float either side of it, or
+    span two or three columns; with mark bounds that rise and fall, each
+    read twice in a row."""
     for _ in range(n):
         k = int(rng.integers(0, 60))
-        kind = rng.integers(0, 5)
+        j = WIDTH * int(rng.integers(1, 8))
+        kind = rng.integers(0, 8)
         if kind == 0:
             t0, t1 = sorted(k + rng.random(2))
         elif kind == 1:
@@ -67,12 +70,21 @@ def random_windows(rng, n):
         elif kind == 2:
             t0, t1 = float(k), k + float(rng.choice([rng.random(), 1.0, 2.5]))
         elif kind == 3:
-            j = WIDTH * int(rng.integers(1, 8))
             t0 = j - 3.0 * rng.random()
             t1 = j + float(rng.choice([3.0 * rng.random(), 0.0, float(WIDTH)]))
-        else:
+        elif kind == 4:
             t0 = k + rng.random()
             t1 = t0 + rng.uniform(4.0, 20.0)
+        elif kind == 5:  # from or to a column edge, inside one column
+            t0, t1 = ((float(j), j + WIDTH * rng.random()) if rng.random() < 0.5
+                      else (j - WIDTH * rng.random(), float(j)))
+        elif kind == 6:  # one float before or after a column edge
+            t0 = float(rng.choice([j - WIDTH * rng.random(), float(j)]))
+            t1 = float(np.nextafter(float(j), rng.choice([-math.inf, math.inf])))
+            t0 = min(t0, t1 - 0.5)
+        else:  # two or three columns
+            t0 = j + WIDTH * rng.random()
+            t1 = j + WIDTH * (int(rng.integers(1, 3)) + rng.random())
         zmax = float(rng.choice([rng.uniform(0.05, 1.0), rng.uniform(1.0, 6.0),
                                  float(rng.integers(1, 4))]))
         yield t0, t1, zmax
@@ -156,6 +168,28 @@ class TestPrmStream:
                 assert got.shape == want.shape and got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes(), (stream, t0, t1, zmax)
 
+    def test_one_column_reads_match_the_column_loop(self):
+        # a window inside one column is answered without the column loop;
+        # the loop answers a window one unit wider on each side (two or more
+        # columns), and that read filtered to the window must agree
+        rng = np.random.default_rng(31)
+        one, wide, cells = PrmStream(41, 2), PrmStream(41, 2), {}
+        n_one = 0
+        for t0, t1, zmax in random_windows(rng, 400):
+            k0, k1 = math.floor(t0 / WIDTH), math.ceil(t1 / WIDTH)
+            n_one += k1 - k0 == 1
+            got = one.sample(t0, t1, zmax)
+            loop = [p for p in wide.sample(max(WIDTH * k0 - 1.0, 0.0), WIDTH * k1 + 1.0, zmax)
+                    if t0 < p[0] <= t1]
+            assert got == loop, (t0, t1, zmax)
+            want = sample_by_cells(41, 2, t0, t1, zmax, cells)
+            assert np.array(got).reshape(-1, 2).tobytes() == want.tobytes(), (t0, t1, zmax)
+            if got:  # windows that end, or start, on a drawn point
+                s = got[len(got) // 2][0]
+                assert one.sample(t0, s, zmax) == [p for p in got if p[0] <= s]
+                assert one.sample(s, t1, zmax) == [p for p in got if p[0] > s]
+        assert n_one > 300
+
     def test_one_derive_key_call_per_new_cell(self, monkeypatch):
         calls = []
         derive_key = prm.derive_key
@@ -179,15 +213,36 @@ class TestPrmStream:
 
     def test_memoised_derive_key_is_the_plain_fold(self):
         rng = np.random.default_rng(11)
-        cases = [(), (0,), (-1,), (-(1 << 70), 3), ((1 << 128) - 1, 5, 6)]
+        cases = [(), (0,), (-1,), (-(1 << 70), 3), ((1 << 128) - 1, 5, 6),
+                 (1, 1, 2), (True, 1, 2), (np.int64(-1), np.uint64(3), 4),
+                 (MASK64, 3, 4)]
         for _ in range(400):
             first = [int(rng.integers(0, 8)), int(rng.integers(-1 << 62, 1 << 62)),
                      int(rng.integers(0, 1 << 62)) << 66 | int(rng.integers(0, 1 << 62))]
             rest = rng.integers(-1000, 10**6, rng.integers(0, 4)).tolist()
             cases.append((first[rng.integers(0, 3)], *rest))
+        # cell keys (base, column, layer) and 4-part keys, under 128-bit
+        # stream bases and negative first parts
+        bases = [PrmStream(s, j)._base for s, j in [(0, 0), (7, 3), (2**40, 5)]]
+        for first in bases + [-1, -(1 << 63), -12345]:
+            for k in range(0, 400, 9):
+                for m in range(4):
+                    cases += [(first, k, m), (first, k, m, int(rng.integers(-9, 9)))]
         for parts in cases + cases:
             assert prm.derive_key(*parts) == plain_fold(*parts), parts
-        assert len(prm._FOLDS) <= 64
+        assert len(prm._FOLDS) <= 64 and len(prm._HEADS) <= 256
+        # the keys of 2,000 blocks: a tail key and two streams, each with
+        # the cells of three columns and two layers
+        for i in range(2000):
+            keys = [((99, i, 0x7A1), prm.derive_key(99, i, 0x7A1))]
+            for stream in (3 * i, 3 * i + 1):
+                base = prm.derive_key(99, stream, 0xB1E55ED)
+                keys += [((99, stream, 0xB1E55ED), base)]
+                keys += [((base, k, m), prm.derive_key(base, k, m))
+                         for k in range(3) for m in range(2)]
+                assert len(prm._FOLDS) <= 64 and len(prm._HEADS) <= 256
+            for parts, key in keys:
+                assert key == plain_fold(*parts), parts
         assert prm._part_mix.cache_info().currsize <= 4096
 
     def test_forget_before(self):
