@@ -28,15 +28,10 @@ class Path:
     horizon: float
 
     def __post_init__(self):
-        t = self.times
-        if isinstance(t, list):  # the engine's short jump lists, checked without numpy
-            bad = any(a >= b for a, b in zip(t, t[1:]))
-        else:
-            t = np.asarray(t, dtype=float)
-            bad = len(t) > 1 and np.any(np.diff(t) <= 0)
-        if bad:
+        self.times = np.asarray(self.times, dtype=float)
+        t = self.times.tolist()  # a few jumps: pairwise in Python beats np.diff
+        if any(a >= b for a, b in zip(t, t[1:])):
             raise ValueError("event times must be strictly increasing")
-        self.times = np.asarray(t, dtype=float)
 
     @property
     def n(self):

@@ -8,6 +8,7 @@ integrals drive every regeneration probability downstream.
 """
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -278,9 +279,6 @@ class RateSpec:
 # Increasing schedules and their generalized inverse
 # ---------------------------------------------------------------------------
 
-_CEIL_INVERSES = {}  # GammaSchedule.ceil_inverse by (form, C, y); cleared at 256
-
-
 @dataclass(frozen=True)
 class GammaSchedule:
     """The schedule gamma(t) = C t (``form`` "linear") or C ln_+(t) ("log").
@@ -321,18 +319,9 @@ class GammaSchedule:
         except OverflowError:
             return math.inf
 
+    @functools.lru_cache(maxsize=256)  # the age-dependent scan asks the same few counts
     def ceil_inverse(self, y):
-        """Smallest integer m >= 0 with gamma(m) >= y; inf with the inverse.
-
-        Memoised, as the age-dependent scan asks it for the same few counts."""
-        key = self.form, self.C, y
-        if key not in _CEIL_INVERSES:
-            if len(_CEIL_INVERSES) >= 256:
-                _CEIL_INVERSES.clear()
-            _CEIL_INVERSES[key] = self._ceil_inverse(y)
-        return _CEIL_INVERSES[key]
-
-    def _ceil_inverse(self, y):
+        """Smallest integer m >= 0 with gamma(m) >= y; inf with the inverse."""
         x = self.inverse(y)
         if math.isinf(x):
             return math.inf

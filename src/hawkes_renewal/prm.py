@@ -19,7 +19,6 @@ from .errors import BandViolationError, ConfigError
 
 _MASK64 = (1 << 64) - 1
 _FOLDS = {}  # derive_key's fold of a first part; cleared when it holds 64
-_HEADS = {}  # its fold of the first two parts as given; cleared at 256
 _time = itemgetter(0)
 # time units per cell: one key fold, generator reset and pair of draws
 # serve this many unit columns
@@ -41,29 +40,20 @@ _part_mix = functools.lru_cache(maxsize=4096)(_mix64)  # derive_key's mix of a l
 def derive_key(*parts):
     """Fold integers into a 128-bit Philox key, order-sensitive.
 
-    The fold of the first part, the fold of the first two parts and the mix
-    of each later part are memoised: the cells of a stream share its base,
-    those of a column its base and column, and all of them their layers."""
-    head = parts[:2]
-    if head not in _HEADS:
-        if len(_HEADS) >= 256:
-            _HEADS.clear()
-        h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
-        if parts:
-            p = int(parts[0]) & _MASK64
-            if p not in _FOLDS:
-                if len(_FOLDS) >= 64:
-                    _FOLDS.clear()
-                _FOLDS[p] = _mix64(h0 ^ p), _mix64(h1 ^ _mix64(p))
-            h0, h1 = _FOLDS[p]
-        for p in head[1:]:
-            p = int(p) & _MASK64
-            h0, h1 = _mix64(h0 ^ p), _mix64(h1 ^ _part_mix(p))
-        _HEADS[head] = h0, h1
-    h0, h1 = _HEADS[head]
-    for p in parts[2:]:
+    The fold of the first part and the mix of each later part are
+    memoised: the cells of a stream share its base, columns and layers."""
+    h0, h1 = 0x243F6A8885A308D3, 0x13198A2E03707344
+    if parts:
+        p = int(parts[0]) & _MASK64
+        if p not in _FOLDS:
+            if len(_FOLDS) >= 64:
+                _FOLDS.clear()
+            _FOLDS[p] = _mix64(h0 ^ p), _mix64(h1 ^ _mix64(p))
+        h0, h1 = _FOLDS[p]
+    for p in parts[1:]:
         p = int(p) & _MASK64
-        h0, h1 = _mix64(h0 ^ p), _mix64(h1 ^ _part_mix(p))
+        h0 = _mix64(h0 ^ p)
+        h1 = _mix64(h1 ^ _part_mix(p))
     return (h1 << 64) | h0
 
 

@@ -395,7 +395,7 @@ class TestSimulate:
             assert np.all(np.isin(p_ad.times, p_lin.times))
 
     def test_path_times_strictly_increase(self):
-        # a list is checked as given, any other sequence as a float array
+        # lists, arrays and tuples are checked alike, as float arrays
         for make in (list, np.array, tuple):
             path = Path(make([0.5, 1.25, 3]), horizon=4.0)
             assert path.times.dtype == float and path.times.tolist() == [0.5, 1.25, 3.0]

@@ -230,7 +230,7 @@ class TestPrmStream:
                     cases += [(first, k, m), (first, k, m, int(rng.integers(-9, 9)))]
         for parts in cases + cases:
             assert prm.derive_key(*parts) == plain_fold(*parts), parts
-        assert len(prm._FOLDS) <= 64 and len(prm._HEADS) <= 256
+        assert len(prm._FOLDS) <= 64
         # the keys of 2,000 blocks: a tail key and two streams, each with
         # the cells of three columns and two layers
         for i in range(2000):
@@ -240,7 +240,7 @@ class TestPrmStream:
                 keys += [((99, stream, 0xB1E55ED), base)]
                 keys += [((base, k, m), prm.derive_key(base, k, m))
                          for k in range(3) for m in range(2)]
-                assert len(prm._FOLDS) <= 64 and len(prm._HEADS) <= 256
+                assert len(prm._FOLDS) <= 64
             for parts, key in keys:
                 assert key == plain_fold(*parts), parts
         assert prm._part_mix.cache_info().currsize <= 4096
