@@ -12,8 +12,7 @@ from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, GammaSchedule,
                       Kernel, PositivePartKernel, PowerLawKernel, RateSpec,
                       TableKernel, ZeroKernel, pos_part)
 from .prm import PrmStream, SplitStreams, spawn_rng, split
-from .hawkes import (KernelMemory, Path, ProcessState, ZStart, path_to_csv,
-                     simulate_adhp)
+from .hawkes import Path, ProcessState, ZStart, path_to_csv, simulate_adhp
 from .renewal import (Block, Certificate, CycleRecord, Diagnostics,
                       RenewalConfig, RenewalOutcome, check_envelope_inequality,
                       iterate_regenerations, run_system, scan_alpha_AD,
@@ -30,8 +29,7 @@ __all__ = [
     "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
     "ZeroKernel", "pos_part",
     "PrmStream", "SplitStreams", "spawn_rng", "split",
-    "KernelMemory", "Path", "ProcessState", "ZStart", "path_to_csv",
-    "simulate_adhp",
+    "Path", "ProcessState", "ZStart", "path_to_csv", "simulate_adhp",
     "Block", "Certificate", "CycleRecord", "RenewalConfig", "RenewalOutcome",
     "Diagnostics",
     "check_envelope_inequality", "iterate_regenerations", "run_system",

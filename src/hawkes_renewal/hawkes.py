@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DominationError
 from .kernels import (ExpDecay, ExponentialKernel, PositivePartKernel,
-                      TableKernel)
+                      TableKernel, shifted)
 from .prm import in_band
 
 _SLACK = 1e-9
@@ -43,91 +43,6 @@ class Path:
                    - np.searchsorted(self.times, a, side="right"))
 
 
-class KernelMemory:
-    """Incremental evaluation of sum_j h(t - u_j) over recorded jumps u_j < t.
-
-    An exponential majorant (an exponential kernel or its positive part)
-    keeps an anchored prefix recursion (O(1) extension, O(log n) random
-    access, numerically stable); a table kernel sums over the jumps within
-    its support, found by bisection; other kernels sum directly.
-    ``majorant_sum`` gives the same sum under hbar, which dominates any
-    future value of the true sum, and ``majorant_from`` the left side of an
-    envelope certificate.
-    """
-
-    def __init__(self, kernel):
-        self.kernel = kernel
-        self.jumps = []
-        base = kernel.base if isinstance(kernel, PositivePartKernel) else kernel
-        self._exp = base if isinstance(base, ExponentialKernel) else None
-        self._reach = base.support_end if isinstance(base, TableKernel) else None
-        if self._exp:
-            self._S = []  # S_k = sum_j exp(-rate (u_k - u_j)), anchored at u_k
-
-    def add(self, u):
-        if self.jumps and u <= self.jumps[-1]:
-            raise ValueError("jumps must be added in strictly increasing order")
-        if self._exp:
-            if self.jumps:
-                decay = math.exp(-self._exp.rate * (u - self.jumps[-1]))
-                self._S.append(1.0 + decay * self._S[-1])
-            else:
-                self._S.append(1.0)
-        self.jumps.append(u)
-
-    def _weighted(self, t, idx, amp):
-        """amp * sum_{j < idx} exp(-rate (t - u_j)) of an exponential majorant."""
-        if idx == 0:
-            return 0.0
-        u = self.jumps[idx - 1]
-        return amp * math.exp(-self._exp.rate * (t - u)) * self._S[idx - 1]
-
-    def _within(self, t, idx):
-        """The jumps before index ``idx``, as an array; for a table kernel
-        only those its support reaches from t, with a margin for rounding."""
-        lo = 0 if self._reach is None else bisect.bisect_left(
-            self.jumps, t - self._reach - 1e-9 * (1.0 + abs(t)), 0, idx)
-        return np.array(self.jumps[lo:idx])
-
-    def value_at(self, t, idx=None):
-        """sum h(t - u) over jumps u < t, which number ``idx`` when given."""
-        if idx is None:
-            idx = bisect.bisect_left(self.jumps, t)
-        if isinstance(self.kernel, ExponentialKernel):
-            return self._weighted(t, idx, self.kernel.amplitude)
-        us = self._within(t, idx)
-        return float(np.sum(self.kernel.value(t - us))) if len(us) else 0.0
-
-    def majorant_sum(self, t):
-        """sum hbar(t - u) over jumps u <= t.
-
-        Inclusive on the right so that a bound computed at a jump time
-        still dominates the memory just after the jump; decreasing in t
-        until the next jump is added.
-        """
-        idx = bisect.bisect_right(self.jumps, t)
-        if self._exp:
-            return self._weighted(t, idx, abs(self._exp.amplitude))
-        us = self._within(t, idx)
-        return float(np.sum(self.kernel.majorant(t - us))) if len(us) else 0.0
-
-    def majorant_from(self, base):
-        """w -> sum hbar(base + w - u) over jumps u <= base, at a float w.
-
-        An :class:`ExpDecay` of ``majorant_sum(base)`` for an exponential
-        majorant, else a closure over the jumps up to base.
-        """
-        if self._exp:
-            return ExpDecay(self.majorant_sum(base), self._exp.rate)
-        us = self._within(base, bisect.bisect_right(self.jumps, base))
-        return lambda w: float(np.sum(self.kernel.majorant(base + w - us)))
-
-
-def _shifted(fn, s):
-    """w -> fn(s + w), an :class:`ExpDecay` again when fn is one."""
-    return fn.shift(s) if isinstance(fn, ExpDecay) else lambda w: fn(s + w)
-
-
 @dataclass
 class ZStart:
     """A process's state at its origin, each function read at the time w
@@ -144,7 +59,7 @@ class ZStart:
     @staticmethod
     def atom(env):
         """The regeneration state: age D, signal -f(w + D), upper envelope 0."""
-        e = _shifted(env.envelope(), env.D)
+        e = shifted(env.envelope(), env.D)
         if isinstance(e, ExpDecay):
             return ZStart(ExpDecay(-e.c, e.rate), ExpDecay(0.0, e.rate), e, env.D)
         return ZStart(lambda w: -e(w), lambda w: 0.0, e, env.D)
@@ -169,59 +84,122 @@ class ProcessState:
     ``start.signal_upper`` in time since the origin; a bound asked before
     the origin reads the upper envelope at 0.
 
+    Its jumps answer the kernel sums sum_j h(t - u_j) over jumps u_j < t
+    (``value_at``) and sum_j hbar(t - u_j) over u_j <= t, which dominates
+    any future value of the true sum (``majorant_sum``; ``majorant_from``
+    is the left side of an envelope certificate).  An exponential majorant
+    (an exponential kernel or its positive part) keeps the anchored sums
+    S_k = sum_{j <= k} exp(-rate (u_k - u_j)) (O(1) extension, O(log n)
+    random access, numerically stable); a table kernel sums over the jumps
+    within its support, found by bisection; other kernels sum directly.
+
     An :class:`ExponentialKernel` with start signals :class:`ExpDecay` of
     its rate makes it Markov in X(u) = amp S(u) + signal and X-bar(u) =
-    |amp| S(u) + max(upper, 0) at its last jump u (the origin before one),
-    S the memory's anchored sum: ``lambda_at`` past u and ``bound_from``
-    from u decay them with one exp, and earlier times read the jumps.
+    |amp| S(u) + max(upper, 0) at its last jump u (the origin before one):
+    ``lambda_at`` past u and ``bound_from`` from u decay them with one exp,
+    and earlier times read the jumps.
     """
 
     def __init__(self, kernel, rate, start=None, origin=0.0):
-        self.memory = KernelMemory(kernel)
+        self.kernel = kernel
         self.rate = rate
         self.start = start = start if start is not None else ZStart.empty()
         self.origin = float(origin)
-        self._a = kernel.rate if isinstance(kernel, ExponentialKernel) else None
-        self._carry = all(isinstance(g, ExpDecay) and g.rate == self._a
+        self.jumps = []
+        self._S = []  # the anchored sums of an exponential majorant
+        base = kernel.base if isinstance(kernel, PositivePartKernel) else kernel
+        self._exp = base if isinstance(base, ExponentialKernel) else None
+        self._reach = base.support_end if isinstance(base, TableKernel) else None
+        a = kernel.rate if kernel is self._exp else None
+        self._carry = all(isinstance(g, ExpDecay) and g.rate == a
                           for g in (start.signal, start.signal_upper))
         if self._carry:
             self._u, self._x = self.origin, start.signal.c
             self._xbar = max(start.signal_upper.c, 0.0)
 
-    @property
-    def jumps(self):
-        return self.memory.jumps
+    def _weighted(self, t, idx, amp):
+        """amp * sum_{j < idx} exp(-rate (t - u_j)) of an exponential majorant."""
+        if idx == 0:
+            return 0.0
+        u = self.jumps[idx - 1]
+        return amp * math.exp(-self._exp.rate * (t - u)) * self._S[idx - 1]
+
+    def _within(self, t, idx):
+        """The jumps before index ``idx``, as an array; for a table kernel
+        only those its support reaches from t, with a margin for rounding."""
+        lo = 0 if self._reach is None else bisect.bisect_left(
+            self.jumps, t - self._reach - 1e-9 * (1.0 + abs(t)), 0, idx)
+        return np.array(self.jumps[lo:idx])
+
+    def value_at(self, t, idx=None):
+        """sum h(t - u) over jumps u < t, which number ``idx`` when given."""
+        if idx is None:
+            idx = bisect.bisect_left(self.jumps, t)
+        if self.kernel is self._exp:
+            return self._weighted(t, idx, self.kernel.amplitude)
+        us = self._within(t, idx)
+        return float(np.sum(self.kernel.value(t - us))) if len(us) else 0.0
+
+    def majorant_sum(self, t):
+        """sum hbar(t - u) over jumps u <= t.
+
+        Inclusive on the right so that a bound computed at a jump time
+        still dominates the sum just after the jump; decreasing in t
+        until the next jump is added.
+        """
+        idx = bisect.bisect_right(self.jumps, t)
+        if self._exp:
+            return self._weighted(t, idx, abs(self._exp.amplitude))
+        us = self._within(t, idx)
+        return float(np.sum(self.kernel.majorant(t - us))) if len(us) else 0.0
+
+    def majorant_from(self, base):
+        """w -> sum hbar(base + w - u) over jumps u <= base, at a float w.
+
+        An :class:`ExpDecay` of ``majorant_sum(base)`` for an exponential
+        majorant, else a closure over the jumps up to base.
+        """
+        if self._exp:
+            return ExpDecay(self.majorant_sum(base), self._exp.rate)
+        us = self._within(base, bisect.bisect_right(self.jumps, base))
+        return lambda w: float(np.sum(self.kernel.majorant(base + w - us)))
 
     def lambda_at(self, t):
         if t <= self.origin:
             return 0.0
-        w, jumps = t - self.origin, self.memory.jumps
+        w, jumps = t - self.origin, self.jumps
         if self._carry and t > self._u:
-            i, x = len(jumps), self._x * math.exp(-self._a * (t - self._u))
+            i, x = len(jumps), self._x * math.exp(-self._exp.rate * (t - self._u))
         else:
-            i = bisect.bisect_left(jumps, t)  # one search for the memory and the age
-            x = self.memory.value_at(t, i) + float(self.start.signal(w))
+            i = bisect.bisect_left(jumps, t)  # one search for the sum and the age
+            x = self.value_at(t, i) + float(self.start.signal(w))
         age = t - jumps[i - 1] if i else self.start.age0 + w
         return float(self.rate.psi(x, age))
 
     def bound_from(self, t):
         """Dominating intensity bound valid on [t, next jump)."""
         if self._carry and t >= self._u and t >= self.origin:
-            env = self._xbar * math.exp(-self._a * (t - self._u))
+            env = self._xbar * math.exp(-self._exp.rate * (t - self._u))
         else:
             upper = float(self.start.signal_upper(max(t - self.origin, 0.0)))
-            env = self.memory.majorant_sum(t) + max(upper, 0.0)
+            env = self.majorant_sum(t) + max(upper, 0.0)
         b = self.rate.c_psi + self.rate.L * max(env, 0.0)
         if not math.isfinite(b):
             raise DominationError("dominating bound is not finite", at_time=t)
         return b
 
     def add_jump(self, t):
-        self.memory.add(t)
+        jumps, S = self.jumps, self._S
+        if jumps and t <= jumps[-1]:
+            raise ValueError("jumps must be added in strictly increasing order")
+        if self._exp:
+            S.append(1.0 + math.exp(-self._exp.rate * (t - jumps[-1])) * S[-1]
+                     if jumps else 1.0)
+        jumps.append(t)
         if self._carry:  # from S(t) and the start at t, never from the last state
-            amp, S, w = self.memory.kernel.amplitude, self.memory._S[-1], t - self.origin
-            self._u, self._x = t, amp * S + self.start.signal(w)
-            self._xbar = abs(amp) * S + max(self.start.signal_upper(w), 0.0)
+            amp, w = self._exp.amplitude, t - self.origin
+            self._u, self._x = t, amp * S[-1] + self.start.signal(w)
+            self._xbar = abs(amp) * S[-1] + max(self.start.signal_upper(w), 0.0)
 
 
 def simulate_adhp(pi, kernel, rate, start=None, origin=0.0, horizon=100.0):

@@ -370,17 +370,21 @@ class ExpDecay:
         """w -> self(s + w)."""
         return ExpDecay(self.c * math.exp(-self.rate * s), self.rate)
 
-    def plus(self, other):
-        """self + other as an ExpDecay, or None when the sum is not one."""
-        if not isinstance(other, ExpDecay):
-            return None
-        if other.c == 0:
-            return self
-        if self.c == 0:
-            return other
-        if other.rate == self.rate:
-            return ExpDecay(self.c + other.c, self.rate)
-        return None
+
+def shifted(fn, s):
+    """w -> fn(s + w), an :class:`ExpDecay` again when fn is one."""
+    return fn.shift(s) if isinstance(fn, ExpDecay) else lambda w: fn(s + w)
+
+
+def plus(f, g):
+    """w -> f(w) + g(w): f itself when g is a zero :class:`ExpDecay`, an
+    ExpDecay when both are and f is zero or of g's rate, else a closure."""
+    if isinstance(g, ExpDecay):
+        if g.c == 0:
+            return f
+        if isinstance(f, ExpDecay) and (f.c == 0 or f.rate == g.rate):
+            return ExpDecay(f.c + g.c, g.rate)
+    return lambda w: f(w) + g(w)
 
 
 class EnvelopeFns:
@@ -502,13 +506,13 @@ class EnvelopeFns:
 
     def _exp_form(self, lo, hi):
         """(A, B) with F(t) = A + B exp(-a t) on the piece (lo, hi) between
-        two jumps of F, a the kernel's rate, or None.  F has that form for
-        an exponential kernel without r, where f(t) = f(0) exp(-a t).  On
+        two jumps of F, a the kernel's rate, or None.  F has that form when
+        the envelope is an :class:`ExpDecay`, f(t) = f(0) exp(-a t).  On
         [0, D] A = c_psi and B = L f(0); past D A = c_psi g and B = 2 L f(0),
         g = 1{t <= delta} being constant on a piece cut at delta."""
-        if not isinstance(self.kernel, ExponentialKernel) or self.r is not None:
+        if not isinstance(e := self.envelope(), ExpDecay):
             return None
-        rate, f0 = self.rate, self.f(0.0)
+        rate, f0 = self.rate, e.c
         if hi <= self.D:
             return rate.c_psi, rate.L * f0
         return rate.c_psi * rate.g(hi), 2.0 * rate.L * f0

@@ -27,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, IntegrabilityError, SimulationCapError
-from .hawkes import Path, ProcessState, ZStart, _shifted, thin
+from .hawkes import Path, ProcessState, ZStart, thin
 from .kernels import (EnvelopeFns, ExpDecay, ExponentialKernel, PowerLawKernel,
-                      TableKernel, borel_c_h, ceil_int, pos_part)
+                      TableKernel, borel_c_h, ceil_int, plus, pos_part, shifted)
 from .prm import PrmStream, derive_key, rekey, spawn_rng, split, swapped_in
 from .reprocess import step
 
@@ -281,21 +281,13 @@ def certify_dominated(ub, rhs):
     return Certificate(False, points)
 
 
-def _plus(f, g):
-    """w -> f(w) + g(w), an :class:`ExpDecay` when both are of one rate."""
-    both = f.plus(g) if isinstance(f, ExpDecay) else None
-    return both if both is not None else lambda w: f(w) + g(w)
-
-
-def check_envelope_inequality(env, memory, base, signal_abs=None):
+def check_envelope_inequality(env, process, base):
     """Certify |sum h(t-u) + R(t)| <= f(t - base) for all t > base, the sum
-    running over the jumps u <= base of the :class:`KernelMemory` ``memory``.
-
-    Returns a :class:`Certificate`; ``signal_abs`` bounds |R|."""
-    ub = memory.majorant_from(base)
-    if signal_abs is not None:
-        ub = _plus(ub, _shifted(signal_abs, base))
-    return certify_dominated(ub, env.envelope())
+    running over the jumps u <= base of the :class:`ProcessState`
+    ``process`` and R being its start signal, bounded by the start's
+    ``signal_abs`` read at t - origin.  Returns a :class:`Certificate`."""
+    rest = shifted(process.start.signal_abs, base - process.origin)
+    return certify_dominated(plus(process.majorant_from(base), rest), env.envelope())
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +358,8 @@ class _Engine:
         self.pibar = pibar
         self.rng = tau_rng
         self.atom, self.zn_start = cfg.zstarts
-        self.starts = starts if starts is not None else [self.atom]
-        self.tracks = [ProcessState(cfg.kernel, cfg.rate, s) for s in self.starts]
+        self.tracks = [ProcessState(cfg.kernel, cfg.rate, s)
+                       for s in (starts if starts is not None else [self.atom])]
         self.alphas = [0.0]
         self.taus = []
         self.cycles = []
@@ -488,7 +480,7 @@ class _Engine:
             t = a + i
             self.sweep(swept, t, False, zn)
             swept = t
-            return len(zn.jumps), zn.memory.majorant_from(t)  # all at or before t
+            return len(zn.jumps), zn.majorant_from(t)  # all at or before t
 
         certs = []
         off = scan_alpha_O(self.env, cfg.sched, zn_at, tau_gap, certs=certs)
@@ -504,10 +496,9 @@ class _Engine:
         return cert.ok
 
     def certify_tracks(self, alpha):
-        """Certify every track's envelope at alpha, reading its memory."""
-        fails = sum(not self._count(check_envelope_inequality(
-            self.env, tr.memory, alpha, signal_abs=st.signal_abs))
-            for tr, st in zip(self.tracks, self.starts))
+        """Certify every track's envelope at alpha."""
+        fails = sum(not self._count(check_envelope_inequality(self.env, tr, alpha))
+                    for tr in self.tracks)
         self.diag.envelope_failures += fails
         return fails == 0
 

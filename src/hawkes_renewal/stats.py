@@ -20,6 +20,7 @@ from .hawkes import ZStart
 from .renewal import Diagnostics, iterate_regenerations, run_system
 
 log = logging.getLogger("hawkes_renewal")
+MIN_EXPECTED = 5.0  # the least expected count of a pooled chi-square cell
 
 
 @dataclass
@@ -93,8 +94,7 @@ def ad_normality(x, alpha=0.01, name="anderson-darling"):
                       detail=f"crit(1%)={crit:.3f}")
 
 
-def chi2_gof(observed, probs, alpha=0.01, min_expected=5.0, ddof=0,
-             name="chi-square"):
+def chi2_gof(observed, probs, alpha=0.01, name="chi-square"):
     """Chi-square goodness of fit with right-tail pooling of sparse bins."""
     import scipy.stats
     obs = np.asarray(observed, dtype=float)
@@ -104,7 +104,7 @@ def chi2_gof(observed, probs, alpha=0.01, min_expected=5.0, ddof=0,
     for o, e in zip(obs, exp):
         o_acc += o
         e_acc += e
-        if e_acc >= min_expected:
+        if e_acc >= MIN_EXPECTED:
             o_pool.append(o_acc)
             e_pool.append(e_acc)
             o_acc = e_acc = 0.0
@@ -113,19 +113,19 @@ def chi2_gof(observed, probs, alpha=0.01, min_expected=5.0, ddof=0,
         e_pool[-1] += e_acc
     if len(o_pool) < 2:
         raise ConfigError(f"{name}: {int(obs.sum())} observations fill {len(o_pool)} pooled "
-                          f"bins of expected count >= {min_expected:g}; the test needs two")
+                          f"bins of expected count >= {MIN_EXPECTED:g}; the test needs two")
     o_pool = np.array(o_pool)
     e_pool = np.array(e_pool) * (o_pool.sum() / max(np.sum(e_pool), 1e-300))
-    stat, p = scipy.stats.chisquare(o_pool, e_pool, ddof=ddof)
+    stat, p = scipy.stats.chisquare(o_pool, e_pool)
     return TestReport(name=name, statistic=float(stat), p_value=float(p),
                       n=int(obs.sum()), passed=p >= alpha, alpha=alpha,
                       detail=f"{len(o_pool)} pooled bins")
 
 
-def chi2_two_sample(a, b, alpha=0.01, min_expected=5.0, name="chi-square-2samp"):
+def chi2_two_sample(a, b, alpha=0.01, name="chi-square-2samp"):
     """Chi-square test that two samples of counts share one law, on their
     2 x k table of value frequencies; adjacent values are pooled from 0 up
-    until every cell expects ``min_expected``, the rest joining the last."""
+    until every cell expects ``MIN_EXPECTED``, the rest joining the last."""
     import scipy.stats
     top = max(max(a), max(b)) + 1
     table = np.array([np.bincount(a, minlength=top), np.bincount(b, minlength=top)])
@@ -133,7 +133,7 @@ def chi2_two_sample(a, b, alpha=0.01, min_expected=5.0, name="chi-square-2samp")
     cols, acc = [], 0
     for col in table.T:
         acc = acc + col
-        if share * acc.sum() >= min_expected:
+        if share * acc.sum() >= MIN_EXPECTED:
             cols.append(acc)
             acc = 0
     if cols:

@@ -15,7 +15,7 @@ import pytest
 from hawkes_renewal import (ConfigError, ExponentialKernel, GammaSchedule,
                             PositivePartKernel, PowerLawKernel, ProcessState, RateSpec,
                             RenewalConfig, ZStart, renewal, run_system, simulate_adhp)
-from hawkes_renewal import DominationError, cli, stats, verify
+from hawkes_renewal import DominationError, cli, quadrature, stats, verify
 from hawkes_renewal.cli import _VERIFY_LEAST, load_config, main
 from hawkes_renewal.verify import (SUITES, reference_ad_config, reference_o_config,
                                    run_suites, suite_renewal, suite_thinning)
@@ -273,6 +273,34 @@ class TestConfigSurface:
             "cfg", "pi", "pibar", "starts", "tau_rng", "extend_after"]
         assert [f.name for f in dataclasses.fields(ZStart)] == [
             "signal", "signal_upper", "signal_abs", "age0"]
+        # the certificate reads the process; pooling and quadrature take no knobs
+        assert list(inspect.signature(renewal.check_envelope_inequality).parameters) == [
+            "env", "process", "base"]
+        assert list(inspect.signature(stats.chi2_gof).parameters) == [
+            "observed", "probs", "alpha", "name"]
+        assert list(inspect.signature(stats.chi2_two_sample).parameters) == [
+            "a", "b", "alpha", "name"]
+        assert list(inspect.signature(quadrature.integrate).parameters) == ["fn", "a", "b"]
+
+    def test_public_names_are_these(self):
+        import hawkes_renewal
+        assert hawkes_renewal.__all__ == [
+            "BandViolationError", "ConfigError", "DominationError",
+            "IntegrabilityError", "SimulationCapError", "SupercriticalError",
+            "EnvelopeFns", "ExpDecay", "ExponentialKernel", "GammaSchedule", "Kernel",
+            "PositivePartKernel", "PowerLawKernel", "RateSpec", "TableKernel",
+            "ZeroKernel", "pos_part",
+            "PrmStream", "SplitStreams", "spawn_rng", "split",
+            "Path", "ProcessState", "ZStart", "path_to_csv", "simulate_adhp",
+            "Block", "Certificate", "CycleRecord", "RenewalConfig", "RenewalOutcome",
+            "Diagnostics",
+            "check_envelope_inequality", "iterate_regenerations", "run_system",
+            "scan_alpha_AD", "scan_alpha_O",
+            "BorelLaw", "Cluster", "simulate_cluster",
+            "REChain", "invariant_cdf", "return_time", "step",
+            "BlockStat", "TestReport", "clt_time_average", "coupling_experiment",
+            "functional_clt_paths", "lil_envelope"]
+        assert [n for n in hawkes_renewal.__all__ if not hasattr(hawkes_renewal, n)] == []
 
     @pytest.mark.parametrize("suite, text, problem", [
         ("renewal", "[run]\nmax_cycles = 1000000", "run: unknown key 'max_cycles'"),

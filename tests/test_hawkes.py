@@ -8,7 +8,7 @@ from hawkes_renewal import (ConfigError, EnvelopeFns, ExpDecay, ExponentialKerne
                             GammaSchedule, Path, PowerLawKernel, PrmStream, RateSpec,
                             TableKernel, ZeroKernel, ZStart, path_to_csv, pos_part,
                             simulate_adhp)
-from hawkes_renewal.hawkes import KernelMemory, ProcessState, thin
+from hawkes_renewal.hawkes import ProcessState, thin
 from hawkes_renewal.prm import swapped_in
 
 
@@ -76,11 +76,11 @@ def band_replay(pi, specs, width, bound, horizon, pibar=None):
 
 class TestQueries:
     def test_memory_of_empty_path(self):
-        assert KernelMemory(ExponentialKernel(1.0, 1.0)).value_at(5.0) == 0.0
+        assert ProcessState(ExponentialKernel(1.0, 1.0), None).value_at(5.0) == 0.0
 
     def test_memory_single_jump(self):
-        mem = KernelMemory(ExponentialKernel(1.0, 1.0))
-        mem.add(1.0)
+        mem = ProcessState(ExponentialKernel(1.0, 1.0), None)
+        mem.add_jump(1.0)
         assert mem.value_at(2.0) == pytest.approx(math.exp(-1.0))
         # a jump at t itself is not yet in the memory at t
         assert mem.value_at(1.0) == 0.0
@@ -89,9 +89,9 @@ class TestQueries:
         rng = np.random.default_rng(3)
         times = np.sort(rng.uniform(0, 50, 200))
         k = ExponentialKernel(1.3, 0.7)
-        mem = KernelMemory(k)
+        mem = ProcessState(k, None)
         for u in times:
-            mem.add(float(u))
+            mem.add_jump(float(u))
         for t in rng.uniform(0, 60, 50):
             us = times[times < t]
             direct = float(np.sum(0.7 * np.exp(-1.3 * (t - us))))
@@ -109,9 +109,9 @@ class TestQueries:
         rng = np.random.default_rng(4)
         for _ in range(20):
             times = np.sort(rng.uniform(0, 30, rng.integers(0, 40)))
-            mem = KernelMemory(kernel)
+            mem = ProcessState(kernel, None)
             for u in times:
-                mem.add(float(u))
+                mem.add_jump(float(u))
             for base in rng.uniform(0, 35, 3).tolist():
                 ub = mem.majorant_from(base)
                 assert isinstance(ub, ExpDecay) == closed_form
@@ -135,9 +135,9 @@ class TestQueries:
         kernel = Recorded([(0, .3), (1, -.1), (3, .05), (5, .02)])
         rng = np.random.default_rng(6)
         times = np.sort(rng.uniform(0, 200, 400))
-        mem = KernelMemory(kernel)
+        mem = ProcessState(kernel, None)
         for u in times:
-            mem.add(float(u))
+            mem.add_jump(float(u))
         # random times, and times one support length after a jump
         for t in np.concatenate([rng.uniform(0, 210, 40), times[::25] + 5.0]).tolist():
             past, upto = times[times < t], times[times <= t]

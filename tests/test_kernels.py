@@ -134,11 +134,17 @@ class TestEnvelopeValues:
         g = ExpDecay(0.8, 2.0)
         assert g(0.0) == 0.8 and g(np.array([0.0, 1.0])).shape == (2,)
         assert g.shift(0.5) == ExpDecay(0.8 * math.exp(-1.0), 2.0)
-        assert g.plus(ExpDecay(0.1, 2.0)) == ExpDecay(0.9, 2.0)
-        assert g.plus(ExpDecay(0.0, 0.0)) is g
-        assert ExpDecay(0.0, 0.0).plus(g) is g
-        assert g.plus(ExpDecay(0.1, 1.0)) is None
-        assert g.plus(lambda w: 0.0) is None
+        assert kernels.shifted(g, 0.5) == g.shift(0.5)
+        assert kernels.shifted(math.exp, 0.5)(1.0) == math.exp(1.5)
+        assert kernels.plus(g, ExpDecay(0.1, 2.0)) == ExpDecay(0.9, 2.0)
+        assert kernels.plus(g, ExpDecay(0.0, 0.0)) is g
+        assert kernels.plus(ExpDecay(0.0, 0.0), g) == g
+        # no closed form: a closure of the sum
+        power = lambda w: (1.0 + w) ** -3.0
+        for f, h in [(g, ExpDecay(0.1, 1.0)), (g, power), (power, g)]:
+            both = kernels.plus(f, h)
+            assert not isinstance(both, ExpDecay) and both(0.7) == f(0.7) + h(0.7)
+        assert kernels.plus(power, ExpDecay(0.0, 1.0)) is power
 
     def test_assumption_a_names_the_failed_moment(self):
         # under a log schedule t^2 f decays like ln(t) t^-0.5: exponent
@@ -262,24 +268,24 @@ class TestEnvelopeValues:
         rate = RateSpec.refractory_linear(0.5, 0.4, 1.0)
         env = make_env(ExponentialKernel(1.0, 0.2), rate,
                        GammaSchedule.linear(1.0), D=1.0)
+        # the reference integrates piece by piece between the jumps of F; each
+        # piece after the first starts one ulp right of its jump, so no
+        # piece evaluates F at its start with the value left of it
+        def direct(F, t, jumps):
+            below = [j for j in jumps if j < t]
+            starts = [0.0] + [math.nextafter(j, math.inf) for j in below]
+            return sum(integrate(F, lo, hi) for lo, hi in zip(starts, below + [t]))
         rng = np.random.default_rng(2)
         for t in rng.uniform(0.0, 15.0, 12):
-            direct = integrate(env.F, 0.0, float(t), points=[env.D, 1.0])
-            assert env.cum_F(float(t)) == pytest.approx(direct, abs=1e-6)
+            want = direct(env.F, float(t), sorted({env.D, *env.rate.g_breaks}))
+            assert env.cum_F(float(t)) == pytest.approx(want, abs=1e-6)
         assert env.tail_mass(0.0) == pytest.approx(env.F_l1, rel=1e-9)
         tc = env.t_cut(1e-3)
         assert env.tail_mass(tc) == pytest.approx(1e-3 * env.F_l1, rel=1e-3)
         m = 0.4 * env.F_l1
         assert env.cum_F(env.inv_cum(m)) == pytest.approx(m, rel=1e-6)
         # exact on the AD D=0, AD D=1 and O D=0 references, also next to the
-        # jumps of F at D and at the g breaks, where int_0^t F has a kink.
-        # The reference integrates piece by piece between the jumps; each
-        # piece after the first starts one ulp right of its jump, so no
-        # piece evaluates F at its start with the value left of it.
-        def direct(F, t, jumps):
-            below = [j for j in jumps if j < t]
-            starts = [0.0] + [math.nextafter(j, math.inf) for j in below]
-            return sum(integrate(F, lo, hi) for lo, hi in zip(starts, below + [t]))
+        # jumps of F at D and at the g breaks, where int_0^t F has a kink
         ad, o = ExponentialKernel(1.0, 0.2), ExponentialKernel(1.0, 0.3)
         for env in [make_env(ad, rate, GammaSchedule.linear(1.0), D=0.0),
                     make_env(ad, rate, GammaSchedule.linear(1.0), D=1.0),
@@ -610,24 +616,15 @@ class TestQuadrature:
                 integrate_to_inf(lambda t: 1.0 / (1.0 + t), 0.0, factor="1/(1+t)")
         assert exc.value.factor == "1/(1+t)"
 
-    def test_breakpoint_handling(self):
-        fn = lambda t: 1.0 if t < 1.0 else 0.0
-        assert integrate(fn, 0.0, 2.0, points=[1.0]) == pytest.approx(1.0, rel=1e-9)
-        # more breakpoints than QUADPACK's default limit of 50 subintervals
-        many = [1.0, *np.linspace(0.0, 2.0, 82)[1:-1].tolist()]
-        assert integrate(fn, 0.0, 2.0, points=many) == pytest.approx(1.0, rel=1e-9)
-
     def test_an_interval_a_few_ulps_wide(self):
         a = b = 1.0
         for _ in range(4):
             b = math.nextafter(b, 2.0)
         assert integrate(math.exp, a, b) == pytest.approx(math.e * (b - a), rel=1e-9)
 
-    def test_a_kink_with_and_without_its_breakpoint(self):
+    def test_a_kink_without_a_breakpoint(self):
         fn = lambda t: abs(t - 1.0 / 3.0)
-        for points in ((), (1.0 / 3.0,)):
-            assert integrate(fn, 0.0, 1.0, points=points) == pytest.approx(5.0 / 18.0,
-                                                                           rel=1e-9)
+        assert integrate(fn, 0.0, 1.0) == pytest.approx(5.0 / 18.0, rel=1e-9)
 
     def test_a_finite_failure_raises_and_emits_no_warning(self):
         with warnings.catch_warnings():

@@ -22,7 +22,7 @@ from hawkes_renewal import (ConfigError, Diagnostics, DominationError,
                             scan_alpha_O, simulate_adhp)
 from hawkes_renewal import hawkes, prm, renewal, spawn_rng, stats
 from hawkes_renewal.kernels import EnvelopeFns
-from hawkes_renewal.hawkes import KernelMemory
+from hawkes_renewal.hawkes import ProcessState
 from hawkes_renewal.renewal import certify_dominated
 from hawkes_renewal.stats import functional_clt_paths, lil_envelope
 from hawkes_renewal.verify import (reference_ad_config, reference_o_config,
@@ -34,11 +34,11 @@ AD_TABLE = TableKernel([(0.0, 0.2), (1.0, -0.05), (2.0, 0.0)])
 O_TABLE = TableKernel([(0.0, 0.3), (1.0, 0.1), (2.0, 0.0)])
 
 
-def memory_of(kernel, jumps):
-    """A :class:`KernelMemory` of ``kernel`` holding ``jumps``."""
-    mem = KernelMemory(kernel)
+def memory_of(kernel, jumps, start=None, origin=0.0):
+    """A :class:`ProcessState` of ``kernel`` holding ``jumps``."""
+    mem = ProcessState(kernel, None, start, origin)
     for u in sorted(jumps):
-        mem.add(float(u))
+        mem.add_jump(float(u))
     return mem
 
 
@@ -230,14 +230,38 @@ class TestCertificate:
     def test_scalar_signal_abs_and_the_atom(self):
         cfg = reference_ad_config(D=1.0)
         env, kernel = cfg.env, cfg.kernel
-        mem = memory_of(kernel, [0.4, 2.5, 3.1])
         for start in [ZStart.empty(), ZStart.atom(env)]:
+            mem = memory_of(kernel, [0.4, 2.5, 3.1], start)
             for base in [3.5, 6.0]:
                 ub_sum = mem.majorant_from(base)
                 ub = lambda w: ub_sum(w) + start.signal_abs(base + w)
-                cert = check_envelope_inequality(env, mem, base,
-                                                 signal_abs=start.signal_abs)
+                cert = check_envelope_inequality(env, mem, base)
                 assert cert.ok == certify_recursive(ub, env.f)[0]
+
+    @pytest.mark.parametrize("kernel", [ExponentialKernel(1.0, 0.2), AD_TABLE],
+                             ids=["exponential", "table"])
+    def test_the_signal_term_is_the_start_at_base_minus_origin(self, kernel, monkeypatch):
+        # the left side is the majorant plus signal_abs shifted by
+        # base - origin, in closed form for an exponential kernel
+        seen = []
+        monkeypatch.setattr(renewal, "certify_dominated",
+                            lambda ub, rhs: seen.append(ub) or certify_dominated(ub, rhs))
+        env = reference_ad_config(D=1.0, kernel=kernel).env
+        atom = ZStart.atom(env)
+        for origin in [0.0, 1.5]:
+            jumps = [origin + u for u in (0.4, 2.5, 3.1)]
+            for base in [origin + 0.5, origin + 3.5]:  # the table's f is 0 past 2
+                maj, sig = memory_of(kernel, jumps).majorant_from(base), atom.signal_abs
+                ub = (ExpDecay(maj.c + sig(base - origin), maj.rate)
+                      if isinstance(maj, ExpDecay) else
+                      lambda w: maj(w) + sig(base - origin + w))
+                for start, want in [(atom, ub), (ZStart.empty(), maj)]:
+                    got = check_envelope_inequality(
+                        env, memory_of(kernel, jumps, start, origin), base)
+                    cert = certify_dominated(want, env.envelope())
+                    assert (got.ok, got.points) == (cert.ok, cert.points)
+                    ws = [0.0, 0.7, 3.0]
+                    assert [seen[-1](w) for w in ws] == [want(w) for w in ws]
 
     def test_same_rate_exponentials_are_decided_in_closed_form(self):
         env = reference_o_config(D=0.0).env
@@ -256,15 +280,14 @@ class TestCertificate:
         assert cert.ok and cert.points == 1
         # the empty start and the atom keep the sum in closed form
         cfg = reference_ad_config(D=1.0)
-        mem = memory_of(cfg.kernel, [0.4, 2.5, 3.1])
         for start in [ZStart.empty(), ZStart.atom(cfg.env)]:
             assert isinstance(start.signal_abs, ExpDecay)
+            mem = memory_of(cfg.kernel, [0.4, 2.5, 3.1], start)
             for base in [3.5, 6.0]:
                 c_ub = (float(mem.majorant_from(base)(0.0))
                         + float(start.signal_abs(base)))
                 c_rhs = cfg.env.f(0.0)
-                cert = check_envelope_inequality(cfg.env, mem, base,
-                                                 signal_abs=start.signal_abs)
+                cert = check_envelope_inequality(cfg.env, mem, base)
                 assert cert.ok == (c_ub <= c_rhs * (1 + 1e-9) + 1e-12)
                 assert cert.points == 1
 
@@ -851,11 +874,11 @@ class TestGatesCanFail:
     def test_a_scaled_track_certificate_fails(self, monkeypatch, make, D, scale):
         check = renewal.check_envelope_inequality
 
-        def scaled(env, memory, base, signal_abs=None):
+        def scaled(env, process, base):
             rhs = env.envelope()
             env = types.SimpleNamespace(
                 envelope=lambda: ExpDecay(scale * rhs.c, rhs.rate))
-            return check(env, memory, base, signal_abs)
+            return check(env, process, base)
 
         monkeypatch.setattr(renewal, "check_envelope_inequality", scaled)
         cert = self.gates(100, 30, make(D=D))["envelope-certificate"]
