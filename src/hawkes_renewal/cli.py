@@ -103,11 +103,21 @@ def _build_gamma(sec, problems, p, kernel, rate):
         return None
 
 
-def _number(sec, key, kind, problems, default=None):
-    """``kind(sec[key])`` for kind int or float, or ``default`` after
-    naming the problem."""
+def _integer(text):
+    """int(text), or the integer of an integral float such as 1e3 or 400.0."""
     try:
-        return kind(sec[key])
+        return int(text)
+    except ValueError:
+        if not float(text).is_integer():
+            raise
+        return int(float(text))
+
+
+def _number(sec, key, kind, problems, default=None):
+    """``kind(sec[key])`` for kind float, ``_integer(sec[key])`` for kind
+    int, or ``default`` after naming the problem."""
+    try:
+        return (_integer if kind is int else kind)(sec[key])
     except (ValueError, OverflowError):
         what = "an integer" if kind is int else "a number"
         problems.append(f"{sec.name}: {key} must be {what}, got {sec[key]!r}")
@@ -142,9 +152,8 @@ def _verify_sizes(sec, problems):
                             f"choose from {', '.join(sorted(SUITES))}")
             continue
         arg = inspect.signature(SUITES[suite]).parameters.get(param)
-        kind = {int: lambda v: int(float(v)), float: float}.get(
-            type(getattr(arg, "default", None)))
-        if kind is None:
+        kind = type(getattr(arg, "default", None))
+        if kind not in (int, float):
             problems.append(f"verify: {key}: suite {suite} has no numeric "
                             f"parameter {param!r}")
         elif param == "n_jobs":

@@ -12,6 +12,8 @@ import numpy as np
 from .errors import ConfigError, SimulationCapError, SupercriticalError
 from .kernels import borel_c_h
 
+_CAP = 10**7  # the most terms of a truncation and events of a cluster
+
 
 @dataclass
 class BorelLaw:
@@ -45,12 +47,10 @@ class BorelLaw:
     def pmf_vector(self, n_max):
         return np.array([self.pmf(n) for n in range(1, n_max + 1)])
 
-    def truncation_size(self, mass_tol=1e-9, cap=10**7):
+    def truncation_size(self, mass_tol=1e-9):
         """Smallest N with remaining pmf mass <= mass_tol."""
         acc = 0.0
-        n = 0
-        while n < cap:
-            n += 1
+        for n in range(1, _CAP + 1):
             acc += self.pmf(n)
             if 1.0 - acc <= mass_tol:
                 return n
@@ -66,7 +66,7 @@ class Cluster:
     Y: float
 
 
-def simulate_cluster(kernel, L, rng, cap=10**7):
+def simulate_cluster(kernel, L, rng):
     """Grow one cluster: each event spawns Poisson(L*||h_+||) children with
     displacements drawn from h_+/||h_+||, which only an exponential kernel
     samples.  Y is the exact right extent."""
@@ -82,8 +82,8 @@ def simulate_cluster(kernel, L, rng, cap=10**7):
             kids = parent + np.atleast_1d(kernel.sample_displacement(rng, n))
             times.extend(kids.tolist())
             queue.extend(kids.tolist())
-            if len(times) > cap:
+            if len(times) > _CAP:
                 raise SupercriticalError(
-                    f"cluster exceeded {cap} events: supercritical suspicion")
+                    f"cluster exceeded {_CAP} events: supercritical suspicion")
     arr = np.sort(np.array(times))
     return Cluster(times=arr, W=len(arr), Y=float(arr[-1]))

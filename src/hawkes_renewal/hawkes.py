@@ -90,8 +90,8 @@ class ProcessState:
     is the left side of an envelope certificate).  An exponential majorant
     (an exponential kernel or its positive part) keeps the anchored sums
     S_k = sum_{j <= k} exp(-rate (u_k - u_j)) (O(1) extension, O(log n)
-    random access, numerically stable); a table kernel sums over the jumps
-    within its support, found by bisection; other kernels sum directly.
+    random access, numerically stable); a table kernel sums floats over the
+    jumps within its support, other kernels their history in one numpy call.
 
     An :class:`ExponentialKernel` with start signals :class:`ExpDecay` of
     its rate makes it Markov in X(u) = amp S(u) + signal and X-bar(u) =
@@ -109,7 +109,8 @@ class ProcessState:
         self._S = []  # the anchored sums of an exponential majorant
         base = kernel.base if isinstance(kernel, PositivePartKernel) else kernel
         self._exp = base if isinstance(base, ExponentialKernel) else None
-        self._reach = base.support_end if isinstance(base, TableKernel) else None
+        self._amp = kernel.value(0.0) if self._exp else None  # a, or max(a, 0) for h_+
+        self._reach = base.ts[-1] if isinstance(base, TableKernel) else None
         a = kernel.rate if kernel is self._exp else None
         self._carry = all(isinstance(g, ExpDecay) and g.rate == a
                           for g in (start.signal, start.signal_upper))
@@ -124,21 +125,23 @@ class ProcessState:
         u = self.jumps[idx - 1]
         return amp * math.exp(-self._exp.rate * (t - u)) * self._S[idx - 1]
 
-    def _within(self, t, idx):
-        """The jumps before index ``idx``, as an array; for a table kernel
-        only those its support reaches from t, with a margin for rounding."""
-        lo = 0 if self._reach is None else bisect.bisect_left(
-            self.jumps, t - self._reach - 1e-9 * (1.0 + abs(t)), 0, idx)
-        return np.array(self.jumps[lo:idx])
+    def _sum(self, fn, t, idx):
+        """sum fn(t - u) over the jumps u before index ``idx``: in floats over
+        those a table's support reaches from t (bisected, with a margin for
+        rounding), else in one numpy call over an unbounded history."""
+        jumps = self.jumps
+        if self._reach is None:
+            return float(np.sum(fn(t - np.array(jumps[:idx])))) if idx else 0.0
+        lo = bisect.bisect_left(jumps, t - self._reach - 1e-9 * (1.0 + abs(t)), 0, idx)
+        return sum([fn(t - u) for u in jumps[lo:idx]], 0.0)
 
     def value_at(self, t, idx=None):
         """sum h(t - u) over jumps u < t, which number ``idx`` when given."""
         if idx is None:
             idx = bisect.bisect_left(self.jumps, t)
-        if self.kernel is self._exp:
-            return self._weighted(t, idx, self.kernel.amplitude)
-        us = self._within(t, idx)
-        return float(np.sum(self.kernel.value(t - us))) if len(us) else 0.0
+        if self._exp:
+            return self._weighted(t, idx, self._amp)
+        return self._sum(self.kernel.value, t, idx)
 
     def majorant_sum(self, t):
         """sum hbar(t - u) over jumps u <= t.
@@ -150,8 +153,7 @@ class ProcessState:
         idx = bisect.bisect_right(self.jumps, t)
         if self._exp:
             return self._weighted(t, idx, abs(self._exp.amplitude))
-        us = self._within(t, idx)
-        return float(np.sum(self.kernel.majorant(t - us))) if len(us) else 0.0
+        return self._sum(self.kernel.majorant, t, idx)
 
     def majorant_from(self, base):
         """w -> sum hbar(base + w - u) over jumps u <= base, at a float w.
@@ -161,8 +163,8 @@ class ProcessState:
         """
         if self._exp:
             return ExpDecay(self.majorant_sum(base), self._exp.rate)
-        us = self._within(base, bisect.bisect_right(self.jumps, base))
-        return lambda w: float(np.sum(self.kernel.majorant(base + w - us)))
+        idx = bisect.bisect_right(self.jumps, base)
+        return lambda w: self._sum(self.kernel.majorant, base + w, idx)
 
     def lambda_at(self, t):
         if t <= self.origin:
@@ -172,16 +174,16 @@ class ProcessState:
             i, x = len(jumps), self._x * math.exp(-self._exp.rate * (t - self._u))
         else:
             i = bisect.bisect_left(jumps, t)  # one search for the sum and the age
-            x = self.value_at(t, i) + float(self.start.signal(w))
+            x = self.value_at(t, i) + self.start.signal(w)
         age = t - jumps[i - 1] if i else self.start.age0 + w
-        return float(self.rate.psi(x, age))
+        return self.rate.psi(x, age)
 
     def bound_from(self, t):
         """Dominating intensity bound valid on [t, next jump)."""
         if self._carry and t >= self._u and t >= self.origin:
             env = self._xbar * math.exp(-self._exp.rate * (t - self._u))
         else:
-            upper = float(self.start.signal_upper(max(t - self.origin, 0.0)))
+            upper = self.start.signal_upper(max(t - self.origin, 0.0))
             env = self.majorant_sum(t) + max(upper, 0.0)
         b = self.rate.c_psi + self.rate.L * max(env, 0.0)
         if not math.isfinite(b):

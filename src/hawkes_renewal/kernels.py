@@ -9,6 +9,7 @@ integrals drive every regeneration probability downstream.
 
 import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,9 +21,9 @@ from .quadrature import integrate, integrate_to_inf
 INF = math.inf
 
 
-def ceil_int(x, tol=1e-9):
-    """Integer ceiling with a snap tolerance against float noise."""
-    return int(math.ceil(x - tol))
+def ceil_int(x):
+    """Integer ceiling that snaps x within 1e-9 above an integer down to it."""
+    return int(math.ceil(x - 1e-9))
 
 
 def _require_finite(key, value):
@@ -66,16 +67,11 @@ class ExponentialKernel(Kernel):
         self.rate = float(rate)
         self.amplitude = float(amplitude)
 
-    # a float is computed with math, without np.asarray
     def value(self, t):
-        if isinstance(t, float):
-            return self.amplitude * math.exp(-self.rate * t)
-        return self.amplitude * np.exp(-self.rate * np.asarray(t, dtype=float))
+        return self.amplitude * math.exp(-self.rate * t)
 
     def majorant(self, t):
-        if isinstance(t, float):
-            return abs(self.amplitude) * math.exp(-self.rate * t)
-        return abs(self.amplitude) * np.exp(-self.rate * np.asarray(t, dtype=float))
+        return abs(self.amplitude) * math.exp(-self.rate * t)
 
     @property
     def pos_l1(self):
@@ -100,16 +96,12 @@ class PowerLawKernel(Kernel):
         self.amplitude = float(amplitude)
         self.exponent = float(exponent)
 
-    # a float is computed with math, without np.asarray
+    # the same arithmetic at a float and at an array of times
     def value(self, t):
-        if isinstance(t, float):
-            return self.amplitude * (1.0 + t) ** -self.exponent
-        return self.amplitude * (1.0 + np.asarray(t, dtype=float)) ** (-self.exponent)
+        return self.amplitude * (1.0 + t) ** -self.exponent
 
     def majorant(self, t):
-        if isinstance(t, float):
-            return abs(self.amplitude) * (1.0 + t) ** -self.exponent
-        return abs(self.amplitude) * (1.0 + np.asarray(t, dtype=float)) ** (-self.exponent)
+        return abs(self.amplitude) * (1.0 + t) ** -self.exponent
 
     @property
     def pos_l1(self):
@@ -133,29 +125,29 @@ class TableKernel(Kernel):
             raise ConfigError("table kernel knots must be finite")
         if not knots or knots[0][0] != 0.0:
             raise ConfigError("table kernel needs a knot at t=0")
-        ts = np.array([k[0] for k in knots])
-        if np.any(np.diff(ts) <= 0):
+        self.ts, self.vs = [t for t, _ in knots], [v for _, v in knots]
+        if any(a >= b for a, b in zip(self.ts, self.ts[1:])):
             raise ConfigError("table kernel knots must have strictly increasing times")
-        self.ts = ts
-        self.vs = np.array([k[1] for k in knots])
-        absv = np.abs(self.vs)
-        run = np.maximum.accumulate(absv[::-1])[::-1]
-        # step value on [t_k, t_{k+1}) is max of the running maxima at both ends
-        self._maj_steps = np.maximum(run, np.append(run[1:], 0.0))
+        # the step on [t_k, t_{k+1}) is the running maximum max_{j >= k} |v_j|,
+        # which covers both ends
+        self._maj_steps = list(itertools.accumulate(map(abs, reversed(self.vs)), max))[::-1]
 
     def value(self, t):
-        return np.interp(np.asarray(t, dtype=float), self.ts, self.vs, right=0.0)
+        """np.interp(t, ts, vs, right=0.0) at a float t, bit for bit: vs[0]
+        up to the first knot, a knot's own value at it, 0 past the last."""
+        ts, vs = self.ts, self.vs
+        j = max(bisect.bisect_right(ts, t) - 1, 0)
+        if t <= ts[j]:
+            return vs[j]
+        if j == len(ts) - 1:
+            return 0.0
+        slope = (vs[j + 1] - vs[j]) / (ts[j + 1] - ts[j])
+        return slope * (t - ts[j]) + vs[j]
 
     def majorant(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.ts, t, side="right") - 1
-        idx = np.clip(idx, 0, len(self.ts) - 1)
-        out = self._maj_steps[idx]
-        return np.where(t > self.ts[-1], 0.0, out)
-
-    @property
-    def support_end(self):
-        return float(self.ts[-1])
+        if t > self.ts[-1]:
+            return 0.0
+        return self._maj_steps[max(bisect.bisect_right(self.ts, t) - 1, 0)]
 
     @property
     def pos_l1(self):
@@ -187,7 +179,8 @@ class PositivePartKernel(Kernel):
         self.base = base
 
     def value(self, t):
-        return np.clip(self.base.value(t), 0.0, None)
+        v = self.base.value(t)
+        return np.maximum(v, 0.0) if isinstance(v, np.ndarray) else max(v, 0.0)
 
     def majorant(self, t):
         return self.base.majorant(t)
@@ -202,7 +195,7 @@ def pos_part(kernel):
     if isinstance(kernel, (ExponentialKernel, PowerLawKernel)):
         return kernel if kernel.amplitude >= 0 else PositivePartKernel(kernel)
     if isinstance(kernel, TableKernel):
-        return kernel if np.all(kernel.vs >= 0) else PositivePartKernel(kernel)
+        return kernel if all(v >= 0 for v in kernel.vs) else PositivePartKernel(kernel)
     return PositivePartKernel(kernel)
 
 
@@ -304,14 +297,12 @@ class GammaSchedule:
         return GammaSchedule("log", C)
 
     def value(self, t):
-        t = float(t)
         if self.form == "linear":
             return self.C * t
         return self.C * math.log(t) if t > 1.0 else 0.0
 
     def inverse(self, y):
         """Generalized inverse; inf past the float range."""
-        y = float(y)
         if y <= 0.0:
             return 0.0
         try:
@@ -351,7 +342,7 @@ class GammaSchedule:
 
 @dataclass(frozen=True)
 class ExpDecay:
-    """The function w -> c * exp(-rate * w), at a float or an array of w.
+    """The function w -> c * exp(-rate * w), at a float w.
 
     Majorant sums of exponential kernels, their envelopes and the start
     signals built from them have this form; the envelope certificate decides
@@ -362,9 +353,7 @@ class ExpDecay:
     rate: float
 
     def __call__(self, w):
-        if isinstance(w, float):
-            return self.c * math.exp(-self.rate * w)
-        return self.c * np.exp(-self.rate * w)
+        return self.c * math.exp(-self.rate * w)
 
     def shift(self, s):
         """w -> self(s + w)."""
@@ -441,9 +430,9 @@ class EnvelopeFns:
         with x clipped to [0, t2]."""
         k = self.kernel
         if isinstance(k, TableKernel):
-            G = [self.sched.int_shifted(x) for x in np.clip(k.ts - t1, 0.0, t2).tolist()]
-            return sum(v * (b - a) for v, a, b in zip(k._maj_steps.tolist(), G, G[1:]))
-        fn = lambda s: self.sched.value(s + 1.0) * float(k.majorant(t1 + s))
+            G = [self.sched.int_shifted(min(max(t - t1, 0.0), t2)) for t in k.ts]
+            return sum(v * (b - a) for v, a, b in zip(k._maj_steps, G, G[1:]))
+        fn = lambda s: self.sched.value(s + 1.0) * k.majorant(t1 + s)
         if math.isinf(t2):
             # in units of 1 + t1, the scale on which hbar(t1 + s) decays
             w = 1.0 + t1
@@ -460,16 +449,16 @@ class EnvelopeFns:
             raise ConfigError("f is defined for t1 >= 0")
         k = self.kernel
         if isinstance(k, ExponentialKernel):
-            hb = float(k.majorant(t1))
+            hb = k.majorant(t1)
             if t2 != INF:
                 J = self._J(t2)
             elif (J := self._J_inf) is None:
                 J = self._J_inf = self._J(INF)
             val = self.prefactor * (hb + hb * J)
         else:
-            val = self.prefactor * (float(k.majorant(t1)) + self._inner(t1, t2))
+            val = self.prefactor * (k.majorant(t1) + self._inner(t1, t2))
         if self.r is not None:
-            val += float(self.r(t1))
+            val += self.r(t1)
         if not math.isfinite(val):
             raise IntegrabilityError("f evaluated non-finite", factor="majorant or r")
         return val
@@ -487,7 +476,7 @@ class EnvelopeFns:
         return e
 
     def F_pre(self, t):
-        return 2.0 * self.rate.L * self.envelope()(t) + self.rate.c_psi * float(self.rate.g(t))
+        return 2.0 * self.rate.L * self.envelope()(t) + self.rate.c_psi * self.rate.g(t)
 
     def F(self, t):
         if self.D > 0 and t <= self.D:

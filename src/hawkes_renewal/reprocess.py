@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import SimulationCapError
 
+_CAP = 10**7  # steps of a return time and factors of the invariant product
+
 
 def step(m, x):
     """One update: max(m - 1, ceil(x))."""
@@ -57,30 +59,27 @@ class REChain:
         return out
 
 
-def return_time(chain, start, rng, cap=10**7):
+def return_time(chain, start, rng):
     """First n >= 1 with M_n = 0, started from ``start``."""
     m = int(math.ceil(start - 1e-12))
-    n = 0
-    while n < cap:
-        n += 1
+    for n in range(1, _CAP + 1):
         m = step(m, float(chain.sampler(rng)))
         if m <= 0:
             return n
     raise SimulationCapError(
-        f"no return to 0 within {cap} steps: null recurrence suspected "
+        f"no return to 0 within {_CAP} steps: null recurrence suspected "
         "(is E[X] finite?)", diagnostics={"last_state": m})
 
 
-def invariant_cdf(chain, n, tail_tol=1e-12, cap=10**7):
+def invariant_cdf(chain, n):
     """mu[0, n] = prod_{k=n}^inf F(k), with controlled truncation.
 
     The log-product is accumulated until the summed survival tail is below
-    ``tail_tol``; exact zero is returned as soon as some F(k) = 0.
+    1e-12; exact zero is returned as soon as some F(k) = 0.
     """
     log_mu = 0.0
-    k = int(n)
     prev_s = None
-    while k < n + cap:
+    for k in range(int(n), int(n) + _CAP):
         Fk = chain.cdf(k)
         if Fk <= 0.0:
             return 0.0
@@ -92,10 +91,9 @@ def invariant_cdf(chain, n, tail_tol=1e-12, cap=10**7):
         # bounds the log-product truncation error
         if prev_s is not None and s < prev_s and k > n + 4:
             r = s / prev_s
-            if s * (1.0 + r / (1.0 - r)) < tail_tol:
+            if s * (1.0 + r / (1.0 - r)) < 1e-12:
                 break
         prev_s = s
-        k += 1
     else:
         raise SimulationCapError("invariant product did not converge",
                                  diagnostics={"k": k})

@@ -21,6 +21,7 @@ from .renewal import Diagnostics, iterate_regenerations, run_system
 
 log = logging.getLogger("hawkes_renewal")
 MIN_EXPECTED = 5.0  # the least expected count of a pooled chi-square cell
+_BATCH = 64  # units per batch of the batch-means variance estimate
 
 
 @dataclass
@@ -237,15 +238,15 @@ def unit_counts(blocks):
                        minlength=sum(lens))
 
 
-def batch_means_sigma2(counts, batch=64):
+def batch_means_sigma2(counts):
     """Batch-means variance-rate estimate from a long unit-count series."""
-    k = len(counts) // batch
+    k = len(counts) // _BATCH
     if k < 8:
         raise ConfigError("too few batches for a batch-means estimate")
-    c = counts[: k * batch].astype(float)
+    c = counts[: k * _BATCH].astype(float)
     c -= c.mean()
-    sums = c.reshape(k, batch).sum(axis=1)
-    s2 = float(np.mean(sums**2)) / batch
+    sums = c.reshape(k, _BATCH).sum(axis=1)
+    s2 = float(np.mean(sums**2)) / _BATCH
     return s2, s2 * math.sqrt(2.0 / k)
 
 

@@ -24,12 +24,14 @@ N_JOBS = 2
 # the other setups through the exact-law gates of criteria 1, 2 and 4-6,
 # each on its own seed (criterion 1's fixture runs AD D=0 at seed 11), at
 # 10^4 cycles and blocks; a table kernel (||F||_1 = 0.98), whose blocks are
-# slower, at 3000 cycles and 2000 blocks
+# slower, at 3000 cycles and 2000 blocks, and the O table on 5000 of each
 TABLE = TableKernel([(0.0, 0.2), (1.0, -0.05), (2.0, 0.0)])
 SETUPS = [("AD-D1", reference_ad_config, 1.0, {}, 53, 10**4, 10**4),
           ("O-D0", reference_o_config, 0.0, {}, 59, 10**4, 10**4),
           ("O-D1", reference_o_config, 1.0, {}, 61, 10**4, 10**4),
-          ("AD-D1-table", reference_ad_config, 1.0, {"kernel": TABLE}, 67, 3000, 2000)]
+          ("AD-D1-table", reference_ad_config, 1.0, {"kernel": TABLE}, 67, 3000, 2000),
+          ("O-D1-table", reference_o_config, 1.0,
+           {"kernel": TableKernel([(0, .3), (1, .1), (2, 0)])}, 71, 5000, 5000)]
 
 
 def report_criterion(num, label, reports, runtime=None):

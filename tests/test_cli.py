@@ -15,7 +15,8 @@ import pytest
 from hawkes_renewal import (ConfigError, ExponentialKernel, GammaSchedule,
                             PositivePartKernel, PowerLawKernel, ProcessState, RateSpec,
                             RenewalConfig, ZStart, renewal, run_system, simulate_adhp)
-from hawkes_renewal import DominationError, cli, quadrature, stats, verify
+from hawkes_renewal import (DominationError, cli, cluster, kernels, quadrature, reprocess,
+                            stats, verify)
 from hawkes_renewal.cli import _VERIFY_LEAST, load_config, main
 from hawkes_renewal.verify import (SUITES, reference_ad_config, reference_o_config,
                                    run_suites, suite_renewal, suite_thinning)
@@ -85,7 +86,7 @@ class TestConfigDefaults:
         assert (pl.kernel.amplitude, pl.kernel.exponent) == (0.2, 2.5)
         assert (pl.sched.form, pl.sched.C) == ("log", 1.0)
         tab = load("[kernel]\nform = table\n[envelope]\nr = exp\n")
-        assert (tab.kernel.ts.tolist(), tab.kernel.vs.tolist()) == ([0.0, 1.0], [1.0, 0.0])
+        assert (tab.kernel.ts, tab.kernel.vs) == ([0.0, 1.0], [1.0, 0.0])
         assert (tab.r(0.0), tab.r(2.0)) == (1.0, math.exp(-2.0))
 
     def test_readme_sample_config_loads(self, tmp_path):
@@ -118,7 +119,10 @@ class TestConfigProblems:
         ("simulate", "[run]\nhorizon = -5", "run: horizon must be finite and positive"),
         ("renewal", "[run]\nparallel = -1", "run: parallel must be >= 0, got -1"),
         ("verify", "[verify]\nrenewal.n_cycles = many",
-         "verify: renewal.n_cycles must be a number, got 'many'"),
+         "verify: renewal.n_cycles must be an integer, got 'many'"),
+        ("verify", "[verify]\nrenewal.n_blocks = 400.7",
+         "verify: renewal.n_blocks must be an integer, got '400.7'"),
+        ("renewal", "[run]\nn_blocks = 400.7", "run: n_blocks must be an integer, got '400.7'"),
         ("verify", "[verify]\nre-chain.n_stepz = 5",
          "verify: re-chain.n_stepz: suite re-chain has no numeric parameter 'n_stepz'"),
         ("verify", "[verify]\nrechain.n_steps = 5",
@@ -185,7 +189,8 @@ class TestConfigProblems:
     ], ids=["n_blocks", "seed", "alpha", "alpha-percent", "max_cycles", "r_coef", "r_rate",
             "r_coef-negative", "r_rate-zero",
             "horizon-inf", "horizon-nan", "horizon-negative", "parallel",
-            "verify-size", "verify-parameter", "verify-suite", "duplicate-section",
+            "verify-size", "verify-fractional-count", "run-fractional-count",
+            "verify-parameter", "verify-suite", "duplicate-section",
             "alpha-zero", "alpha-above-one", "alpha-nan", "verify-alpha-one",
             "verify-alpha-negative", "n_blocks-zero", "fclt_paths-zero", "fclt_paths-one",
             "fclt_paths-two", "fclt_units-zero", "n_runs-zero", "n_runs-one", "n_steps-zero",
@@ -231,6 +236,12 @@ class TestConfigProblems:
         _, settings = load_config(write(tmp_path, text))
         assert settings["verify_sizes"] == {"prm-split": {"alpha": 0.05},
                                             "renewal": {"n_cycles": 1000}}
+
+    def test_an_integral_count_may_be_written_as_a_float(self, tmp_path):
+        text = "[run]\nn_blocks = 1e3\nseed = 7.0\n[verify]\nrenewal.n_blocks = 400.0\n"
+        _, settings = load_config(write(tmp_path, text))
+        assert (settings["n_blocks"], settings["seed"]) == (1000, 7)
+        assert settings["verify_sizes"] == {"renewal": {"n_blocks": 400}}
 
     def test_seed_flag_skips_the_file_seed(self, tmp_path):
         _, settings = load_config(write(tmp_path, "[run]\nseed = x\n"), seed_override=4)
@@ -281,6 +292,16 @@ class TestConfigSurface:
         assert list(inspect.signature(stats.chi2_two_sample).parameters) == [
             "a", "b", "alpha", "name"]
         assert list(inspect.signature(quadrature.integrate).parameters) == ["fn", "a", "b"]
+        # caps, tolerances and the batch size are constants
+        assert list(inspect.signature(kernels.ceil_int).parameters) == ["x"]
+        assert list(inspect.signature(reprocess.return_time).parameters) == [
+            "chain", "start", "rng"]
+        assert list(inspect.signature(reprocess.invariant_cdf).parameters) == ["chain", "n"]
+        assert list(inspect.signature(cluster.BorelLaw.truncation_size).parameters) == [
+            "self", "mass_tol"]
+        assert list(inspect.signature(cluster.simulate_cluster).parameters) == [
+            "kernel", "L", "rng"]
+        assert list(inspect.signature(stats.batch_means_sigma2).parameters) == ["counts"]
 
     def test_public_names_are_these(self):
         import hawkes_renewal

@@ -24,8 +24,7 @@ def thinning_oracle(pi, kernel, rate, bound, horizon, signal=None, age0=0.0,
     for s, z in pts:
         if s <= delay:
             continue
-        us = np.array(events)
-        mem = float(np.sum(kernel.value(s - us))) if len(us) else 0.0
+        mem = sum(kernel.value(s - u) for u in events)
         if signal is not None:
             mem += signal(s)
         age = (s - events[-1]) if events else age0 + s
@@ -52,9 +51,8 @@ def band_replay(pi, specs, width, bound, horizon, pibar=None):
     for s, z, second in points:
         lams = []
         for sp, ev in zip(specs, events):
-            us = np.array(ev)
             w, start = s - sp["origin"], sp["start"]
-            mem = float(np.sum(sp["kernel"].value(s - us))) if ev else 0.0
+            mem = sum(sp["kernel"].value(s - u) for u in ev)
             mem += start.signal(w)
             age = (s - ev[-1]) if ev else start.age0 + w
             lams.append(0.0 if w <= 0 else sp["rate"].psi(mem, age))
@@ -115,22 +113,28 @@ class TestQueries:
             for base in rng.uniform(0, 35, 3).tolist():
                 ub = mem.majorant_from(base)
                 assert isinstance(ub, ExpDecay) == closed_form
-                us = times[times <= base]
+                us = times[times <= base].tolist()
                 for w in [0.0, 0.3, 1.7, 6.0]:
-                    direct = float(np.sum(kernel.majorant(base + w - us)))
+                    direct = sum(kernel.majorant(base + w - u) for u in us)
                     assert ub(w) == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     def test_table_memory_sums_the_jumps_within_its_support(self):
-        sizes = []
+        calls, sizes = [], []
 
         class Recorded(TableKernel):
             def value(self, t):
-                sizes.append(np.size(t))
+                calls.append(t)
                 return super().value(t)
 
             def majorant(self, t):
-                sizes.append(np.size(t))
+                calls.append(t)
                 return super().majorant(t)
+
+        def terms(query):  # the kernel evaluations of one query
+            calls.clear()
+            out = query()
+            sizes.append(len(calls))
+            return out
 
         kernel = Recorded([(0, .3), (1, -.1), (3, .05), (5, .02)])
         rng = np.random.default_rng(6)
@@ -140,12 +144,13 @@ class TestQueries:
             mem.add_jump(float(u))
         # random times, and times one support length after a jump
         for t in np.concatenate([rng.uniform(0, 210, 40), times[::25] + 5.0]).tolist():
-            past, upto = times[times < t], times[times <= t]
-            value = float(np.sum(TableKernel.value(kernel, t - past)))
-            maj = float(np.sum(TableKernel.majorant(kernel, t - upto)))
-            assert mem.value_at(t) == pytest.approx(value, rel=1e-12, abs=1e-15)
-            assert mem.majorant_sum(t) == pytest.approx(maj, rel=1e-12, abs=0.0)
-            assert mem.majorant_from(t)(0.0) == pytest.approx(maj, rel=1e-12, abs=0.0)
+            past, upto = times[times < t].tolist(), times[times <= t].tolist()
+            value = sum(TableKernel.value(kernel, t - u) for u in past)
+            maj = sum(TableKernel.majorant(kernel, t - u) for u in upto)
+            assert terms(lambda: mem.value_at(t)) == pytest.approx(value, rel=1e-12, abs=1e-15)
+            assert terms(lambda: mem.majorant_sum(t)) == pytest.approx(maj, rel=1e-12, abs=0.0)
+            assert terms(lambda: mem.majorant_from(t)(0.0)) == pytest.approx(
+                maj, rel=1e-12, abs=0.0)
         # about 10 jumps fall within the support, never the whole past
         assert 0 < max(sizes) < 25
 
@@ -171,15 +176,13 @@ def direct_intensity(kernel, rate, start, origin, jumps, t):
     """lambda and the dominating bound at t, summed over the jumps plus the
     start: the jumps before t (at or before t for the bound), the signal
     at t - origin (the upper envelope at 0 before the origin)."""
-    us = np.array(jumps)
     lam = 0.0
     if t > origin:
-        past = us[us < t]
-        x = float(np.sum(kernel.value(t - past))) + start.signal(t - origin)
-        age = t - past[-1] if len(past) else start.age0 + (t - origin)
+        past = [u for u in jumps if u < t]
+        x = sum(kernel.value(t - u) for u in past) + start.signal(t - origin)
+        age = t - past[-1] if past else start.age0 + (t - origin)
         lam = float(rate.psi(x, age))
-    upto = us[us <= t]
-    env = (float(np.sum(kernel.majorant(t - upto)))
+    env = (sum(kernel.majorant(t - u) for u in jumps if u <= t)
            + max(start.signal_upper(max(t - origin, 0.0)), 0.0))
     return lam, rate.c_psi + rate.L * max(env, 0.0)
 

@@ -105,7 +105,7 @@ class TestEnvelopeValues:
         fn = lambda s, t1: sched.value(s + 1.0) * float(k.majorant(t1 + s))
         for t1 in [0.0, 0.5, 1.0, 2.7, 4.99, 5.0, 7.0]:
             for t2 in [0.0, 0.3, 1.5, 4.0, math.inf]:
-                hi = max(min(t2, k.support_end - t1), 0.0)
+                hi = max(min(t2, k.ts[-1] - t1), 0.0)
                 points = [t - t1 for t in k.ts if 0.0 < t - t1 < hi]
                 inner = quad(fn, 0.0, hi, args=(t1,), points=points or None,
                              epsabs=0.0, epsrel=1e-13, limit=200)[0] if hi > 0 else 0.0
@@ -132,7 +132,7 @@ class TestEnvelopeValues:
 
     def test_exp_decay_shift_and_plus(self):
         g = ExpDecay(0.8, 2.0)
-        assert g(0.0) == 0.8 and g(np.array([0.0, 1.0])).shape == (2,)
+        assert g(0.0) == 0.8 and g(1.0) == 0.8 * math.exp(-2.0)
         assert g.shift(0.5) == ExpDecay(0.8 * math.exp(-1.0), 2.0)
         assert kernels.shifted(g, 0.5) == g.shift(0.5)
         assert kernels.shifted(math.exp, 0.5)(1.0) == math.exp(1.5)
@@ -507,14 +507,15 @@ class TestKernels:
         assert float(k.majorant(1.5)) == 3.0
         assert float(k.majorant(2.5)) == 0.5
         assert float(k.majorant(3.5)) == 0.0
-        ts = np.linspace(0, 4, 400)
-        assert np.all(k.majorant(ts) >= np.abs(k.value(ts)) - 1e-12)
-        assert np.all(np.diff(k.majorant(ts)) <= 1e-12)
+        ts = np.linspace(0, 4, 400).tolist()
+        maj, vals = [k.majorant(t) for t in ts], [k.value(t) for t in ts]
+        assert all(m >= abs(v) - 1e-12 for m, v in zip(maj, vals))
+        assert all(b - a <= 1e-12 for a, b in zip(maj, maj[1:]))
 
     def test_table_majorant_holds_at_every_knot(self):
         # the last knot included: the majorant vanishes only past it
         k = TableKernel([(0.0, 0.3), (1.0, -0.1), (3.0, 0.05), (5.0, 0.02)])
-        assert np.all(k.majorant(k.ts) >= np.abs(k.value(k.ts)))
+        assert all(k.majorant(t) >= abs(k.value(t)) for t in k.ts)
         assert float(k.majorant(5.0)) == 0.02 and float(k.majorant(5.0 + 1e-9)) == 0.0
 
     def test_table_pos_l1_with_sign_change(self):
@@ -526,21 +527,36 @@ class TestKernels:
         k = ExponentialKernel(2.0, -3.0)
         assert k.pos_l1 == 0.0
 
-    def test_float_paths_agree_with_the_array_paths(self):
-        # value and majorant at a float, and ExpDecay at a float, compute
-        # with math: a Python float within a relative 1e-15 of the array path
+    def test_table_is_np_interp_and_every_path_returns_a_float(self):
+        # a signed table at every knot, next to and between knots, at 0,
+        # below 0 and past the support: value is np.interp(..., right=0.0)
+        # and majorant the searchsorted step lookup, bit for bit
+        k = TableKernel([(0.0, 0.3), (0.7, -0.2), (1.0, 0.05), (2.5, -0.1), (4.0, 0.0)])
+        ts, vs, steps = np.array(k.ts), np.array(k.vs), np.array([0.3, 0.2, 0.1, 0.1, 0.0])
         rng = np.random.default_rng(31)
+        xs = np.concatenate([ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf),
+                             [0.0, -0.0, -1e-300, -0.5, 4.0 + 1e-9, 7.0, 1e300],
+                             rng.uniform(-1.0, 5.0, 20000)])
+        idx = np.clip(np.searchsorted(ts, xs, side="right") - 1, 0, len(ts) - 1)
+        want = {k.value: np.interp(xs, ts, vs, right=0.0),
+                k.majorant: np.where(xs > ts[-1], 0.0, steps[idx])}
+        for fn, ref in want.items():
+            got = np.array([fn(x) for x in xs.tolist()])
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # at a float every kernel and ExpDecay compute a Python float; the
+        # power law's array path, which a sum over its whole history takes,
+        # agrees with it to a relative 1e-15
         ts = np.concatenate([[0.0, 5e-324, 1e-300, 0.5, 1.0, 700.0, 745.0],
                              rng.exponential(3.0, 20000), rng.uniform(0.0, 1e-3, 2000)])
-        fns = [ExpDecay(0.7, 1.3)]
-        for k in [ExponentialKernel(1.0, 0.2), ExponentialKernel(1.3, -0.4),
-                  ExponentialKernel(0.37, 2.5), PowerLawKernel(0.2, 4.0),
-                  PowerLawKernel(-0.3, 2.5)]:
-            fns += [k.value, k.majorant]
-        for fn in fns:
-            got = [fn(t) for t in ts.tolist()]
-            assert all(type(v) is float for v in got)
-            assert np.allclose(got, fn(ts), rtol=1e-15, atol=0.0)
+        power = [PowerLawKernel(0.2, 4.0), PowerLawKernel(-0.3, 2.5)]
+        for kern in power + [ExponentialKernel(1.0, 0.2), ExponentialKernel(1.3, -0.4),
+                             ExponentialKernel(0.37, 2.5), k, pos_part(k), pos_part(power[1])]:
+            for fn in (kern.value, kern.majorant):
+                got = [fn(t) for t in ts.tolist()]
+                assert all(type(v) is float for v in got)
+                if kern in power:
+                    assert np.allclose(got, fn(ts), rtol=1e-15, atol=0.0)
+        assert all(type(ExpDecay(0.7, 1.3)(t)) is float for t in ts.tolist())
 
     def test_powerlaw_needs_integrable_exponent(self):
         with pytest.raises(ConfigError):

@@ -783,7 +783,7 @@ class TestPinnedOutputs:
         (1.0, None, 8,
          "680522c0507b97ecd603b48f29646d15d3579b9e1cc436c8fce5617ed0969cfc"),
         (0.0, O_TABLE, 9,
-         "89de5ecb6e2ae5cd2f5d7f98716d9b2cabdfaa427ed924c7bdec1a9ff76201b7"),
+         "af86ee3c16f5e16e4c2fddda359e6432da22c9e06315163b548de8d58938a2ba"),
     ], ids=["O-D0-seed7", "O-D1-seed8", "O-table-seed9"])
     def test_zn_scan_inputs_match_their_pin(self, monkeypatch, D, kernel, seed, pin):
         # every (offset, count, mass(0)) that Z^n hands the ordinary scan over
